@@ -18,17 +18,6 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(np.abs(w).max())
 
 
-def min_eig(a: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(sym(a))[0])
-
-
-def is_psd(a: np.ndarray, rel_tol: float = 1e-10) -> bool:
-    """True if min eigenvalue >= -rel_tol * ||a||_2."""
-    w = np.linalg.eigvalsh(sym(a))
-    scale = float(np.abs(w).max()) if w.size else 0.0
-    return bool(w[0] >= -rel_tol * scale)
-
-
 def chol_logdet(a: np.ndarray) -> float:
     """log det of a symmetric positive-definite matrix via Cholesky.
 

@@ -381,7 +381,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--unit", choices=("nats", "bits"), default="nats")
     sp.add_argument("-o", "--out", default=None, help="write output to file instead of stdout")
     sp.add_argument("--tol-gap", type=float, default=None,
-                    help="barrier duality-gap tolerance (default 1e-9)")
+                    help="duality-gap tolerance in nats of the dual solver (default 1e-9)")
     sp.add_argument("--tol-region", type=float, default=None,
                     help="strict-positivity margin of the closed-form region test (default 1e-9)")
     sp.add_argument("--tol-psd", type=float, default=None,

@@ -31,8 +31,7 @@ def _rank_cutoff(n: int, tol: float, rank_rtol: float = RANK_RTOL) -> float:
     round-off between cov(X, Xhat) and cov(Xhat, Xhat) (equal in exact
     arithmetic for conditional-mean channels) by 1/w, so modes below
     ~ n*eps/tol cannot be certified at tolerance tol and must be treated as
-    zero.  The barrier solver parks active-face eigenvalues of Q - sigma at
-    O(gap/dual) above zero, squarely in that unresolvable band.
+    zero.
     """
     noise_rel = 4.0 * n * float(np.finfo(float).eps)
     return max(rank_rtol, noise_rel / tol)

@@ -7,13 +7,18 @@ Sigma with 0 <= Sigma <= Q and per-block trace budgets.  Three branches:
 * A closed form Sigma = Block-diag((d1/p1) I, (d2/p2) I) on the distortion
   region where Q - Sigma stays strictly positive definite; there the additive
   lower bound of :func:`jointrdf.model.gray_lower_bound` is attained.
-* Otherwise a primal path-following barrier method on the self-concordant
-  composite t*(-ln det Sigma) - ln det(Q - Sigma) - ln(slack1) - ln(slack2),
-  with damped Newton steps in the space of symmetric matrices.
+* Otherwise the two-multiplier dual (block reverse water-filling).  Only the
+  trace budgets are dualized, with multipliers (l1, l2) >= 0.  With
+  M = Q^{1/2} Block-diag(l1 I, l2 I) Q^{1/2} = U diag(m) U^T the Lagrangian
+  is minimized over 0 <= Sigma <= Q by
+  Sigma = Q^{1/2} U diag(min(1, 1/(2 m_i))) U^T Q^{1/2}, the spectral form of
+  reverse water-filling.  The dual g(l1, l2) is concave with gradient
+  (tr Sigma11 - d1, tr Sigma22 - d2); it is maximized by nested monotone
+  root-finds, one n x n eigh per evaluation.
 
 Every solve carries a certificate (lambda1, lambda2, Theta) whose stationarity
 and complementary-slackness residuals are recomputable via
-:func:`kkt_residuals`.
+:func:`kkt_residuals`.  On the dual branch Theta is exact by construction.
 """
 
 from __future__ import annotations
@@ -22,11 +27,11 @@ import math
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import psd_project, readonly, sym
+from ._linalg import chol_logdet, psd_project, readonly, sym
 from .model import (
     DistortionPair,
     GaussianPairSource,
@@ -50,26 +55,17 @@ class SolveBranch(Enum):
 class SolverConfig:
     """All solver tolerances, centralized for reproducibility.
 
-    t_init / t_factor: barrier weight schedule; the ladder stops once
-    (p1 + p2 + 2) / t < gap_tol.  centering_tol bounds the squared Newton
-    decrement; region_tol scales the strict-positivity margin of the
-    closed-form region test; psd_rtol and trace_slack_tol govern feasibility
-    checks; active_rank_tol splits the active eigenspace of Q - Sigma when
-    extracting dual variables.
+    gap_tol bounds the duality gap |l . (tr Sigma - d)| in nats at which the
+    dual iteration stops; region_tol scales the strict-positivity margin of
+    the closed-form region test; psd_rtol and trace_slack_tol govern
+    feasibility checks, and the dual iteration also stops only once each
+    trace overshoots its budget by at most trace_slack_tol.
     """
 
-    t_init: float = 1.0
-    t_factor: float = 10.0
     gap_tol: float = 1e-9
-    centering_tol: float = 1e-18
-    max_newton_steps: int = 60
-    armijo_slope: float = 0.01
-    backtrack_factor: float = 0.5
-    boundary_fraction: float = 0.99
     region_tol: float = 1e-9
     psd_rtol: float = 1e-10
     trace_slack_tol: float = 1e-9
-    active_rank_tol: float = 1e-6
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -200,13 +196,11 @@ def rate_of(src: GaussianPairSource, sigma) -> float:
     """0.5 * (ln det Q - ln det Sigma) in nats; +inf for singular sigma."""
     if not src.positive_definite:
         raise NotPositiveDefiniteError("rate requires q > 0")
-    s = sym(_as_matrix(sigma))
     try:
-        ld_sigma = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(s)))))
+        ld_sigma = chol_logdet(_as_matrix(sigma))
     except np.linalg.LinAlgError:
         return math.inf
-    ld_q = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(src.q)))))
-    return 0.5 * (ld_q - ld_sigma)
+    return 0.5 * (chol_logdet(src.q) - ld_sigma)
 
 
 def kkt_residuals(
@@ -254,280 +248,153 @@ def kkt_residuals(
 
 
 # ---------------------------------------------------------------------------
-# barrier method internals
+# two-multiplier dual (block reverse water-filling)
 # ---------------------------------------------------------------------------
 
-
-@lru_cache(maxsize=None)
-def _sym_basis(n: int) -> np.ndarray:
-    """Orthonormal basis of symmetric n x n matrices under the Frobenius inner
-    product: unit diagonals first, then (e_ij + e_ji)/sqrt(2)."""
-    mats = []
-    for i in range(n):
-        b = np.zeros((n, n))
-        b[i, i] = 1.0
-        mats.append(b)
-    off = 1.0 / math.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            b = np.zeros((n, n))
-            b[i, j] = off
-            b[j, i] = off
-            mats.append(b)
-    basis = np.array(mats)
-    basis.setflags(write=False)
-    return basis
+# Safety cap on the steps of one scalar root-find; the bracket collapses to
+# float resolution long before it is reached.
+_MAX_ROOT_STEPS = 100
 
 
-def _svec(basis: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return np.einsum("kij,ij->k", basis, a)
+class _DualPoint(NamedTuple):
+    """Lagrangian minimizer Sigma = b diag(z) b^T at multipliers (l1, l2)."""
+
+    l1: float
+    l2: float
+    m: np.ndarray
+    u: np.ndarray
+    z: np.ndarray
+    b: np.ndarray
+    traces: tuple[float, float]
+    jac: np.ndarray
 
 
-def _unsvec(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("k,kij->ij", v, basis)
+def _dual_point(q_half: np.ndarray, p1: int, l1: float, l2: float) -> _DualPoint:
+    """Spectral reverse water-filling at (l1, l2), from one n x n eigh.
 
-
-def _slacks(s: np.ndarray, d: DistortionPair, p1: int) -> tuple[float, float]:
-    return (
-        d.d1 - float(np.trace(s[:p1, :p1])),
-        d.d2 - float(np.trace(s[p1:, p1:])),
+    (m, u) are the eigenpairs of M = Q^{1/2} Block-diag(l1 I, l2 I) Q^{1/2},
+    b = Q^{1/2} u and z = min(1, 1/(2 m)).  traces holds (tr Sigma11,
+    tr Sigma22); by the Daleckii-Krein formula their Jacobian in (l1, l2) is
+    sum(A_k * A_j * F), with A_k = b_k^T b_k over the rows b_k of block k and
+    F the divided differences of z(m) = 1 / (2 max(m, 1/2)).
+    """
+    n = q_half.shape[0]
+    lam = np.concatenate([np.full(p1, l1), np.full(n - p1, l2)])
+    m, u = np.linalg.eigh(sym((q_half * lam) @ q_half))
+    g = np.maximum(m, 0.5)
+    z = 0.5 / g
+    b = q_half @ u
+    a = (b[:p1].T @ b[:p1], b[p1:].T @ b[p1:])
+    dm = m[:, None] - m[None, :]
+    active = (m > 0.5).astype(float)
+    dg_dm = np.divide(
+        g[:, None] - g[None, :], dm, out=np.outer(active, active), where=dm != 0.0
     )
+    f = -dg_dm / (2.0 * np.outer(g, g))
+    jac = np.array([[float(np.sum(ak * aj * f)) for aj in a] for ak in a])
+    traces = (float(np.diag(a[0]) @ z), float(np.diag(a[1]) @ z))
+    return _DualPoint(l1, l2, m, u, z, b, traces, jac)
 
 
-def _barrier_value(q: np.ndarray, s: np.ndarray, t: float, d: DistortionPair, p1: int) -> float:
-    s1, s2 = _slacks(s, d, p1)
-    if s1 <= 0.0 or s2 <= 0.0:
-        return math.inf
-    try:
-        l_s = np.linalg.cholesky(s)
-        l_qs = np.linalg.cholesky(q - s)
-    except np.linalg.LinAlgError:
-        return math.inf
-    ld_s = 2.0 * float(np.sum(np.log(np.diag(l_s))))
-    ld_qs = 2.0 * float(np.sum(np.log(np.diag(l_qs))))
-    return -t * ld_s - ld_qs - math.log(s1) - math.log(s2)
+def _level_root(f, w: float, done):
+    """Root on (0, inf] of a non-decreasing function of a water level w.
 
-
-def _grad_hess(
-    q: np.ndarray,
-    s: np.ndarray,
-    t: float,
-    d: DistortionPair,
-    p1: int,
-    basis: np.ndarray,
-    e1: np.ndarray,
-    e2: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    n = s.shape[0]
-    s_inv = sym(np.linalg.solve(s, np.eye(n)))
-    w = sym(np.linalg.solve(q - s, np.eye(n)))
-    s1, s2 = _slacks(s, d, p1)
-    grad_mat = -t * s_inv + w + e1 / s1 + e2 / s2
-    g = _svec(basis, grad_mat)
-    # tr(M B_k M B_l) terms via the stacked products M B_k M.
-    prod_s = np.einsum("ij,kjl,lm->kim", s_inv, basis, s_inv)
-    prod_w = np.einsum("ij,kjl,lm->kim", w, basis, w)
-    hess = t * np.einsum("kij,lij->kl", prod_s, basis)
-    hess += np.einsum("kij,lij->kl", prod_w, basis)
-    v1 = _svec(basis, e1)
-    v2 = _svec(basis, e2)
-    hess += np.outer(v1, v1) / s1**2 + np.outer(v2, v2) / s2**2
-    return g, sym(hess)
-
-
-def _max_feasible_step(
-    q: np.ndarray, s: np.ndarray, step: np.ndarray, d: DistortionPair, p1: int
-) -> float:
-    """Largest alpha keeping s + alpha*step strictly inside all constraints."""
-    alpha = math.inf
-    l_s = np.linalg.cholesky(s)
-    m = np.linalg.solve(l_s, np.linalg.solve(l_s, step).T)
-    w = np.linalg.eigvalsh(sym(m))
-    if w[0] < 0.0:
-        alpha = min(alpha, -1.0 / w[0])
-    l_qs = np.linalg.cholesky(q - s)
-    m = np.linalg.solve(l_qs, np.linalg.solve(l_qs, step).T)
-    w = np.linalg.eigvalsh(sym(m))
-    if w[-1] > 0.0:
-        alpha = min(alpha, 1.0 / w[-1])
-    s1, s2 = _slacks(s, d, p1)
-    t1 = float(np.trace(step[:p1, :p1]))
-    t2 = float(np.trace(step[p1:, p1:]))
-    if t1 > 0.0:
-        alpha = min(alpha, s1 / t1)
-    if t2 > 0.0:
-        alpha = min(alpha, s2 / t2)
-    return alpha
-
-
-def _center(
-    q: np.ndarray,
-    s: np.ndarray,
-    t: float,
-    d: DistortionPair,
-    p1: int,
-    config: SolverConfig,
-    basis: np.ndarray,
-    e1: np.ndarray,
-    e2: np.ndarray,
-) -> tuple[np.ndarray, int]:
-    """Damped Newton to the analytic center of the t-weighted barrier.
-
-    Stops on the centering tolerance, on a stalled decrement (rounding noise
-    floor at large t), or on a failed line search.
+    The level w = 1 / (2 l) of a multiplier l makes each block trace linear
+    in w on the closed-form region, where one Newton step is exact; w = inf
+    stands for l = 0, an inactive budget.  f(w) returns (value, slope, point).
+    Newton steps stay inside the bracket of levels seen so far and fall back
+    to bisection (geometric, as levels span decades) when they would leave
+    it or fail to halve the previous step.  Returns the point at which
+    done(w, value) holds or, should the bracket collapse first, the last
+    point below the root.
     """
-    steps = 0
-    prev_lam2 = math.inf
-    for _ in range(config.max_newton_steps):
-        try:
-            g, h = _grad_hess(q, s, t, d, p1, basis, e1, e2)
-            try:
-                delta = np.linalg.solve(h, -g)
-            except np.linalg.LinAlgError:
-                h = h + (1e-12 * float(np.trace(h)) / h.shape[0]) * np.eye(h.shape[0])
-                delta = np.linalg.solve(h, -g)
-            lam2 = float(-g @ delta)
-            if lam2 <= config.centering_tol:
-                break
-            if lam2 < 1e-10 and lam2 > 0.5 * prev_lam2:
-                break  # rounding noise floor at large t
-            prev_lam2 = lam2
-            step = _unsvec(basis, delta)
-            alpha_max = _max_feasible_step(q, s, step, d, p1)
-        except np.linalg.LinAlgError:
-            break  # iterate within round-off of the boundary: accept it
-        alpha = min(1.0, config.boundary_fraction * alpha_max)
-        f0 = _barrier_value(q, s, t, d, p1)
-        accepted = False
-        while alpha > 1e-20:
-            trial = sym(s + alpha * step)
-            if _barrier_value(q, trial, t, d, p1) <= f0 - config.armijo_slope * alpha * lam2:
-                s = trial
-                accepted = True
-                break
-            alpha *= config.backtrack_factor
-        steps += 1
-        if not accepted:
-            break
-    return s, steps
+    lo, hi = 0.0, math.inf
+    below, inf_tried, dx_old = None, False, math.inf
+    for _ in range(_MAX_ROOT_STEPS):
+        value, slope, point = f(w)
+        if done(w, value):
+            return point
+        if value <= 0.0:
+            lo, below = w, point
+        elif w < math.inf:
+            hi = w
+        inf_tried = inf_tried or w == math.inf
+        step = w - value / slope if slope > 0.0 else math.inf
+        if hi < math.inf:
+            if not lo < step < hi or abs(step - w) > 0.5 * dx_old:
+                step = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
+                if not lo < step < hi:
+                    break
+        elif step == math.inf or (step > 2.0 * lo and not inf_tried):
+            # far above every level seen: test l = 0 once, then double
+            step = 2.0 * lo if inf_tried else math.inf
+        dx_old, w = abs(step - w), step
+    return below if below is not None else point
 
 
-def _solve_barrier(
+def _solve_dual(
     src: GaussianPairSource, d: DistortionPair, config: SolverConfig
-) -> tuple[np.ndarray, float, int]:
-    q = src.q
-    n = src.n
-    basis = _sym_basis(n)
-    e1 = np.zeros((n, n))
-    e1[: src.p1, : src.p1] = np.eye(src.p1)
-    e2 = np.eye(n) - e1
-    lam_min_q = float(np.linalg.eigvalsh(q)[0])
-    alpha0 = 0.9 * min(d.d1 / src.p1, d.d2 / src.p2, lam_min_q / 2.0)
-    s = alpha0 * np.eye(n)
-    t = config.t_init
-    total = 0
-    while True:
-        s, steps = _center(q, s, t, d, src.p1, config, basis, e1, e2)
-        total += steps
-        if (n + 2) / t < config.gap_tol:
-            break
-        t *= config.t_factor
-    return s, t, total
+) -> tuple[np.ndarray, float, float, np.ndarray, int]:
+    """Maximize the concave dual g(l1, l2) by nested monotone root-finds.
 
-
-def _block_multiplier_matrix(n: int, p1: int, lambda1: float, lambda2: float) -> np.ndarray:
-    m = np.zeros((n, n))
-    m[:p1, :p1] = lambda1 * np.eye(p1)
-    m[p1:, p1:] = lambda2 * np.eye(n - p1)
-    return m
-
-
-# A trace slack below this fraction of max(1, budget) marks the constraint as
-# active when re-estimating multipliers; far looser than the central-path
-# slack O(gap_tol) yet far tighter than any genuinely inactive slack.
-_TRACE_ACTIVE_TOL = 1e-4
-
-
-def _certificate_candidates(
-    src: GaussianPairSource,
-    s: np.ndarray,
-    t: float,
-    d: DistortionPair,
-    config: SolverConfig,
-) -> list[tuple[float, float, np.ndarray]]:
-    """Dual extraction at the final barrier iterate, plus a polish candidate.
-
-    The raw barrier duals are lambda_i = 1/(2 t slack_i) and
-    Theta = (Q - Sigma)^{-1} / (2 t).  Near the optimum the active slacks
-    shrink to O(1/t) and their computation cancels catastrophically, so a
-    second candidate re-estimates the multipliers from the stationarity
-    structure: Theta must annihilate the inactive eigenspace U+ of Q - Sigma,
-    so each active lambda_i solves
-    min || (0.5 Sigma^{-1} - lambda1 E1 - lambda2 E2) U+ ||_F, which decouples
-    by block; Theta is then rebuilt from stationarity and projected onto the
-    PSD cone.  The caller keeps whichever candidate certifies better.
+    The inner one solves tr Sigma22(l1, .) = d2 for l2, the outer one
+    tr Sigma11(l1, l2*(l1)) = d1 for l1, with the Schur complement of the
+    Jacobian as slope; both start from the closed-form levels d_i / p_i.
+    Each stops once its share l_i |tr Sigma_ii - d_i| of the duality gap
+    g(l) - R(Sigma(l)) is within gap_tol / 2 and its trace overshoots by at
+    most trace_slack_tol.  Returns (sigma, lambda1, lambda2, theta,
+    evaluations); Theta = Q^{-1/2} u diag(max(0, 1/2 - m)) u^T Q^{-1/2} is
+    PSD and complementary to Q - Sigma mode by mode.
     """
-    n = src.n
     p1 = src.p1
-    s_inv = sym(np.linalg.solve(s, np.eye(n)))
-    half_inv = 0.5 * s_inv
-    w, u = np.linalg.eigh(sym(src.q - s))
-    scale = float(np.abs(w).max()) if w.size else 0.0
-    candidates: list[tuple[float, float, np.ndarray]] = []
+    w_q, v = np.linalg.eigh(src.q)
+    root = np.sqrt(w_q)
+    q_half = sym((v * root) @ v.T)
+    evaluations = 0
 
-    s1, s2 = _slacks(s, d, p1)
-    if s1 > 0.0 and s2 > 0.0:
-        w_pos = np.maximum(w, np.finfo(float).tiny)
-        q_s_inv = sym((u / w_pos) @ u.T)
-        candidates.append(
-            (1.0 / (2.0 * t * s1), 1.0 / (2.0 * t * s2), psd_project(q_s_inv / (2.0 * t)))
-        )
+    def evaluate(l1: float, l2: float) -> _DualPoint:
+        nonlocal evaluations
+        evaluations += 1
+        return _dual_point(q_half, p1, l1, l2)
 
-    inactive = w > config.active_rank_tol * scale
-    if np.any(inactive):
-        u_in = u[:, inactive]
-        au = half_inv @ u_in
-        lams = [0.0, 0.0]
-        blocks = (slice(0, p1), slice(p1, n))
-        for i, (slack, budget) in enumerate(((s1, d.d1), (s2, d.d2))):
-            if slack > _TRACE_ACTIVE_TOL * max(1.0, budget):
-                continue  # inactive budget: complementary slackness forces lambda = 0
-            rows = u_in[blocks[i], :]
-            denom = float(np.sum(rows * rows))
-            if denom > 0.0:
-                lams[i] = max(0.0, float(np.sum(rows * au[blocks[i], :])) / denom)
-            elif slack > 0.0:
-                lams[i] = 1.0 / (2.0 * t * slack)
-        theta = psd_project(half_inv - _block_multiplier_matrix(n, p1, lams[0], lams[1]))
-        candidates.append((lams[0], lams[1], theta))
-    return candidates
+    def done(w: float, value: float) -> bool:
+        # l * |value| <= gap_tol / 2 with l = 1 / (2 w)
+        return value <= config.trace_slack_tol and abs(value) / w <= config.gap_tol
+
+    w2 = d.d2 / src.p2
+
+    def outer(w1: float):
+        nonlocal w2
+        l1 = 0.5 / w1
+
+        def inner(w: float):
+            pt = evaluate(l1, 0.5 / w)
+            return pt.traces[1] - d.d2, -2.0 * pt.l2**2 * pt.jac[1, 1], pt
+
+        pt = _level_root(inner, w2, done)
+        w2 = 0.5 / pt.l2 if pt.l2 > 0.0 else d.d2 / src.p2
+        j = pt.jac
+        # l2 follows l1 only while budget 2 binds
+        slope = j[0, 0] - (j[0, 1] ** 2 / j[1, 1] if pt.l2 > 0.0 and j[1, 1] < 0.0 else 0.0)
+        return pt.traces[0] - d.d1, -2.0 * l1**2 * slope, pt
+
+    pt = _level_root(outer, d.d1 / p1, done)
+    c = ((v / root) @ v.T) @ pt.u
+    theta = (c * np.maximum(0.5 - pt.m, 0.0)) @ c.T
+    sigma = (pt.b * pt.z) @ pt.b.T
+    return sym(sigma), pt.l1, pt.l2, sym(theta), evaluations
 
 
-def _best_certificate(
+def _certificate(
     src: GaussianPairSource,
     d: DistortionPair,
     sigma: ErrorCovariance,
-    candidates: list[tuple[float, float, np.ndarray]],
+    lambda1: float,
+    lambda2: float,
+    theta: np.ndarray,
 ) -> KktCertificate:
-    best: KktCertificate | None = None
-    for lam1, lam2, theta in candidates:
-        cert = kkt_residuals(
-            src,
-            d,
-            sigma,
-            KktCertificate(
-                lambda1=lam1,
-                lambda2=lam2,
-                theta=readonly(theta),
-                stationarity_residual=0.0,
-                slackness_residuals=(0.0, 0.0, 0.0, 0.0),
-                dual_feasible=True,
-            ),
-        )
-        if best is None or cert.max_residual < best.max_residual:
-            best = cert
-    assert best is not None
-    return best
+    blank = KktCertificate(lambda1, lambda2, readonly(theta), 0.0, (0.0,) * 4, True)
+    return kkt_residuals(src, d, sigma, blank)
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +412,9 @@ def solve(
     """Compute the joint rate-distortion value and its optimal error covariance.
 
     Branch selection follows the module docstring; force_interior skips the
-    zero-rate and closed-form shortcuts so the barrier path can be exercised
-    on any instance (used by consistency checks).
+    zero-rate and closed-form shortcuts so the dual path can be exercised on
+    any instance (used by consistency checks).  On that path iterations
+    counts dual evaluations, one eigh each.
 
     A zero budget against a block with positive variance yields the
     Infeasible branch with an infinite rate: every admissible error
@@ -575,51 +443,25 @@ def solve(
     tr1 = float(np.trace(src.q11))
     tr2 = float(np.trace(src.q22))
 
+    def report(branch, rate, sigma, cert, iterations=0) -> SolveReport:
+        wall = time.perf_counter() - start
+        return SolveReport(rate, sigma, cert, branch, region, gray, iterations, wall)
+
     if d.d1 >= tr1 and d.d2 >= tr2 and not force_interior:
         sigma = ErrorCovariance(p1=src.p1, p2=src.p2, sigma=readonly(src.q.copy()))
         theta = psd_project(0.5 * sym(np.linalg.solve(src.q, np.eye(n))))
-        cert = _best_certificate(src, d, sigma, [(0.0, 0.0, theta)])
-        return SolveReport(
-            rate_nats=0.0,
-            sigma=sigma,
-            certificate=cert,
-            branch=SolveBranch.ZERO_RATE,
-            in_region_d=region,
-            gray_bound_nats=gray,
-            iterations=0,
-            wall_time=time.perf_counter() - start,
-        )
+        cert = _certificate(src, d, sigma, 0.0, 0.0, theta)
+        return report(SolveBranch.ZERO_RATE, 0.0, sigma, cert)
 
     if region and not force_interior:
         sigma = closed_form_candidate(src, d)
-        rate = rate_of(src, sigma)
         lam1 = src.p1 / (2.0 * d.d1)
         lam2 = src.p2 / (2.0 * d.d2)
-        cert = _best_certificate(src, d, sigma, [(lam1, lam2, np.zeros((n, n)))])
-        return SolveReport(
-            rate_nats=rate,
-            sigma=sigma,
-            certificate=cert,
-            branch=SolveBranch.CLOSED_FORM_INTERIOR_D,
-            in_region_d=True,
-            gray_bound_nats=gray,
-            iterations=0,
-            wall_time=time.perf_counter() - start,
-        )
+        cert = _certificate(src, d, sigma, lam1, lam2, np.zeros((n, n)))
+        return report(SolveBranch.CLOSED_FORM_INTERIOR_D, rate_of(src, sigma), sigma, cert)
 
-    s, t_final, iterations = _solve_barrier(src, d, config)
-    sigma = ErrorCovariance(p1=src.p1, p2=src.p2, sigma=readonly(sym(s)))
+    s, lam1, lam2, theta, iterations = _solve_dual(src, d, config)
+    sigma = ErrorCovariance(p1=src.p1, p2=src.p2, sigma=readonly(s))
     sigma.validate(src, d, config)
-    cert = _best_certificate(
-        src, d, sigma, _certificate_candidates(src, s, t_final, d, config)
-    )
-    return SolveReport(
-        rate_nats=rate_of(src, sigma),
-        sigma=sigma,
-        certificate=cert,
-        branch=SolveBranch.INTERIOR_POINT,
-        in_region_d=region,
-        gray_bound_nats=gray,
-        iterations=iterations,
-        wall_time=time.perf_counter() - start,
-    )
+    cert = _certificate(src, d, sigma, lam1, lam2, theta)
+    return report(SolveBranch.INTERIOR_POINT, rate_of(src, sigma), sigma, cert, iterations)
