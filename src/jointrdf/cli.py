@@ -7,7 +7,8 @@ validation, and emit the canonical variable form.  Sources are JSON documents
 
 Exit codes: 0 success, 2 invalid input, 3 infeasible (zero budget against
 positive variance), 4 structural check failure, 5 statistical check failure,
-1 internal failure (e.g. a sweep point whose solve misbehaves).
+1 internal failure (e.g. a sweep point whose solve misbehaves).  A reader
+that closes the output pipe early (e.g. `| head`) does not change the exit code.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import concurrent.futures
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -55,7 +57,15 @@ def _emit(text: str, out: str | None) -> None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader closed the pipe (e.g. `| head`).  Point stdout at
+            # devnull so the interpreter's flush at exit cannot raise again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 def _config_from_args(args: argparse.Namespace) -> SolverConfig:

@@ -22,7 +22,6 @@ from ._linalg import chol_logdet, readonly, sym
 
 SYMMETRY_RTOL = 1e-12
 PSD_RTOL = 1e-10
-WATER_LEVEL_RTOL = 1e-12
 
 
 class SourceValidationError(ValueError):
@@ -149,8 +148,9 @@ def marginal_rdf(cov: np.ndarray, delta: float) -> float:
     Eigenvalues mu_j of cov share a water level theta with
     sum_j min(theta, mu_j) = delta; the rate is sum_j 0.5*ln(max(mu_j/theta, 1)).
     Returns 0 when delta >= trace(cov) and +inf when delta == 0 with a
-    nonzero covariance.  The water level is located by bisection with
-    |sum min(theta, mu) - delta| <= 1e-12 * max(1, delta).
+    nonzero covariance.  The water level comes in closed form from the
+    sorted eigenvalues: theta = (delta - sum_{j<k} mu_j) / (m - k) at the
+    first k with theta <= mu_k (mu ascending, m modes).
     """
     if not math.isfinite(delta) or delta < 0.0:
         raise ValueError(f"delta must be finite and nonnegative, got {delta!r}")
@@ -170,18 +170,15 @@ def marginal_rdf(cov: np.ndarray, delta: float) -> float:
         return 0.0
     if delta == 0.0:
         return math.inf
-    lo, hi = 0.0, float(mu.max())
-    tol = WATER_LEVEL_RTOL * max(1.0, delta)
-    theta = 0.5 * (lo + hi)
-    for _ in range(200):
-        theta = 0.5 * (lo + hi)
-        filled = float(np.minimum(theta, mu).sum())
-        if abs(filled - delta) <= tol:
-            break
-        if filled > delta:
-            hi = theta
-        else:
-            lo = theta
+    # With mu ascending, a level between mu_{k-1} and mu_k fills the k lowest
+    # modes and leaves m - k at theta; the first such candidate within mu_k
+    # is the level.  The last candidate always is in exact arithmetic, but
+    # may miss by rounding when delta is within round-off of the trace.
+    below = np.concatenate(([0.0], np.cumsum(mu[:-1])))
+    levels = (delta - below) / np.arange(mu.size, 0, -1)
+    fits = levels <= mu
+    fits[-1] = True
+    theta = float(levels[np.argmax(fits)])
     return float(0.5 * np.sum(np.log(np.maximum(mu / theta, 1.0))))
 
 

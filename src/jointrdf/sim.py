@@ -6,11 +6,16 @@ mean-squared errors against their analytic values.  Randomness comes from the
 counter-based Philox bit generator, which is seedable and splittable; the
 generator identity is recorded on every report so runs are self-describing.
 All pass/fail thresholds are statistical (concentration-based), never exact.
+
+The checks make one pass over the batch in row chunks.  Means and variances
+merge across chunks by a stable pairwise update, so the checks need memory
+O(chunk) beyond the batch itself; the batch holds x, xhat and e in full.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -91,21 +96,66 @@ def push_channel(batch: SampleBatch, r: TestChannelRealization, seed: int) -> Sa
     return replace(batch, xhat=xhat, e=batch.x - xhat)
 
 
-def _block_sq(e: np.ndarray, p1: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.sum(e[:, :p1] ** 2, axis=1), np.sum(e[:, p1:] ** 2, axis=1)
+# Rows per chunk of the streamed checks: a chunk's temporaries (a few
+# hundred KB at n = 4 with three alternatives) stay in cache, and the
+# per-chunk Python overhead stays small against the arithmetic.
+_CHUNK_ROWS = 4096
+
+
+def _row_chunks(rows: int) -> Iterator[slice]:
+    return (slice(start, start + _CHUNK_ROWS) for start in range(0, rows, _CHUNK_ROWS))
+
+
+def _col_sums(a: np.ndarray) -> np.ndarray:
+    # A BLAS product: on narrow arrays .sum(axis=0) is several times slower.
+    return np.ones(a.shape[0]) @ a
+
+
+def _block_means(col_sq: np.ndarray, p1: int, rows: int) -> tuple[float, float]:
+    return float(col_sq[:p1].sum()) / rows, float(col_sq[p1:].sum()) / rows
+
+
+class _RunningMoments:
+    """Per-column count, mean and centered second moment over row chunks.
+
+    Chunks merge by the pairwise update of Chan, Golub and LeVeque (1979),
+    which avoids the cancellation of a single-pass sum of squares.
+    """
+
+    def __init__(self, columns: int) -> None:
+        self.count = 0
+        self.mean = np.zeros(columns)
+        self.m2 = np.zeros(columns)
+
+    def add(self, chunk: np.ndarray) -> None:
+        """Merge the rows of chunk; chunk is centered in place."""
+        k = chunk.shape[0]
+        chunk_mean = _col_sums(chunk) / k
+        chunk -= chunk_mean
+        total = self.count + k
+        delta = chunk_mean - self.mean
+        self.mean = self.mean + delta * (k / total)
+        self.m2 = self.m2 + _col_sums(chunk * chunk) + delta * delta * (self.count * k / total)
+        self.count = total
+
+    def std(self, ddof: int) -> np.ndarray:
+        return np.sqrt(self.m2 / (self.count - ddof))
 
 
 def check_distortion(batch: SampleBatch, d: DistortionPair) -> DistortionReport:
     """Empirical per-block mean squared residuals against the budgets.
 
     Passes iff each empirical distortion is at most the budget inflated by
-    the three-sigma allowance 1 + 3*sqrt(2 p_i / n).
+    the three-sigma allowance 1 + 3*sqrt(2 p_i / n).  The column sums of
+    squares stream over row chunks, so memory beyond the batch is O(chunk).
     """
     if batch.e is None:
         raise ValueError("batch has no residuals; run push_channel first")
-    sq1, sq2 = _block_sq(batch.e, batch.p1)
-    emp1 = float(sq1.mean())
-    emp2 = float(sq2.mean())
+    col_sq = np.zeros(batch.x.shape[1])
+    for rows in _row_chunks(batch.n):
+        chunk = batch.e[rows]
+        col_sq += _col_sums(chunk * chunk)
+    emp1, emp2 = _block_means(col_sq, batch.p1, batch.n)
     bound1 = d.d1 * (1.0 + 3.0 * math.sqrt(2.0 * batch.p1 / batch.n))
     bound2 = d.d2 * (1.0 + 3.0 * math.sqrt(2.0 * batch.p2 / batch.n))
     return DistortionReport(
@@ -127,32 +177,54 @@ def check_cm_optimality(
     For each alternative linear map g the per-block MSE of x - g(xhat) must
     not beat the conditional-mean map by more than the statistical slack
     3 * std / sqrt(n) of the per-sample MSE difference.
+
+    One pass over row chunks: with u = x - xhat M^T the conditional-mean
+    residual and delta_g = xhat (M - g)^T, the per-sample block difference is
+    sum_{j in block} delta_j (delta_j + 2 u_j), formed for every alternative
+    by one product against the stacked (M - g)^T.  Its mean and variance
+    merge across chunks by a stable pairwise update, so memory beyond the
+    batch is O(chunk).  For g == M, delta is exactly zero and so is the margin.
     """
     if batch.xhat is None:
         raise ValueError("batch has no reproductions; run push_channel first")
+    n = batch.x.shape[1]
     m = conditional_mean_map(r)
-    base_res = batch.x - batch.xhat @ m.T
-    base1, base2 = _block_sq(base_res, batch.p1)
-    results = []
-    passed = True
-    for g in alternatives:
-        alt_res = batch.x - batch.xhat @ np.asarray(g, dtype=float).T
-        alt1, alt2 = _block_sq(alt_res, batch.p1)
-        margins = []
-        slacks = []
-        for diff in (alt1 - base1, alt2 - base2):
-            margin = float(diff.mean())
-            ddof = 1 if batch.n > 1 else 0
-            slack = 3.0 * float(diff.std(ddof=ddof)) / math.sqrt(batch.n)
-            margins.append(margin)
-            slacks.append(slack)
-            if margin < -slack:
-                passed = False
-        results.append(((margins[0], margins[1]), (slacks[0], slacks[1])))
+    maps = [np.asarray(g, dtype=float) for g in alternatives]
+    for g in maps:
+        if g.shape != (n, n):
+            raise ValueError(f"alternative map must be {n}x{n}, got shape {g.shape}")
+    # Column k*n + j of deltas_t is row j of (M - g_k)^T; the empty leading
+    # block keeps hstack valid when there are no alternatives.
+    deltas_t = np.hstack([np.empty((n, 0))] + [(m - g).T for g in maps])
+    twice_tiled = np.tile(2.0 * np.eye(n), (1, len(maps)))
+    blocks = np.zeros((n, 2))
+    blocks[: batch.p1, 0] = 1.0
+    blocks[batch.p1 :, 1] = 1.0
+    # Sums each alternative's n columns into its (block 1, block 2) pair.
+    block_sums = np.kron(np.eye(len(maps)), blocks)
+
+    base_sq = np.zeros(n)
+    diffs = _RunningMoments(2 * len(maps))
+    for rows in _row_chunks(batch.n):
+        xhat = batch.xhat[rows]
+        u = batch.x[rows] - xhat @ m.T
+        base_sq += _col_sums(u * u)
+        delta = xhat @ deltas_t
+        # |u + delta|^2 - |u|^2 per column, as delta * (delta + 2u)
+        sq_diff = u @ twice_tiled
+        sq_diff += delta
+        sq_diff *= delta
+        diffs.add(sq_diff @ block_sums)
+
+    slacks = 3.0 * diffs.std(ddof=1 if batch.n > 1 else 0) / math.sqrt(batch.n)
+    means = diffs.mean
     return CmOptimalityReport(
-        base_mse=(float(base1.mean()), float(base2.mean())),
-        margins=tuple(results),
-        passed=passed,
+        base_mse=_block_means(base_sq, batch.p1, batch.n),
+        margins=tuple(
+            ((float(means[i]), float(means[i + 1])), (float(slacks[i]), float(slacks[i + 1])))
+            for i in range(0, means.size, 2)
+        ),
+        passed=not bool(np.any(means < -slacks)),
     )
 
 

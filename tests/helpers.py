@@ -1,8 +1,8 @@
 """Shared test utilities: random instance generators and independent oracles.
 
 The oracles deliberately avoid the library's own code paths: the water-filling
-oracle locates the level by brute-force grid refinement instead of bisection,
-and the scalar joint-rate oracle maximizes the 2x2 determinant over a refined
+oracles locate the level by brute-force grid refinement or by plain bisection
+instead of the closed form, and the scalar joint-rate oracle maximizes the 2x2 determinant over a refined
 grid with eigenvalue-free feasibility tests.
 """
 
@@ -51,6 +51,25 @@ def waterfill_oracle(eigenvalues: np.ndarray, delta: float) -> float:
         lo = grid[max(k - 1, 0)]
         hi = grid[min(k + 1, len(grid) - 1)]
     theta = 0.5 * (lo + hi)
+    return float(0.5 * np.sum(np.log(np.maximum(mu / theta, 1.0))))
+
+
+def waterfill_bisection_rate(eigenvalues: np.ndarray, delta: float) -> float:
+    """Reverse water-filling rate with the level found by plain bisection.
+
+    Halves [0, max mu] until the midpoint stops moving, so the level is
+    exact to round-off; a brute-force reference for the closed-form level.
+    """
+    mu = np.maximum(np.asarray(eigenvalues, dtype=float), 0.0)
+    lo, hi = 0.0, float(mu.max())
+    while True:
+        theta = 0.5 * (lo + hi)
+        if theta in (lo, hi):
+            break
+        if float(np.minimum(theta, mu).sum()) > delta:
+            hi = theta
+        else:
+            lo = theta
     return float(0.5 * np.sum(np.log(np.maximum(mu / theta, 1.0))))
 
 
@@ -121,3 +140,34 @@ def gaussian_mi_of_channel(q: np.ndarray, h: np.ndarray, qv: np.ndarray) -> floa
     sign_j, ld_joint = np.linalg.slogdet(joint)
     assert sign_j > 0
     return 0.5 * (np.linalg.slogdet(q)[1] + np.linalg.slogdet(c_hh)[1] - ld_joint)
+
+
+def unchunked_distortion(batch) -> tuple[float, float]:
+    """Empirical block distortions from whole-batch per-row block sums."""
+    p1 = batch.p1
+    return (
+        float(np.sum(batch.e[:, :p1] ** 2, axis=1).mean()),
+        float(np.sum(batch.e[:, p1:] ** 2, axis=1).mean()),
+    )
+
+
+def unchunked_cm_optimality(batch, r, alternatives):
+    """base_mse and per-alternative (margins, slacks) from whole-batch
+    residuals, one full residual array per estimator."""
+    from jointrdf import conditional_mean_map
+
+    p1 = batch.p1
+
+    def block_sq(res):
+        return np.sum(res[:, :p1] ** 2, axis=1), np.sum(res[:, p1:] ** 2, axis=1)
+
+    base1, base2 = block_sq(batch.x - batch.xhat @ conditional_mean_map(r).T)
+    ddof = 1 if batch.n > 1 else 0
+    results = []
+    for g in alternatives:
+        alt1, alt2 = block_sq(batch.x - batch.xhat @ np.asarray(g, dtype=float).T)
+        diffs = (alt1 - base1, alt2 - base2)
+        margins = tuple(float(diff.mean()) for diff in diffs)
+        slacks = tuple(3.0 * float(diff.std(ddof=ddof)) / np.sqrt(batch.n) for diff in diffs)
+        results.append((margins, slacks))
+    return (float(base1.mean()), float(base2.mean())), tuple(results)

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -250,3 +252,43 @@ class TestOutputFile:
         assert out == ""
         obj = json.loads(target.read_text())
         assert obj["branch"] == "ClosedFormInteriorD"
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away, backed by a real descriptor."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+class TestBrokenPipe:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("sweep", "--grid", "0.1:3:3,0.1:3:3"), 0),
+            (("realize", "--d1", "0.4", "--d2", "0.5", "--debug-tamper-sigma", "1e-3"), 4),
+        ],
+    )
+    def test_closed_reader_keeps_exit_code(
+        self, example_source_file, tmp_path, monkeypatch, capsys, argv, expected
+    ):
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+            code = main([argv[0], example_source_file, *argv[1:]])
+            # stdout's descriptor now points at devnull, so the final flush
+            # at interpreter exit cannot raise again
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        assert code == expected
+        assert "Traceback" not in capsys.readouterr().err

@@ -17,7 +17,7 @@ from jointrdf import (
     validate_source,
 )
 from conftest import EXAMPLE_Q
-from helpers import random_pd_pair, waterfill_oracle
+from helpers import random_pd_pair, waterfill_bisection_rate, waterfill_oracle
 
 
 class TestValidateSource:
@@ -152,6 +152,29 @@ class TestMarginalRdf:
             assert marginal_rdf(cov, delta) == pytest.approx(
                 waterfill_oracle(np.linalg.eigvalsh(cov), delta), abs=1e-8
             )
+
+    def test_closed_form_level_matches_bisection(self):
+        rng = np.random.default_rng(2024)
+        spectra = [
+            np.array([2.0, 2.0, 2.0]),
+            np.array([0.0, 0.0, 1.5, 3.0]),
+            np.array([0.0, 0.7, 0.7, 0.7, 4.0]),
+            np.array([5.0]),
+        ]
+        for _ in range(8):
+            m = int(rng.integers(1, 8))
+            mu = rng.uniform(0.0, 3.0, size=m)
+            mu[rng.random(m) < 0.3] = 0.0
+            if m > 1:
+                mu[1] = mu[0]
+            if mu.sum() > 0.0:
+                spectra.append(mu)
+        for mu in spectra:
+            trace = float(mu.sum())
+            for delta in (0.01 * trace, 0.5 * trace, trace * (1.0 - 1e-9), np.nextafter(trace, 0.0)):
+                got = marginal_rdf(np.diag(mu), float(delta))
+                ref = waterfill_bisection_rate(mu, float(delta))
+                assert got == pytest.approx(ref, rel=1e-10, abs=1e-12), (mu, delta)
 
     def test_nonincreasing_and_convex_in_delta(self):
         rng = np.random.default_rng(7)

@@ -15,6 +15,8 @@ from jointrdf import (
     solve,
     validate_source,
 )
+from jointrdf.sim import _CHUNK_ROWS
+from helpers import random_pd_pair, unchunked_cm_optimality, unchunked_distortion
 
 N_BIG = 1_000_000
 
@@ -152,6 +154,67 @@ class TestCheckCmOptimality:
         (m1, m2), _ = rep.margins[0]
         assert m1 == 0.0 and m2 == 0.0
         assert rep.passed
+
+
+def _assert_matches_unchunked(batch, r, d, alternatives):
+    dist = check_distortion(batch, d)
+    ref_d1, ref_d2 = unchunked_distortion(batch)
+    assert dist.empirical_d1 == pytest.approx(ref_d1, rel=1e-12, abs=0.0)
+    assert dist.empirical_d2 == pytest.approx(ref_d2, rel=1e-12, abs=0.0)
+    cm = check_cm_optimality(batch, r, alternatives)
+    ref_base, ref_margins = unchunked_cm_optimality(batch, r, alternatives)
+    np.testing.assert_allclose(cm.base_mse, ref_base, rtol=1e-12, atol=0.0)
+    assert len(cm.margins) == len(ref_margins)
+    for (margins, slacks), (ref_m, ref_s) in zip(cm.margins, ref_margins):
+        for got, want, slack, want_slack in zip(margins, ref_m, slacks, ref_s):
+            assert abs(got - want) <= 1e-12 * max(abs(want), want_slack)
+            assert abs(slack - want_slack) <= 1e-12 * want_slack
+    return cm
+
+
+class TestStreamedChecksMatchUnchunked:
+    @staticmethod
+    def _alternatives(r, n):
+        rng = np.random.default_rng(808)
+        return [0.9 * np.eye(n), 1.1 * np.eye(n), rng.standard_normal((n, n)),
+                conditional_mean_map(r)]
+
+    @pytest.mark.parametrize("rows", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+    def test_rows_around_chunk_size(self, example_source, case2, rows):
+        r = realize(example_source, solve(example_source, case2).sigma)
+        batch = push_channel(sample_source(example_source, rows, seed=61), r, seed=62)
+        _assert_matches_unchunked(batch, r, case2, self._alternatives(r, 4))
+
+    @pytest.mark.parametrize("which", ["case1", "case2"])
+    def test_full_batch(self, which, case1, case2, case1_run, case2_run):
+        _, r, batch = case1_run if which == "case1" else case2_run
+        d = case1 if which == "case1" else case2
+        _assert_matches_unchunked(batch, r, d, self._alternatives(r, 4))
+
+    def test_uneven_split(self):
+        src = validate_source(random_pd_pair(np.random.default_rng(71), 1, 3), 1, 3)
+        d = DistortionPair(0.3 * float(np.trace(src.q11)), 0.3 * float(np.trace(src.q22)))
+        r = realize(src, solve(src, d).sigma)
+        batch = push_channel(sample_source(src, 3 * _CHUNK_ROWS + 17, seed=72), r, seed=73)
+        _assert_matches_unchunked(batch, r, d, self._alternatives(r, 4))
+
+    def test_no_alternatives(self, example_source, case2):
+        r = realize(example_source, solve(example_source, case2).sigma)
+        batch = push_channel(sample_source(example_source, _CHUNK_ROWS + 5, seed=81), r, seed=82)
+        cm = _assert_matches_unchunked(batch, r, case2, [])
+        assert cm.margins == () and cm.passed
+
+    def test_single_row_slack_is_zero(self, example_source, case2):
+        # n = 1 takes ddof = 0, so the standard deviation of one sample is 0
+        r = realize(example_source, solve(example_source, case2).sigma)
+        batch = push_channel(sample_source(example_source, 1, seed=91), r, seed=92)
+        cm = _assert_matches_unchunked(batch, r, case2, self._alternatives(r, 4))
+        assert all(slack == 0.0 for _, slacks in cm.margins for slack in slacks)
+
+    def test_wrong_alternative_shape_rejected(self, case2_run):
+        _, r, batch = case2_run
+        with pytest.raises(ValueError, match="alternative map"):
+            check_cm_optimality(batch, r, [np.eye(3)])
 
 
 class TestResidualStatistics:
