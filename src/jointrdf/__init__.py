@@ -31,7 +31,6 @@ from .model import (
 from .realization import (
     Condition1Report,
     TestChannelRealization,
-    channel_gain_lstsq,
     conditional_mean_map,
     conditional_mean_target,
     implied_error_covariance,
@@ -83,7 +82,6 @@ __all__ = [
     "SourceValidationError",
     "TestChannelRealization",
     "canonical_form_of_covariance",
-    "channel_gain_lstsq",
     "check_cm_optimality",
     "check_distortion",
     "closed_form_candidate",

@@ -34,7 +34,7 @@ from .model import (
     load_source,
     validate_source,
 )
-from .solver import DEFAULT_CONFIG, SolveBranch, SolveReport, SolverConfig, solve
+from .solver import DEFAULT_CONFIG, FeasibilityError, SolveBranch, SolveReport, SolverConfig, solve
 
 LN2 = math.log(2.0)
 
@@ -258,12 +258,12 @@ def _cmd_realize(src: GaussianPairSource, args: argparse.Namespace) -> int:
     tol = args.tol_check
     try:
         r = real.realize(src, sigma)
-    except (real.FeasibilityError, NotPositiveDefiniteError) as exc:
+    except (FeasibilityError, NotPositiveDefiniteError) as exc:
         print(f"structural failure: realization rejected: {exc}", file=sys.stderr)
         return 4
     c1 = real.verify_condition1(r, tol=tol)
     m = real.conditional_mean_map(r)
-    target = real.conditional_mean_target(r, tol=tol)
+    target = real.conditional_mean_target(r)
     cm_dev = float(np.linalg.norm(m - target, "fro"))
     rep_err = float(
         np.linalg.norm(real.implied_error_covariance(r) - report.sigma.sigma, "fro")
@@ -428,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     _add_distortions(sp)
     sp.add_argument("--tol-check", type=float, default=real.CHECK_TOL,
-                    help="structural check tolerance (default 1e-8)")
+                    help="pass threshold of the structural checks (default 1e-8)")
     sp.add_argument("--debug-tamper-sigma", type=float, default=None,
                     help=argparse.SUPPRESS)
     sp.set_defaults(handler=_cmd_realize)

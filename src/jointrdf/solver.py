@@ -31,8 +31,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import chol_logdet, psd_project, readonly, sym
+from ._linalg import chol_logdet, readonly, sym
 from .model import (
+    PSD_RTOL,
     DistortionPair,
     GaussianPairSource,
     NotPositiveDefiniteError,
@@ -64,7 +65,7 @@ class SolverConfig:
 
     gap_tol: float = 1e-9
     region_tol: float = 1e-9
-    psd_rtol: float = 1e-10
+    psd_rtol: float = PSD_RTOL
     trace_slack_tol: float = 1e-9
 
 
@@ -103,16 +104,7 @@ class ErrorCovariance:
     ) -> None:
         """Raise FeasibilityError unless sigma >= 0, Q - sigma >= 0 and the
         block traces respect the budgets (all within config tolerances)."""
-        s = self.sigma
-        if s.shape != (self.n, self.n):
-            raise FeasibilityError(f"sigma must be {self.n}x{self.n}, got {s.shape}")
-        scale_q = float(np.abs(np.linalg.eigvalsh(src.q)).max())
-        w_s = np.linalg.eigvalsh(sym(s))
-        if w_s[0] < -config.psd_rtol * max(float(np.abs(w_s).max()), scale_q):
-            raise FeasibilityError(f"sigma is not PSD: min eigenvalue {w_s[0]:.3e}")
-        w_qs = np.linalg.eigvalsh(sym(src.q - s))
-        if w_qs[0] < -config.psd_rtol * scale_q:
-            raise FeasibilityError(f"Q - sigma is not PSD: min eigenvalue {w_qs[0]:.3e}")
+        check_psd_bounds(src, self.sigma, config.psd_rtol)
         tr1 = float(np.trace(self.sigma11))
         tr2 = float(np.trace(self.sigma22))
         if tr1 > d.d1 + config.trace_slack_tol or tr2 > d.d2 + config.trace_slack_tol:
@@ -120,6 +112,22 @@ class ErrorCovariance:
                 f"trace budget violated: tr(sigma11)={tr1:.6g} vs d1={d.d1:.6g}, "
                 f"tr(sigma22)={tr2:.6g} vs d2={d.d2:.6g}"
             )
+
+
+def check_psd_bounds(src: GaussianPairSource, s: np.ndarray, psd_rtol: float) -> None:
+    """Raise FeasibilityError unless sigma is n x n and 0 <= sigma <= Q, with
+    eigenvalues down to -psd_rtol * max(||sigma||_2, ||Q||_2) (resp.
+    -psd_rtol * ||Q||_2 for Q - sigma) accepted as round-off."""
+    n = src.n
+    if s.shape != (n, n):
+        raise FeasibilityError(f"sigma must be {n}x{n}, got {s.shape}")
+    scale_q = float(np.abs(np.linalg.eigvalsh(src.q)).max())
+    w_s = np.linalg.eigvalsh(sym(s))
+    if w_s[0] < -psd_rtol * max(float(np.abs(w_s).max()), scale_q):
+        raise FeasibilityError(f"sigma is not PSD: min eigenvalue {w_s[0]:.3e}")
+    w_qs = np.linalg.eigvalsh(sym(src.q - s))
+    if w_qs[0] < -psd_rtol * scale_q:
+        raise FeasibilityError(f"Q - sigma is not PSD: min eigenvalue {w_qs[0]:.3e}")
 
 
 def _as_matrix(sigma) -> np.ndarray:
@@ -449,7 +457,7 @@ def solve(
 
     if d.d1 >= tr1 and d.d2 >= tr2 and not force_interior:
         sigma = ErrorCovariance(p1=src.p1, p2=src.p2, sigma=readonly(src.q.copy()))
-        theta = psd_project(0.5 * sym(np.linalg.solve(src.q, np.eye(n))))
+        theta = 0.5 * sym(np.linalg.solve(src.q, np.eye(n)))
         cert = _certificate(src, d, sigma, 0.0, 0.0, theta)
         return report(SolveBranch.ZERO_RATE, 0.0, sigma, cert)
 

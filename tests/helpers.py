@@ -18,16 +18,30 @@ def random_pd_pair(rng: np.random.Generator, p1: int, p2: int, ridge: float = 0.
     return a @ a.T + ridge * np.eye(n)
 
 
+def conditioned_pd(rng: np.random.Generator, n: int, cond: float) -> np.ndarray:
+    """Random rotation of diag of n eigenvalues log-spaced from 1 to 1/cond."""
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q = (v * np.logspace(0.0, -np.log10(cond), n)) @ v.T
+    return 0.5 * (q + q.T)
+
+
 def random_feasible_sigma(
-    rng: np.random.Generator, q: np.ndarray, lo: float = 0.1, hi: float = 0.9
+    rng: np.random.Generator,
+    q: np.ndarray,
+    lo: float = 0.1,
+    hi: float = 0.9,
+    boundary: int = 0,
 ) -> np.ndarray:
-    """Random sigma with 0 < sigma < q strictly: Q^(1/2) W Q^(1/2) with
-    eigenvalues of W drawn in (lo, hi)."""
+    """Random sigma = Q^(1/2) W Q^(1/2) with eigenvalues of W drawn in
+    (lo, hi), so 0 < sigma < q strictly for 0 < lo < hi < 1.  The first
+    ``boundary`` eigenvalues of W are then set to exactly 1, so that
+    Q - sigma has rank n - boundary."""
     n = q.shape[0]
     w_eig, u_q = np.linalg.eigh(q)
     q_half = (u_q * np.sqrt(w_eig)) @ u_q.T
     basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
     scales = rng.uniform(lo, hi, size=n)
+    scales[:boundary] = 1.0
     w = (basis * scales) @ basis.T
     s = q_half @ w @ q_half
     return 0.5 * (s + s.T)

@@ -177,6 +177,16 @@ class TestRealizeCommand:
         h = np.array(obj["H"])
         assert h.shape == (4, 4)
 
+    def test_check_tolerance_does_not_move_rank(self, example_source_file, capsys):
+        code, out, _ = run_cli(
+            capsys, "realize", example_source_file, "--d1", "0.4", "--d2", "0.5",
+            "--tol-check", "1e-15",
+        )
+        assert code == 4  # round-off exceeds the 1e-15 pass threshold
+        checks = json.loads(out)["checks"]
+        assert checks["condition1_rank"] == 4
+        assert checks["full_rank"] is True
+
     def test_tampered_sigma_exits_4(self, example_source_file, capsys):
         code, out, err = run_cli(
             capsys, "realize", example_source_file, "--d1", "0.4", "--d2", "0.5",

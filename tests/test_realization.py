@@ -5,7 +5,6 @@ from jointrdf import (
     DistortionPair,
     ErrorCovariance,
     FeasibilityError,
-    channel_gain_lstsq,
     closed_form_candidate,
     conditional_mean_map,
     conditional_mean_target,
@@ -17,7 +16,12 @@ from jointrdf import (
     verify_condition1,
 )
 from jointrdf import TestChannelRealization as ChannelRealization  # avoid pytest collection
-from helpers import gaussian_mi_of_channel, random_feasible_sigma, random_pd_pair
+from helpers import (
+    conditioned_pd,
+    gaussian_mi_of_channel,
+    random_feasible_sigma,
+    random_pd_pair,
+)
 
 
 class TestRealize:
@@ -58,6 +62,11 @@ class TestRealize:
         with pytest.raises(FeasibilityError, match="Q - sigma"):
             realize(example_source, 1.2 * example_source.q)
 
+    def test_non_psd_sigma_rejected(self, example_source):
+        # Q - sigma = Q + 0.1 I is PD, but the induced noise covariance is not
+        with pytest.raises(FeasibilityError, match="sigma is not PSD"):
+            realize(example_source, -0.1 * np.eye(4))
+
     def test_non_pd_source_rejected(self):
         src = validate_source(np.diag([1.0, 0.0, 1.0]), 2, 1)
         with pytest.raises(ValueError):
@@ -91,6 +100,11 @@ class TestVerifyCondition1:
         check = verify_condition1(bad)
         assert not check.passed
         assert check.deviation >= 1e-4
+
+    def test_check_tolerance_does_not_move_rank(self, example_source, case1):
+        r = realize(example_source, closed_form_candidate(example_source, case1))
+        check = verify_condition1(r, tol=1e-15)
+        assert check.rank == 4 and check.full_rank
 
     def test_rank_zero_channel_reported_not_failed(self, example_source):
         r = realize(example_source, example_source.q.copy())
@@ -164,16 +178,31 @@ class TestStructuralProperties:
             assert rate_of(src, sigma) == pytest.approx(mi, abs=1e-8)
 
 
-class TestChannelGainLstsq:
-    def test_matches_inverse_construction_on_pd_source(self, example_source, case1):
-        sigma = closed_form_candidate(example_source, case1)
-        h = channel_gain_lstsq(example_source.q, sigma.sigma)
-        r = realize(example_source, sigma)
-        np.testing.assert_allclose(h, r.h, atol=1e-9)
+class TestRankLadder:
+    """cov(Xhat) = Q - Sigma loses one rank per mode of Sigma on the boundary."""
 
-    def test_singular_source_solved_in_least_squares(self):
-        u = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        q = u @ u.T  # rank 2, singular
-        sigma = 0.5 * q
-        h = channel_gain_lstsq(q, sigma)
-        np.testing.assert_allclose(h @ q, q - sigma, atol=1e-10)
+    def test_rank_counts_boundary_modes(self):
+        rng = np.random.default_rng(606)
+        for cond in (1e2, 1e4, 1e6, 1e8):
+            for n in range(2, 9):
+                src = validate_source(conditioned_pd(rng, n, cond), n // 2, n - n // 2)
+                for j in range(n + 1):
+                    sigma = random_feasible_sigma(rng, src.q, 0.05, 0.95, boundary=j)
+                    check = verify_condition1(realize(src, sigma))
+                    assert check.rank == n - j, (cond, n, j, check)
+                    # the absolute 1e-8 deviation cannot certify modes near
+                    # 1e-7 of ||Q||, so pass/fail is asserted only below 1e6
+                    if cond < 1e6:
+                        assert check.passed, (cond, n, j, check)
+
+    def test_forced_dual_optima_pass(self):
+        rng = np.random.default_rng(607)
+        for cond in (1e2, 1e4, 1e6, 1e8, 1e9):
+            for n in range(2, 9):
+                src = validate_source(conditioned_pd(rng, n, cond), n // 2, n - n // 2)
+                d = DistortionPair(
+                    0.3 * float(np.trace(src.q11)), 0.3 * float(np.trace(src.q22))
+                )
+                report = solve(src, d, force_interior=True)
+                check = verify_condition1(realize(src, report.sigma))
+                assert check.passed, (cond, n, check)
