@@ -53,7 +53,6 @@ from .solver import (
     KktCertificate,
     SolveBranch,
     SolveReport,
-    SolverConfig,
     closed_form_candidate,
     in_region_d,
     kkt_residuals,
@@ -78,7 +77,6 @@ __all__ = [
     "SampleBatch",
     "SolveBranch",
     "SolveReport",
-    "SolverConfig",
     "SourceValidationError",
     "TestChannelRealization",
     "canonical_form_of_covariance",

@@ -71,15 +71,24 @@ class CanonicalForm:
         return self.q_cvf[: self.p1, self.p1 :]
 
 
-def _fix_column_signs(u: np.ndarray) -> np.ndarray:
-    """Flip columns so the first significant entry of each is positive."""
-    out = u.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
+def _column_signs(u: np.ndarray) -> np.ndarray:
+    """-1 for each column whose first significant entry is negative, else +1."""
+    signs = np.ones(u.shape[1])
+    for k in range(u.shape[1]):
+        col = u[:, k]
         thresh = _SIGN_REL_TOL * float(np.abs(col).max() or 1.0)
         sig = np.nonzero(np.abs(col) > thresh)[0]
         if sig.size and col[sig[0]] < 0.0:
-            out[:, k] = -col
+            signs[k] = -1.0
+    return signs
+
+
+def _fix_column_signs(u: np.ndarray) -> np.ndarray:
+    """Flip columns so the first significant entry of each is positive."""
+    # The copy is C-ordered; u * signs would keep the column-major layout of
+    # eigh's reordered vectors and change the last bits of later products.
+    out = u.copy()
+    out *= _column_signs(u)
     return out
 
 
@@ -110,18 +119,14 @@ def to_canonical_form(src: GaussianPairSource) -> CanonicalForm:
     c = t1 @ src.q12 @ t2.T
     u3, svals, v4t = np.linalg.svd(c, full_matrices=True)
     u4 = v4t.T
-    # Flip (u3, u4) column pairs together to keep the product unchanged.
-    for k in range(min(p1, p2)):
-        col = u3[:, k]
-        thresh = _SIGN_REL_TOL * float(np.abs(col).max() or 1.0)
-        sig = np.nonzero(np.abs(col) > thresh)[0]
-        if sig.size and col[sig[0]] < 0.0:
-            u3[:, k] = -u3[:, k]
-            u4[:, k] = -u4[:, k]
-    if p1 > min(p1, p2):
-        u3[:, min(p1, p2) :] = _fix_column_signs(u3[:, min(p1, p2) :])
-    if p2 > min(p1, p2):
-        u4[:, min(p1, p2) :] = _fix_column_signs(u4[:, min(p1, p2) :])
+    # Flip (u3, u4) column pairs together to keep the product unchanged,
+    # then the unpaired columns of either on their own.
+    k = min(p1, p2)
+    signs = _column_signs(u3[:, :k])
+    u3[:, :k] *= signs
+    u4[:, :k] *= signs
+    u3[:, k:] *= _column_signs(u3[:, k:])
+    u4[:, k:] *= _column_signs(u4[:, k:])
 
     n_one = int(np.count_nonzero(svals >= 1.0 - UNIT_CORR_TOL))
     n_mid = int(np.count_nonzero((svals > ZERO_CORR_TOL) & (svals < 1.0 - UNIT_CORR_TOL)))

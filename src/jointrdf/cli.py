@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -32,9 +32,8 @@ from .model import (
     NotPositiveDefiniteError,
     SourceValidationError,
     load_source,
-    validate_source,
 )
-from .solver import DEFAULT_CONFIG, FeasibilityError, SolveBranch, SolveReport, SolverConfig, solve
+from .solver import GAP_TOL, FeasibilityError, SolveBranch, SolveReport, solve
 
 LN2 = math.log(2.0)
 
@@ -66,18 +65,6 @@ def _emit(text: str, out: str | None) -> None:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-
-
-def _config_from_args(args: argparse.Namespace) -> SolverConfig:
-    cfg = DEFAULT_CONFIG
-    overrides = {}
-    if getattr(args, "tol_gap", None) is not None:
-        overrides["gap_tol"] = args.tol_gap
-    if getattr(args, "tol_region", None) is not None:
-        overrides["region_tol"] = args.tol_region
-    if getattr(args, "tol_psd", None) is not None:
-        overrides["psd_rtol"] = args.tol_psd
-    return replace(cfg, **overrides) if overrides else cfg
 
 
 def _kkt_dict(report: SolveReport) -> dict | None:
@@ -118,7 +105,7 @@ def _solve_dict(report: SolveReport, d: DistortionPair, unit: str) -> dict:
 
 def _cmd_solve(src: GaussianPairSource, args: argparse.Namespace) -> int:
     d = DistortionPair(args.d1, args.d2)
-    report = solve(src, d, _config_from_args(args))
+    report = solve(src, d, gap_tol=args.tol_gap)
     if report.branch is SolveBranch.INFEASIBLE:
         print(
             "infeasible: rate is infinite (zero distortion budget against "
@@ -164,10 +151,10 @@ def _parse_grid(text: str) -> tuple[np.ndarray, np.ndarray]:
     return axes[0], axes[1]
 
 
-def _sweep_point(payload: tuple) -> tuple[float, float, float, str, float, bool]:
-    q, p1, p2, d1, d2, cfg = payload
-    src = validate_source(np.asarray(q), p1, p2)
-    report = solve(src, DistortionPair(d1, d2), cfg)
+def _sweep_point(
+    src: GaussianPairSource, gap_tol: float, d1: float, d2: float
+) -> tuple[float, float, float, str, float, bool]:
+    report = solve(src, DistortionPair(d1, d2), gap_tol=gap_tol)
     return (d1, d2, report.rate_nats, report.branch.value, report.gray_bound_nats,
             report.in_region_d)
 
@@ -195,18 +182,18 @@ def _cmd_sweep(src: GaussianPairSource, args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"invalid grid: {exc}", file=sys.stderr)
         return 2
-    cfg = _config_from_args(args)
     points = [(float(a), float(b)) for a in d1_axis for b in d2_axis]
-    payloads = [(src.q.tolist(), src.p1, src.p2, a, b, cfg) for a, b in points]
+    d1s, d2s = zip(*points)
+    point = functools.partial(_sweep_point, src, args.tol_gap)
     rows: list[tuple] = []
     try:
         if args.jobs > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                for row in pool.map(_sweep_point, payloads):
+                for row in pool.map(point, d1s, d2s):
                     rows.append(row)
         else:
-            for payload in payloads:
-                rows.append(_sweep_point(payload))
+            for row in map(point, d1s, d2s):
+                rows.append(row)
     except Exception as exc:  # results arrive in order, so len(rows) names the point
         at = points[min(len(rows), len(points) - 1)]
         print(f"sweep failed at grid point (d1={at[0]:.6g}, d2={at[1]:.6g}): {exc}",
@@ -248,7 +235,7 @@ def _cmd_sweep(src: GaussianPairSource, args: argparse.Namespace) -> int:
 
 def _cmd_realize(src: GaussianPairSource, args: argparse.Namespace) -> int:
     d = DistortionPair(args.d1, args.d2)
-    report = solve(src, d, _config_from_args(args))
+    report = solve(src, d, gap_tol=args.tol_gap)
     if report.branch is SolveBranch.INFEASIBLE:
         print("infeasible: rate is infinite", file=sys.stderr)
         return 3
@@ -297,7 +284,7 @@ def _cmd_realize(src: GaussianPairSource, args: argparse.Namespace) -> int:
 
 def _cmd_verify(src: GaussianPairSource, args: argparse.Namespace) -> int:
     d = DistortionPair(args.d1, args.d2)
-    report = solve(src, d, _config_from_args(args))
+    report = solve(src, d, gap_tol=args.tol_gap)
     if report.branch is SolveBranch.INFEASIBLE:
         print("infeasible: rate is infinite", file=sys.stderr)
         return 3
@@ -390,12 +377,8 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("source", help="path to source JSON {p1, p2, Q}")
     sp.add_argument("--unit", choices=("nats", "bits"), default="nats")
     sp.add_argument("-o", "--out", default=None, help="write output to file instead of stdout")
-    sp.add_argument("--tol-gap", type=float, default=None,
+    sp.add_argument("--tol-gap", type=float, default=GAP_TOL,
                     help="duality-gap tolerance in nats of the dual solver (default 1e-9)")
-    sp.add_argument("--tol-region", type=float, default=None,
-                    help="strict-positivity margin of the closed-form region test (default 1e-9)")
-    sp.add_argument("--tol-psd", type=float, default=None,
-                    help="relative PSD tolerance for feasibility checks (default 1e-10)")
 
 
 def _add_distortions(sp: argparse.ArgumentParser) -> None:

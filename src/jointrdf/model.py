@@ -7,6 +7,11 @@ blocks, evaluates the single-source rate-distortion function by reverse
 water-filling, and combines the three into the additive lower bound on the
 joint rate-distortion function.
 
+Two fixed relative tolerances govern validation: SYMMETRY_RTOL for the
+asymmetry of the input and PSD_RTOL for its eigenvalues.  The source stores
+||Q||_2, and every tolerance on the spectrum of Q, here and in the solver
+and realization, is taken relative to that one value.
+
 All rates are in nats.  Display conversion to bits lives in the CLI.
 """
 
@@ -38,13 +43,15 @@ class GaussianPairSource:
 
     Construct through :func:`validate_source`.  The stored matrix is
     symmetrized, clipped to the PSD cone within tolerance, and marked
-    read-only; block views q11, q12, q22 index directly into it.
+    read-only; block views q11, q12, q22 index directly into it.  q_norm is
+    ||q||_2, the scale against which every PSD tolerance on q is measured.
     """
 
     p1: int
     p2: int
     q: np.ndarray
     positive_definite: bool
+    q_norm: float
 
     @property
     def n(self) -> int:
@@ -79,25 +86,15 @@ class DistortionPair:
             if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
-    @property
-    def has_zero_budget(self) -> bool:
-        return self.d1 == 0.0 or self.d2 == 0.0
 
-
-def validate_source(
-    raw_matrix: np.ndarray,
-    p1: int,
-    p2: int,
-    *,
-    sym_rtol: float = SYMMETRY_RTOL,
-    psd_rtol: float = PSD_RTOL,
-) -> GaussianPairSource:
+def validate_source(raw_matrix: np.ndarray, p1: int, p2: int) -> GaussianPairSource:
     """Validate a raw joint covariance and wrap it as a GaussianPairSource.
 
     Checks, in order: dimensions match (p1 + p2) square; entries finite;
-    relative asymmetry within sym_rtol (then symmetrized); minimum eigenvalue
-    >= -psd_rtol * ||q||_2 (negative round-off clipped to zero).  Whether the
-    matrix is safely positive definite is recorded on the result.
+    relative asymmetry within SYMMETRY_RTOL (then symmetrized); minimum
+    eigenvalue >= -PSD_RTOL * ||q||_2 (negative round-off clipped to zero).
+    Whether the matrix is safely positive definite, and ||q||_2, are
+    recorded on the result.
     """
     if p1 < 1 or p2 < 1:
         raise SourceValidationError(f"block dimensions must be positive, got p1={p1}, p2={p2}")
@@ -111,23 +108,28 @@ def validate_source(
         raise SourceValidationError("covariance contains non-finite entries")
     scale = float(np.abs(a).max())
     asym = float(np.abs(a - a.T).max())
-    if asym > sym_rtol * scale:
+    if asym > SYMMETRY_RTOL * scale:
         raise SourceValidationError(
             f"covariance is asymmetric: max |q - q.T| = {asym:.3e} "
-            f"exceeds {sym_rtol:.1e} * max|q| = {sym_rtol * scale:.3e}"
+            f"exceeds {SYMMETRY_RTOL:.1e} * max|q| = {SYMMETRY_RTOL * scale:.3e}"
         )
     q = sym(a)
     w, u = np.linalg.eigh(q)
-    eig_scale = float(np.abs(w).max()) if w.size else 0.0
-    if w[0] < -psd_rtol * eig_scale:
+    eig_scale = float(np.abs(w).max())
+    if w[0] < -PSD_RTOL * eig_scale:
         raise SourceValidationError(
             f"covariance is not positive semidefinite: min eigenvalue {w[0]:.3e} "
-            f"below tolerance {-psd_rtol * eig_scale:.3e}"
+            f"below tolerance {-PSD_RTOL * eig_scale:.3e}"
         )
     if w[0] < 0.0:
         q = sym((u * np.maximum(w, 0.0)) @ u.T)
-    positive_definite = bool(w[0] > psd_rtol * eig_scale)
-    return GaussianPairSource(p1=p1, p2=p2, q=readonly(q), positive_definite=positive_definite)
+    return GaussianPairSource(
+        p1=p1,
+        p2=p2,
+        q=readonly(q),
+        positive_definite=bool(w[0] > PSD_RTOL * eig_scale),
+        q_norm=eig_scale,
+    )
 
 
 def mutual_information(src: GaussianPairSource) -> float:

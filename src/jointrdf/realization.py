@@ -61,7 +61,7 @@ class TestChannelRealization:
         PSD_RTOL * ||Q||_2 count as zero."""
         cov = sym(self.h @ self.source.q @ self.h.T + self.qv)
         w, u = np.linalg.eigh(cov)
-        keep = w > PSD_RTOL * float(np.linalg.eigvalsh(self.source.q)[-1])
+        keep = w > PSD_RTOL * self.source.q_norm
         ur = u[:, keep]
         return XhatCovariance(
             rank=int(np.count_nonzero(keep)),
@@ -94,7 +94,7 @@ def realize(src: GaussianPairSource, sigma) -> TestChannelRealization:
     if not src.positive_definite:
         raise NotPositiveDefiniteError("realization requires q > 0")
     s = sym(np.asarray(getattr(sigma, "sigma", sigma), dtype=float))
-    check_psd_bounds(src, s, PSD_RTOL)
+    check_psd_bounds(src, s)
     q_inv_s = np.linalg.solve(src.q, s)  # Q^{-1} Sigma
     h = np.eye(src.n) - q_inv_s.T
     qv = sym(s - q_inv_s.T @ s)

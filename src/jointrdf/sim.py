@@ -91,8 +91,11 @@ def push_channel(batch: SampleBatch, r: TestChannelRealization, seed: int) -> Sa
         raise ValueError(
             f"batch dimension {batch.x.shape[1]} does not match channel dimension {r.n}"
         )
-    noise = _rng(seed).standard_normal((batch.n, r.n)) @ sqrt_factor(r.qv).T
-    xhat = batch.x @ r.h.T + noise
+    # Built in place, noise first: each step then keeps at most one
+    # full-size temporary alive.  Forming x @ H^T first leaves the peak as
+    # high as with a separate sum.
+    xhat = _rng(seed).standard_normal((batch.n, r.n)) @ sqrt_factor(r.qv).T
+    xhat += batch.x @ r.h.T
     return replace(batch, xhat=xhat, e=batch.x - xhat)
 
 

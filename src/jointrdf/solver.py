@@ -19,6 +19,13 @@ Sigma with 0 <= Sigma <= Q and per-block trace budgets.  Three branches:
 Every solve carries a certificate (lambda1, lambda2, Theta) whose stationarity
 and complementary-slackness residuals are recomputable via
 :func:`kkt_residuals`.  On the dual branch Theta is exact by construction.
+
+gap_tol of :func:`solve` (default GAP_TOL), the duality gap in nats at which
+the dual iteration stops, is the only tolerance a caller sets.  The others
+are fixed: REGION_TOL, the strict-positivity margin of the region test
+relative to ||Q||_2; TRACE_SLACK_TOL, the absolute trace overshoot the dual
+iteration and the feasibility check accept; and model.PSD_RTOL for the PSD
+checks.
 """
 
 from __future__ import annotations
@@ -52,24 +59,9 @@ class SolveBranch(Enum):
     INFEASIBLE = "Infeasible"
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """All solver tolerances, centralized for reproducibility.
-
-    gap_tol bounds the duality gap |l . (tr Sigma - d)| in nats at which the
-    dual iteration stops; region_tol scales the strict-positivity margin of
-    the closed-form region test; psd_rtol and trace_slack_tol govern
-    feasibility checks, and the dual iteration also stops only once each
-    trace overshoots its budget by at most trace_slack_tol.
-    """
-
-    gap_tol: float = 1e-9
-    region_tol: float = 1e-9
-    psd_rtol: float = PSD_RTOL
-    trace_slack_tol: float = 1e-9
-
-
-DEFAULT_CONFIG = SolverConfig()
+GAP_TOL = 1e-9
+REGION_TOL = 1e-9
+TRACE_SLACK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -96,37 +88,31 @@ class ErrorCovariance:
     def sigma22(self) -> np.ndarray:
         return self.sigma[self.p1 :, self.p1 :]
 
-    def validate(
-        self,
-        src: GaussianPairSource,
-        d: DistortionPair,
-        config: SolverConfig = DEFAULT_CONFIG,
-    ) -> None:
+    def validate(self, src: GaussianPairSource, d: DistortionPair) -> None:
         """Raise FeasibilityError unless sigma >= 0, Q - sigma >= 0 and the
-        block traces respect the budgets (all within config tolerances)."""
-        check_psd_bounds(src, self.sigma, config.psd_rtol)
+        block traces exceed the budgets by at most TRACE_SLACK_TOL."""
+        check_psd_bounds(src, self.sigma)
         tr1 = float(np.trace(self.sigma11))
         tr2 = float(np.trace(self.sigma22))
-        if tr1 > d.d1 + config.trace_slack_tol or tr2 > d.d2 + config.trace_slack_tol:
+        if tr1 > d.d1 + TRACE_SLACK_TOL or tr2 > d.d2 + TRACE_SLACK_TOL:
             raise FeasibilityError(
                 f"trace budget violated: tr(sigma11)={tr1:.6g} vs d1={d.d1:.6g}, "
                 f"tr(sigma22)={tr2:.6g} vs d2={d.d2:.6g}"
             )
 
 
-def check_psd_bounds(src: GaussianPairSource, s: np.ndarray, psd_rtol: float) -> None:
+def check_psd_bounds(src: GaussianPairSource, s: np.ndarray) -> None:
     """Raise FeasibilityError unless sigma is n x n and 0 <= sigma <= Q, with
-    eigenvalues down to -psd_rtol * max(||sigma||_2, ||Q||_2) (resp.
-    -psd_rtol * ||Q||_2 for Q - sigma) accepted as round-off."""
+    eigenvalues down to -PSD_RTOL * max(||sigma||_2, ||Q||_2) (resp.
+    -PSD_RTOL * ||Q||_2 for Q - sigma) accepted as round-off."""
     n = src.n
     if s.shape != (n, n):
         raise FeasibilityError(f"sigma must be {n}x{n}, got {s.shape}")
-    scale_q = float(np.abs(np.linalg.eigvalsh(src.q)).max())
     w_s = np.linalg.eigvalsh(sym(s))
-    if w_s[0] < -psd_rtol * max(float(np.abs(w_s).max()), scale_q):
+    if w_s[0] < -PSD_RTOL * max(float(np.abs(w_s).max()), src.q_norm):
         raise FeasibilityError(f"sigma is not PSD: min eigenvalue {w_s[0]:.3e}")
     w_qs = np.linalg.eigvalsh(sym(src.q - s))
-    if w_qs[0] < -psd_rtol * scale_q:
+    if w_qs[0] < -PSD_RTOL * src.q_norm:
         raise FeasibilityError(f"Q - sigma is not PSD: min eigenvalue {w_qs[0]:.3e}")
 
 
@@ -180,24 +166,19 @@ def closed_form_candidate(src: GaussianPairSource, d: DistortionPair) -> ErrorCo
     return ErrorCovariance(p1=src.p1, p2=src.p2, sigma=readonly(np.diag(diag)))
 
 
-def in_region_d(
-    src: GaussianPairSource,
-    d: DistortionPair,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> bool:
+def in_region_d(src: GaussianPairSource, d: DistortionPair) -> bool:
     """True iff Q minus the closed-form candidate is strictly positive definite.
 
     Zero budgets are excluded outright: the closed-form candidate is then
     singular and the rate infinite, so the point cannot lie in the region.
-    Boundary contact within tolerance is classified as outside so the general
-    branch handles it.
+    Boundary contact within REGION_TOL * ||Q||_2 is classified as outside so
+    the general branch handles it.
     """
     if d.d1 <= 0.0 or d.d2 <= 0.0:
         return False
-    w_q = np.linalg.eigvalsh(src.q)
     cand = closed_form_candidate(src, d)
     w = np.linalg.eigvalsh(src.q - cand.sigma)
-    return bool(w[0] > config.region_tol * float(np.abs(w_q).max()))
+    return bool(w[0] > REGION_TOL * src.q_norm)
 
 
 def rate_of(src: GaussianPairSource, sigma) -> float:
@@ -341,7 +322,7 @@ def _level_root(f, w: float, done):
 
 
 def _solve_dual(
-    src: GaussianPairSource, d: DistortionPair, config: SolverConfig
+    src: GaussianPairSource, d: DistortionPair, gap_tol: float
 ) -> tuple[np.ndarray, float, float, np.ndarray, int]:
     """Maximize the concave dual g(l1, l2) by nested monotone root-finds.
 
@@ -350,7 +331,7 @@ def _solve_dual(
     Jacobian as slope; both start from the closed-form levels d_i / p_i.
     Each stops once its share l_i |tr Sigma_ii - d_i| of the duality gap
     g(l) - R(Sigma(l)) is within gap_tol / 2 and its trace overshoots by at
-    most trace_slack_tol.  Returns (sigma, lambda1, lambda2, theta,
+    most TRACE_SLACK_TOL.  Returns (sigma, lambda1, lambda2, theta,
     evaluations); Theta = Q^{-1/2} u diag(max(0, 1/2 - m)) u^T Q^{-1/2} is
     PSD and complementary to Q - Sigma mode by mode.
     """
@@ -367,7 +348,7 @@ def _solve_dual(
 
     def done(w: float, value: float) -> bool:
         # l * |value| <= gap_tol / 2 with l = 1 / (2 w)
-        return value <= config.trace_slack_tol and abs(value) / w <= config.gap_tol
+        return value <= TRACE_SLACK_TOL and abs(value) / w <= gap_tol
 
     w2 = d.d2 / src.p2
 
@@ -413,13 +394,14 @@ def _certificate(
 def solve(
     src: GaussianPairSource,
     d: DistortionPair,
-    config: SolverConfig = DEFAULT_CONFIG,
     *,
+    gap_tol: float = GAP_TOL,
     force_interior: bool = False,
 ) -> SolveReport:
     """Compute the joint rate-distortion value and its optimal error covariance.
 
-    Branch selection follows the module docstring; force_interior skips the
+    Branch selection follows the module docstring; gap_tol is the duality
+    gap in nats at which the dual iteration stops.  force_interior skips the
     zero-rate and closed-form shortcuts so the dual path can be exercised on
     any instance (used by consistency checks).  On that path iterations
     counts dual evaluations, one eigh each.
@@ -447,7 +429,7 @@ def solve(
         )
 
     gray = gray_lower_bound(src, d)
-    region = in_region_d(src, d, config)
+    region = in_region_d(src, d)
     tr1 = float(np.trace(src.q11))
     tr2 = float(np.trace(src.q22))
 
@@ -468,8 +450,8 @@ def solve(
         cert = _certificate(src, d, sigma, lam1, lam2, np.zeros((n, n)))
         return report(SolveBranch.CLOSED_FORM_INTERIOR_D, rate_of(src, sigma), sigma, cert)
 
-    s, lam1, lam2, theta, iterations = _solve_dual(src, d, config)
+    s, lam1, lam2, theta, iterations = _solve_dual(src, d, gap_tol)
     sigma = ErrorCovariance(p1=src.p1, p2=src.p2, sigma=readonly(s))
-    sigma.validate(src, d, config)
+    sigma.validate(src, d)
     cert = _certificate(src, d, sigma, lam1, lam2, theta)
     return report(SolveBranch.INTERIOR_POINT, rate_of(src, sigma), sigma, cert, iterations)

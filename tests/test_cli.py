@@ -60,6 +60,25 @@ class TestSolveCommand:
         bits = json.loads(out_bits)["rate"]
         assert abs(bits - nats / math.log(2.0)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "flags, evaluations, gap_bound", [((), 9, 1e-9), (("--tol-gap", "1e-2"), 3, 1e-2)]
+    )
+    def test_tol_gap_reaches_dual_stopping_rule(
+        self, example_source_file, capsys, flags, evaluations, gap_bound
+    ):
+        code, out, _ = run_cli(
+            capsys, "solve", example_source_file, "--d1", "1.65", "--d2", "1.85", *flags
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["branch"] == "InteriorPoint"
+        assert obj["iterations"] == evaluations
+        sigma = np.array(obj["sigma"])
+        gap = abs(obj["kkt"]["lambda1"] * (np.trace(sigma[:2, :2]) - 1.65)) + abs(
+            obj["kkt"]["lambda2"] * (np.trace(sigma[2:, 2:]) - 1.85)
+        )
+        assert gap <= gap_bound
+
     def test_zero_budget_exits_3(self, example_source_file, capsys):
         code, _, err = run_cli(
             capsys, "solve", example_source_file, "--d1", "0", "--d2", "1"

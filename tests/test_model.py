@@ -72,10 +72,6 @@ class TestDistortionPair:
         with pytest.raises(ValueError):
             DistortionPair(-0.1, 1.0)
 
-    def test_zero_budget_flagged(self):
-        assert DistortionPair(0.0, 1.0).has_zero_budget
-        assert not DistortionPair(0.5, 1.0).has_zero_budget
-
 
 class TestMutualInformation:
     def test_independent_blocks_zero(self):

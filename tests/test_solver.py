@@ -9,7 +9,6 @@ from jointrdf import (
     FeasibilityError,
     KktCertificate,
     SolveBranch,
-    SolverConfig,
     closed_form_candidate,
     gray_lower_bound,
     in_region_d,
@@ -114,7 +113,7 @@ class TestSolveCase2:
         # decreasing the gap tolerance 10x moves the final iterate by little
         # and keeps the certificate valid
         base = solve(example_source, case2)
-        tight = solve(example_source, case2, SolverConfig(gap_tol=1e-10))
+        tight = solve(example_source, case2, gap_tol=1e-10)
         assert abs(base.rate_nats - tight.rate_nats) <= 1e-8
         assert np.linalg.norm(base.sigma.sigma - tight.sigma.sigma) <= 1e-6
         assert tight.certificate.stationarity_residual <= 1e-7
