@@ -375,8 +375,11 @@ def _cmd_canonical(src: GaussianPairSource, args: argparse.Namespace) -> int:
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("source", help="path to source JSON {p1, p2, Q}")
-    sp.add_argument("--unit", choices=("nats", "bits"), default="nats")
     sp.add_argument("-o", "--out", default=None, help="write output to file instead of stdout")
+
+
+def _add_solve_options(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--unit", choices=("nats", "bits"), default="nats")
     sp.add_argument("--tol-gap", type=float, default=GAP_TOL,
                     help="duality-gap tolerance in nats of the dual solver (default 1e-9)")
 
@@ -395,12 +398,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="compute the rate and optimal error covariance")
     _add_common(sp)
+    _add_solve_options(sp)
     _add_distortions(sp)
     sp.add_argument("--output", choices=("json", "csv"), default="json")
     sp.set_defaults(handler=_cmd_solve)
 
     sp = sub.add_parser("sweep", help="solve a distortion grid and emit surface data")
     _add_common(sp)
+    _add_solve_options(sp)
     sp.add_argument("--grid", required=True,
                     help="grid axes d1_min:d1_max:steps,d2_min:d2_max:steps")
     sp.add_argument("--jobs", type=int, default=1, help="worker processes for grid points")
@@ -409,6 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("realize", help="synthesize and structurally verify a channel")
     _add_common(sp)
+    _add_solve_options(sp)
     _add_distortions(sp)
     sp.add_argument("--tol-check", type=float, default=real.CHECK_TOL,
                     help="pass threshold of the structural checks (default 1e-8)")
@@ -418,6 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="Monte-Carlo validation of a solved instance")
     _add_common(sp)
+    _add_solve_options(sp)
     _add_distortions(sp)
     sp.add_argument("--samples", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)

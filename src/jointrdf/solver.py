@@ -13,8 +13,8 @@ Sigma with 0 <= Sigma <= Q and per-block trace budgets.  Three branches:
   is minimized over 0 <= Sigma <= Q by
   Sigma = Q^{1/2} U diag(min(1, 1/(2 m_i))) U^T Q^{1/2}, the spectral form of
   reverse water-filling.  The dual g(l1, l2) is concave with gradient
-  (tr Sigma11 - d1, tr Sigma22 - d2); it is maximized by nested monotone
-  root-finds, one n x n eigh per evaluation.
+  (tr Sigma11 - d1, tr Sigma22 - d2); it is maximized by projected Newton
+  ascent over l >= 0, one n x n eigh per evaluation.
 
 Every solve carries a certificate (lambda1, lambda2, Theta) whose stationarity
 and complementary-slackness residuals are recomputable via
@@ -240,138 +240,136 @@ def kkt_residuals(
 # two-multiplier dual (block reverse water-filling)
 # ---------------------------------------------------------------------------
 
-# Safety cap on the steps of one scalar root-find; the bracket collapses to
-# float resolution long before it is reached.
-_MAX_ROOT_STEPS = 100
+# Cap on the dual evaluations of one solve, line-search trials included.
+_MAX_EVALUATIONS = 100
 
 
 class _DualPoint(NamedTuple):
-    """Lagrangian minimizer Sigma = b diag(z) b^T at multipliers (l1, l2)."""
+    """Lagrangian minimizer Sigma = b diag(z) b^T at multipliers l = (l1, l2)."""
 
-    l1: float
-    l2: float
+    l: np.ndarray
     m: np.ndarray
     u: np.ndarray
     z: np.ndarray
     b: np.ndarray
-    traces: tuple[float, float]
-    jac: np.ndarray
+    r: np.ndarray
+    value: float
+    scale: float
 
 
-def _dual_point(q_half: np.ndarray, p1: int, l1: float, l2: float) -> _DualPoint:
-    """Spectral reverse water-filling at (l1, l2), from one n x n eigh.
+def _dual_point(q_half: np.ndarray, p1: int, l: np.ndarray, budget: np.ndarray) -> _DualPoint:
+    """Spectral reverse water-filling at l = (l1, l2), from one n x n eigh.
 
     (m, u) are the eigenpairs of M = Q^{1/2} Block-diag(l1 I, l2 I) Q^{1/2},
-    b = Q^{1/2} u and z = min(1, 1/(2 m)).  traces holds (tr Sigma11,
-    tr Sigma22); by the Daleckii-Krein formula their Jacobian in (l1, l2) is
-    sum(A_k * A_j * F), with A_k = b_k^T b_k over the rows b_k of block k and
-    F the divided differences of z(m) = 1 / (2 max(m, 1/2)).
+    b = Q^{1/2} u and z = min(1, 1/(2 m)).  r holds (tr Sigma11 - d1,
+    tr Sigma22 - d2), the gradient of the dual value g(l) = -0.5 sum ln z +
+    l . r, and scale the sum of the magnitudes of g's terms.
     """
     n = q_half.shape[0]
-    lam = np.concatenate([np.full(p1, l1), np.full(n - p1, l2)])
-    m, u = np.linalg.eigh(sym((q_half * lam) @ q_half))
-    g = np.maximum(m, 0.5)
-    z = 0.5 / g
+    m, u = np.linalg.eigh(sym((q_half * np.repeat(l, (p1, n - p1))) @ q_half))
+    z = 0.5 / np.maximum(m, 0.5)
     b = q_half @ u
-    a = (b[:p1].T @ b[:p1], b[p1:].T @ b[p1:])
-    dm = m[:, None] - m[None, :]
-    active = (m > 0.5).astype(float)
-    dg_dm = np.divide(
-        g[:, None] - g[None, :], dm, out=np.outer(active, active), where=dm != 0.0
-    )
-    f = -dg_dm / (2.0 * np.outer(g, g))
-    jac = np.array([[float(np.sum(ak * aj * f)) for aj in a] for ak in a])
-    traces = (float(np.diag(a[0]) @ z), float(np.diag(a[1]) @ z))
-    return _DualPoint(l1, l2, m, u, z, b, traces, jac)
+    traces = np.add.reduceat(b * b, [0, p1]) @ z
+    rate = -0.5 * float(np.log(z).sum())
+    value = rate + float(l @ (traces - budget))
+    scale = rate + float(l @ (traces + budget))
+    return _DualPoint(l, m, u, z, b, traces - budget, value, scale)
 
 
-def _level_root(f, w: float, done):
-    """Root on (0, inf] of a non-decreasing function of a water level w.
+def _hessian(pt: _DualPoint, p1: int) -> np.ndarray:
+    """Jacobian of pt.r in l, the Hessian of the dual, in one product.
 
-    The level w = 1 / (2 l) of a multiplier l makes each block trace linear
-    in w on the closed-form region, where one Newton step is exact; w = inf
-    stands for l = 0, an inactive budget.  f(w) returns (value, slope, point).
-    Newton steps stay inside the bracket of levels seen so far and fall back
-    to bisection (geometric, as levels span decades) when they would leave
-    it or fail to halve the previous step.  Returns the point at which
-    done(w, value) holds or, should the bracket collapse first, the last
-    point below the root.
+    By the Daleckii-Krein formula it is sum(A_k * A_j * F), with
+    A_k = b_k^T b_k over the rows b_k of block k and F the divided
+    differences of z(m) = 1 / (2 max(m, 1/2)).
     """
-    lo, hi = 0.0, math.inf
-    below, inf_tried, dx_old = None, False, math.inf
-    for _ in range(_MAX_ROOT_STEPS):
-        value, slope, point = f(w)
-        if done(w, value):
-            return point
-        if value <= 0.0:
-            lo, below = w, point
-        elif w < math.inf:
-            hi = w
-        inf_tried = inf_tried or w == math.inf
-        step = w - value / slope if slope > 0.0 else math.inf
-        if hi < math.inf:
-            if not lo < step < hi or abs(step - w) > 0.5 * dx_old:
-                step = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
-                if not lo < step < hi:
-                    break
-        elif step == math.inf or (step > 2.0 * lo and not inf_tried):
-            # far above every level seen: test l = 0 once, then double
-            step = 2.0 * lo if inf_tried else math.inf
-        dx_old, w = abs(step - w), step
-    return below if below is not None else point
+    m, z, b = pt.m, pt.z, pt.b
+    a = np.stack([b[:p1].T @ b[:p1], b[p1:].T @ b[p1:]]).reshape(2, m.size**2)
+    # dz/dm = -2 z^2 on active modes (m > 1/2) and 0 on the others
+    z_active = np.where(m > 0.5, z, 0.0)
+    dm = m[:, None] - m[None, :]
+    f = np.divide(z[:, None] - z[None, :], dm, out=-2.0 * np.outer(z_active, z_active),
+                  where=dm != 0.0)
+    return (a * f.ravel()) @ a.T
+
+
+def _newton_step(pt: _DualPoint, jac: np.ndarray, l0: np.ndarray) -> np.ndarray:
+    """Ascent step on the concave dual from pt, whose Hessian is jac.
+
+    A multiplier with a slack budget that its own Newton step would take
+    below zero, as on a flat diagonal (every mode it touches at z = 1), goes
+    to zero.  A binding budget on a flat diagonal rises by the limit below.
+    The rest take the Newton step given those moves, scaled so that none
+    rises by more than its own value, or past l0 from zero: a near-flat
+    diagonal would overshoot the next mode to turn active.
+    """
+    l, r = pt.l, pt.r
+    jd = np.diag(jac)
+    limit = np.where(l > 0.0, l, l0)
+    bound = (r <= 0.0) & (l * jd >= r)
+    newton = ~bound & (-jd > 1e-13 * np.abs(jac).max())
+    step = np.where(bound, -l, limit)
+    rhs = -(r + jac @ np.where(newton, 0.0, step))
+    if newton.all():
+        (j11, j12), (_, j22) = jac.tolist()
+        step = np.array([[j22, -j12], [-j12, j11]]) @ rhs / (j11 * j22 - j12 * j12)
+    else:
+        step[newton] = rhs[newton] / jd[newton]
+    rise = newton & (step > limit)
+    if rise.any():
+        step[newton] *= np.min(limit[rise] / step[rise])
+    return step
 
 
 def _solve_dual(
     src: GaussianPairSource, d: DistortionPair, gap_tol: float
 ) -> tuple[np.ndarray, float, float, np.ndarray, int]:
-    """Maximize the concave dual g(l1, l2) by nested monotone root-finds.
+    """Maximize the concave dual g(l) by projected Newton ascent over l >= 0.
 
-    The inner one solves tr Sigma22(l1, .) = d2 for l2, the outer one
-    tr Sigma11(l1, l2*(l1)) = d1 for l1, with the Schur complement of the
-    Jacobian as slope; both start from the closed-form levels d_i / p_i.
-    Each stops once its share l_i |tr Sigma_ii - d_i| of the duality gap
-    g(l) - R(Sigma(l)) is within gap_tol / 2 and its trace overshoots by at
-    most TRACE_SLACK_TOL.  Returns (sigma, lambda1, lambda2, theta,
-    evaluations); Theta = Q^{-1/2} u diag(max(0, 1/2 - m)) u^T Q^{-1/2} is
-    PSD and complementary to Q - Sigma mode by mode.
+    Starts from the closed-form multipliers l0 = p_i / (2 d_i).  A multiplier
+    that :func:`_newton_step` changes by less than its own value moves by the
+    same step in its level w = 1 / (2 l), in which the traces are nearly
+    linear; the others move straight and are projected onto l >= 0.  Steps
+    are halved until g rises by the Armijo rule, up to round-off in g's terms.
+    Stops once each share l_i |r_i| of the duality gap g(l) - R(Sigma(l)) is
+    within gap_tol / 2 and each trace overshoots by at most TRACE_SLACK_TOL
+    less a round-off allowance.
+    Returns (sigma, lambda1, lambda2, theta, evaluations); Theta =
+    Q^{-1/2} u diag(max(0, 1/2 - m)) u^T Q^{-1/2} is PSD and complementary
+    to Q - Sigma mode by mode.
     """
-    p1 = src.p1
     w_q, v = np.linalg.eigh(src.q)
     root = np.sqrt(w_q)
     q_half = sym((v * root) @ v.T)
-    evaluations = 0
+    budget = np.array([d.d1, d.d2])
+    l0 = np.array([src.p1, src.p2]) / (2.0 * budget)
+    # assembling Sigma moves a trace by round-off of up to about n ulps: aim
+    # twice that inside each budget and stop only once it is inside by that
+    ulps = 8 * src.n * np.finfo(float).eps * budget
+    aim = budget - 2.0 * ulps
 
-    def evaluate(l1: float, l2: float) -> _DualPoint:
-        nonlocal evaluations
-        evaluations += 1
-        return _dual_point(q_half, p1, l1, l2)
+    def done(pt: _DualPoint) -> bool:
+        r = pt.r - 2.0 * ulps
+        return bool(np.all((r <= TRACE_SLACK_TOL - ulps) & (pt.l * np.abs(r) <= 0.5 * gap_tol)))
 
-    def done(w: float, value: float) -> bool:
-        # l * |value| <= gap_tol / 2 with l = 1 / (2 w)
-        return value <= TRACE_SLACK_TOL and abs(value) / w <= gap_tol
-
-    w2 = d.d2 / src.p2
-
-    def outer(w1: float):
-        nonlocal w2
-        l1 = 0.5 / w1
-
-        def inner(w: float):
-            pt = evaluate(l1, 0.5 / w)
-            return pt.traces[1] - d.d2, -2.0 * pt.l2**2 * pt.jac[1, 1], pt
-
-        pt = _level_root(inner, w2, done)
-        w2 = 0.5 / pt.l2 if pt.l2 > 0.0 else d.d2 / src.p2
-        j = pt.jac
-        # l2 follows l1 only while budget 2 binds
-        slope = j[0, 0] - (j[0, 1] ** 2 / j[1, 1] if pt.l2 > 0.0 and j[1, 1] < 0.0 else 0.0)
-        return pt.traces[0] - d.d1, -2.0 * l1**2 * slope, pt
-
-    pt = _level_root(outer, d.d1 / p1, done)
+    pt, evaluations = _dual_point(q_half, src.p1, l0, aim), 1
+    while not done(pt) and evaluations < _MAX_EVALUATIONS:
+        step = _newton_step(pt, _hessian(pt, src.p1), l0)
+        level = np.abs(step) < pt.l
+        t = 1.0
+        while True:
+            ts = t * step
+            l = np.divide(pt.l**2, pt.l - ts, out=np.maximum(pt.l + ts, 0.0), where=level)
+            trial, evaluations = _dual_point(q_half, src.p1, l, aim), evaluations + 1
+            armijo = 1e-4 * float(pt.r @ (trial.l - pt.l)) - 1e-13 * pt.scale
+            if trial.value - pt.value >= armijo or done(trial) or evaluations >= _MAX_EVALUATIONS:
+                break
+            t *= 0.5
+        pt = trial
     c = ((v / root) @ v.T) @ pt.u
     theta = (c * np.maximum(0.5 - pt.m, 0.0)) @ c.T
     sigma = (pt.b * pt.z) @ pt.b.T
-    return sym(sigma), pt.l1, pt.l2, sym(theta), evaluations
+    return sym(sigma), float(pt.l[0]), float(pt.l[1]), sym(theta), evaluations
 
 
 def _certificate(

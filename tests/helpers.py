@@ -3,10 +3,13 @@
 The oracles deliberately avoid the library's own code paths: the water-filling
 oracles locate the level by brute-force grid refinement or by plain bisection
 instead of the closed form, and the scalar joint-rate oracle maximizes the 2x2 determinant over a refined
-grid with eigenvalue-free feasibility tests.
+grid with eigenvalue-free feasibility tests.  scalar_pair_rate gives the same
+scalar joint rate in closed form, from its three candidate optima.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -143,6 +146,31 @@ def scalar_bruteforce_rate(q: np.ndarray, d1: float, d2: float) -> float:
         return float("inf")
     det_q = q11 * q22 - q12**2
     return max(0.5 * float(np.log(det_q / best)), 0.0)
+
+
+def scalar_pair_rate(v1: float, v2: float, rho: float, d1: float, d2: float) -> float:
+    """Joint rate for p1 = p2 = 1 in closed form (variances v1, v2, correlation rho).
+
+    Three candidates for the optimal sigma: both budgets binding, with
+    diagonal a_i = min(d_i, v_i) and the cross term closest to zero inside
+    the Q - sigma >= 0 band; or one budget binding alone, with the other
+    block's error that of its linear estimate from the first block's
+    reconstruction, a candidate only when that error stays within its own
+    budget.  The rate is 0.5 ln(det Q / det sigma) at the largest
+    determinant, floored at zero.
+    """
+    s1, s2 = math.sqrt(v1), math.sqrt(v2)
+    a1, a2 = min(d1, v1), min(d2, v2)
+    c = rho * s1 * s2
+    cross = math.copysign(max(0.0, abs(c) - math.sqrt((v1 - a1) * (v2 - a2))), c)
+    dets = [a1 * a2 - cross**2]
+    e2 = v2 * (1.0 - rho**2) + rho**2 * v2 * d1 / v1
+    if e2 <= d2:
+        dets.append(d1 * e2 - (rho * s2 * d1 / s1) ** 2)
+    e1 = v1 * (1.0 - rho**2) + rho**2 * v1 * d2 / v2
+    if e1 <= d1:
+        dets.append(d2 * e1 - (rho * s1 * d2 / s2) ** 2)
+    return max(0.0, 0.5 * math.log(v1 * v2 * (1.0 - rho**2) / max(dets)))
 
 
 def gaussian_mi_of_channel(q: np.ndarray, h: np.ndarray, qv: np.ndarray) -> float:

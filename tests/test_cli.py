@@ -61,7 +61,7 @@ class TestSolveCommand:
         assert abs(bits - nats / math.log(2.0)) <= 1e-12
 
     @pytest.mark.parametrize(
-        "flags, evaluations, gap_bound", [((), 9, 1e-9), (("--tol-gap", "1e-2"), 3, 1e-2)]
+        "flags, evaluations, gap_bound", [((), 4, 1e-9), (("--tol-gap", "1e-2"), 3, 1e-2)]
     )
     def test_tol_gap_reaches_dual_stopping_rule(
         self, example_source_file, capsys, flags, evaluations, gap_bound
@@ -268,6 +268,14 @@ class TestCanonicalCommand:
         )
         code, _, err = run_cli(capsys, "canonical", str(doc))
         assert code == 2
+
+    @pytest.mark.parametrize("flag", [("--tol-gap", "5"), ("--unit", "bits")])
+    def test_solver_flags_rejected(self, example_source_file, capsys, flag):
+        # canonical never solves, so it refuses the solver's flags
+        with pytest.raises(SystemExit) as exc:
+            main(["canonical", example_source_file, *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestOutputFile:

@@ -17,8 +17,16 @@ from jointrdf import (
     solve,
     validate_source,
 )
+from jointrdf.solver import GAP_TOL, TRACE_SLACK_TOL
 from conftest import CASE1_RATE, CASE2_SIGMA_3SF
-from helpers import random_pd_pair, scalar_bruteforce_rate
+from helpers import random_pd_pair, scalar_bruteforce_rate, scalar_pair_rate
+
+
+def _oracle_tol(report) -> float:
+    """What a solve may miss an exact rate by: the duality gap it stops at,
+    plus the trace overshoot it accepts priced at its own multipliers."""
+    cert = report.certificate
+    return GAP_TOL + (cert.lambda1 + cert.lambda2) * TRACE_SLACK_TOL
 
 
 class TestClosedFormCandidate:
@@ -109,7 +117,7 @@ class TestSolveCase2:
         assert max(abs(r) for r in cert.slackness_residuals) <= 1e-7
         assert cert.dual_feasible
 
-    def test_tighter_barrier_agrees(self, example_source, case2):
+    def test_tighter_gap_agrees(self, example_source, case2):
         # decreasing the gap tolerance 10x moves the final iterate by little
         # and keeps the certificate valid
         base = solve(example_source, case2)
@@ -240,6 +248,27 @@ class TestScalarOracle:
                 oracle = scalar_bruteforce_rate(src.q, d.d1, d.d2)
                 assert abs(report.rate_nats - oracle) <= 1e-3
 
+    def test_agrees_with_closed_form_pair(self):
+        rng = np.random.default_rng(20050930)
+        branches = set()
+        for _ in range(500):
+            v1, v2 = 10.0 ** rng.uniform(-1.0, 1.0, size=2)
+            rho = float(rng.uniform(-0.95, 0.95))
+            c = rho * math.sqrt(v1 * v2)
+            src = validate_source(np.array([[v1, c], [c, v2]]), 1, 1)
+            d = DistortionPair(
+                float(rng.uniform(0.05, 1.3)) * v1, float(rng.uniform(0.05, 1.3)) * v2
+            )
+            report = solve(src, d)
+            branches.add(report.branch)
+            oracle = scalar_pair_rate(v1, v2, rho, d.d1, d.d2)
+            assert abs(report.rate_nats - oracle) <= _oracle_tol(report)
+        assert branches == {
+            SolveBranch.ZERO_RATE,
+            SolveBranch.CLOSED_FORM_INTERIOR_D,
+            SolveBranch.INTERIOR_POINT,
+        }
+
 
 class TestSolverProperties:
     def test_monotone_and_convex_on_grid(self):
@@ -301,6 +330,26 @@ class TestSolverProperties:
             report = solve(src, d)
             assert abs(report.rate_nats - gray_lower_bound(src, d)) <= 1e-6
 
+    def test_block_diagonal_rate_equals_gray_bound(self):
+        # with Q12 = 0 the blocks decouple, so the additive bound is exact on
+        # the whole plane, slack budgets included
+        rng = np.random.default_rng(19730701)
+        interior = 0
+        for _ in range(200):
+            p1, p2 = (int(p) for p in rng.integers(1, 6, size=2))
+            q = np.zeros((p1 + p2, p1 + p2))
+            q[:p1, :p1] = random_pd_pair(rng, p1, 0)
+            q[p1:, p1:] = random_pd_pair(rng, p2, 0)
+            src = validate_source(q, p1, p2)
+            d = DistortionPair(
+                float(rng.uniform(0.05, 1.2)) * float(np.trace(q[:p1, :p1])),
+                float(rng.uniform(0.05, 1.2)) * float(np.trace(q[p1:, p1:])),
+            )
+            report = solve(src, d)
+            interior += report.branch is SolveBranch.INTERIOR_POINT
+            assert abs(report.rate_nats - gray_lower_bound(src, d)) <= _oracle_tol(report)
+        assert interior >= 100
+
     def test_feasibility_of_interior_point_solutions(self, example_source):
         rng = np.random.default_rng(11)
         for _ in range(5):
@@ -348,3 +397,50 @@ class TestInvariances:
                 validate_source(q[np.ix_(perm, perm)], p2, p1), DistortionPair(d.d2, d.d1)
             )
             assert swapped.rate_nats == pytest.approx(base, rel=1e-9)
+
+
+# The largest evaluation count the dual solver takes over the draws of
+# TestDualStress.
+STRESS_MAX_EVALUATIONS = 16
+
+
+class TestDualStress:
+    def test_forced_solves_certify(self):
+        # n from 2 to 14, Q scaled over eight decades, budgets from 0.05 to
+        # 1.3 of each block trace (above it, the dual optimum is l = 0)
+        rng = np.random.default_rng(12001200)
+        for _ in range(300):
+            n = int(rng.integers(2, 15))
+            p1 = int(rng.integers(1, n))
+            q = random_pd_pair(rng, p1, n - p1) * 10.0 ** rng.uniform(-4.0, 4.0)
+            q = 0.5 * (q + q.T)
+            src = validate_source(q, p1, n - p1)
+            d = DistortionPair(
+                float(rng.uniform(0.05, 1.3)) * float(np.trace(q[:p1, :p1])),
+                float(rng.uniform(0.05, 1.3)) * float(np.trace(q[p1:, p1:])),
+            )
+            report = solve(src, d, force_interior=True)
+            report.sigma.validate(src, d)
+            s_inv_norm = np.linalg.norm(0.5 * np.linalg.inv(report.sigma.sigma), "fro")
+            assert report.certificate.stationarity_residual <= 1e-12 * s_inv_norm
+            assert report.certificate.dual_feasible
+            assert report.iterations <= STRESS_MAX_EVALUATIONS
+
+    def test_large_scale_traces_stay_within_budget(self):
+        # at ||Q|| ~ 1e6 and above, one ulp of a block trace exceeds the
+        # absolute TRACE_SLACK_TOL: round-off in assembling Sigma must not
+        # push a converged trace over its budget, nor stall the iteration
+        rng = np.random.default_rng(10**6)
+        for k in range(200):
+            n = int(rng.integers(2, 13))
+            p1 = int(rng.integers(1, n))
+            q = random_pd_pair(rng, p1, n - p1) * 10.0 ** (6 + k % 7)
+            q = 0.5 * (q + q.T)
+            src = validate_source(q, p1, n - p1)
+            d = DistortionPair(
+                float(rng.uniform(0.05, 0.9)) * float(np.trace(q[:p1, :p1])),
+                float(rng.uniform(0.05, 0.9)) * float(np.trace(q[p1:, p1:])),
+            )
+            report = solve(src, d, force_interior=True)
+            report.sigma.validate(src, d)
+            assert report.iterations <= STRESS_MAX_EVALUATIONS
