@@ -32,7 +32,6 @@ from .realization import (
     Condition1Report,
     TestChannelRealization,
     conditional_mean_map,
-    conditional_mean_target,
     implied_error_covariance,
     realize,
     verify_condition1,
@@ -84,7 +83,6 @@ __all__ = [
     "check_distortion",
     "closed_form_candidate",
     "conditional_mean_map",
-    "conditional_mean_target",
     "cvf_objective",
     "det_identity_residual",
     "empirical_error_covariance",

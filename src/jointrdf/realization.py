@@ -119,14 +119,6 @@ def verify_condition1(r: TestChannelRealization, *, tol: float = CHECK_TOL) -> C
     )
 
 
-def conditional_mean_target(r: TestChannelRealization) -> np.ndarray:
-    """Comparison target for :func:`conditional_mean_map`: the identity when
-    cov(Xhat, Xhat) has full rank, else the projector onto its range."""
-    if r.xhat_cov.rank == r.n:
-        return np.eye(r.n)
-    return r.xhat_cov.projector
-
-
 def conditional_mean_map(r: TestChannelRealization) -> np.ndarray:
     """Linear map taking xhat to E{X | Xhat = xhat}.
 

@@ -22,10 +22,11 @@ and complementary-slackness residuals are recomputable via
 
 gap_tol of :func:`solve` (default GAP_TOL), the duality gap in nats at which
 the dual iteration stops, is the only tolerance a caller sets.  The others
-are fixed: REGION_TOL, the strict-positivity margin of the region test
-relative to ||Q||_2; TRACE_SLACK_TOL, the absolute trace overshoot the dual
-iteration and the feasibility check accept; and model.PSD_RTOL for the PSD
-checks.
+are fixed and scale with the problem, so scaling (Q, d) to (cQ, cd) moves
+no decision: REGION_TOL, the strict-positivity margin of the region test
+relative to ||Q||_2; TRACE_SLACK_TOL, the trace overshoot the dual iteration
+and the feasibility check accept, relative to each budget; and
+model.PSD_RTOL for the PSD checks, Theta's included.
 """
 
 from __future__ import annotations
@@ -89,12 +90,12 @@ class ErrorCovariance:
         return self.sigma[self.p1 :, self.p1 :]
 
     def validate(self, src: GaussianPairSource, d: DistortionPair) -> None:
-        """Raise FeasibilityError unless sigma >= 0, Q - sigma >= 0 and the
-        block traces exceed the budgets by at most TRACE_SLACK_TOL."""
+        """Raise FeasibilityError unless sigma >= 0, Q - sigma >= 0 and each
+        block trace exceeds its budget d_i by at most TRACE_SLACK_TOL * d_i."""
         check_psd_bounds(src, self.sigma)
         tr1 = float(np.trace(self.sigma11))
         tr2 = float(np.trace(self.sigma22))
-        if tr1 > d.d1 + TRACE_SLACK_TOL or tr2 > d.d2 + TRACE_SLACK_TOL:
+        if tr1 > d.d1 * (1.0 + TRACE_SLACK_TOL) or tr2 > d.d2 * (1.0 + TRACE_SLACK_TOL):
             raise FeasibilityError(
                 f"trace budget violated: tr(sigma11)={tr1:.6g} vs d1={d.d1:.6g}, "
                 f"tr(sigma22)={tr2:.6g} vs d2={d.d2:.6g}"
@@ -124,9 +125,13 @@ def _as_matrix(sigma) -> np.ndarray:
 class KktCertificate:
     """Multipliers certifying optimality of an error covariance.
 
-    slackness_residuals holds, in order: lambda1*(tr sigma11 - d1),
-    lambda2*(tr sigma22 - d2), tr(V sigma) which is identically zero since
-    the optimal sigma is strictly positive definite, and tr(Theta (sigma - Q)).
+    stationarity_residual is ||-0.5 Sigma^{-1} + Block-diag(lambda1 I,
+    lambda2 I) + Theta||_F relative to ||0.5 Sigma^{-1}||_F, so 1.0 for zero
+    multipliers.  dual_feasible means lambda1, lambda2 >= 0 and Theta PSD to
+    within PSD_RTOL of its own norm.  slackness_residuals holds, in order:
+    lambda1*(tr sigma11 - d1), lambda2*(tr sigma22 - d2), tr(V sigma) which
+    is identically zero since the optimal sigma is strictly positive
+    definite, and tr(Theta (sigma - Q)).
     """
 
     lambda1: float
@@ -201,8 +206,10 @@ def kkt_residuals(
     """Recompute all certificate residuals for (sigma, cert) on this instance.
 
     Stationarity is the Frobenius norm of
-    -0.5 * Sigma^{-1} + Block-diag(lambda1 I, lambda2 I) + Theta; the four
-    slackness residuals follow the field order documented on KktCertificate.
+    -0.5 * Sigma^{-1} + Block-diag(lambda1 I, lambda2 I) + Theta divided by
+    that of 0.5 * Sigma^{-1}; the four slackness residuals follow the field
+    order documented on KktCertificate.  Theta counts as PSD down to
+    -PSD_RTOL times its largest eigenvalue magnitude.
     """
     s = sym(_as_matrix(sigma))
     try:
@@ -214,7 +221,8 @@ def kkt_residuals(
     lam_block = np.zeros((sigma.n, sigma.n))
     lam_block[: sigma.p1, : sigma.p1] = cert.lambda1 * np.eye(sigma.p1)
     lam_block[sigma.p1 :, sigma.p1 :] = cert.lambda2 * np.eye(sigma.p2)
-    stat = float(np.linalg.norm(-0.5 * sym(s_inv) + lam_block + cert.theta, "fro"))
+    half_inv = 0.5 * sym(s_inv)
+    stat = float(np.linalg.norm(lam_block + cert.theta - half_inv) / np.linalg.norm(half_inv))
     slack = (
         cert.lambda1 * (float(np.trace(sigma.sigma11)) - d.d1),
         cert.lambda2 * (float(np.trace(sigma.sigma22)) - d.d2),
@@ -226,7 +234,7 @@ def kkt_residuals(
     dual_ok = (
         cert.lambda1 >= 0.0
         and cert.lambda2 >= 0.0
-        and w_theta[0] >= -1e-10 * max(theta_scale, 1.0)
+        and w_theta[0] >= -PSD_RTOL * theta_scale
     )
     return replace(
         cert,
@@ -332,9 +340,9 @@ def _solve_dual(
     linear; the others move straight and are projected onto l >= 0.  Steps
     are halved until g rises by the Armijo rule, up to round-off in g's terms.
     Stops once each share l_i |r_i| of the duality gap g(l) - R(Sigma(l)) is
-    within gap_tol / 2 and each trace overshoots by at most TRACE_SLACK_TOL
-    less a round-off allowance.
-    Returns (sigma, lambda1, lambda2, theta, evaluations); Theta =
+    within gap_tol / 2 and each trace overshoots its budget d_i by at most
+    TRACE_SLACK_TOL * d_i; raises RuntimeError if _MAX_EVALUATIONS comes
+    first.  Returns (sigma, lambda1, lambda2, theta, evaluations); Theta =
     Q^{-1/2} u diag(max(0, 1/2 - m)) u^T Q^{-1/2} is PSD and complementary
     to Q - Sigma mode by mode.
     """
@@ -343,16 +351,12 @@ def _solve_dual(
     q_half = sym((v * root) @ v.T)
     budget = np.array([d.d1, d.d2])
     l0 = np.array([src.p1, src.p2]) / (2.0 * budget)
-    # assembling Sigma moves a trace by round-off of up to about n ulps: aim
-    # twice that inside each budget and stop only once it is inside by that
-    ulps = 8 * src.n * np.finfo(float).eps * budget
-    aim = budget - 2.0 * ulps
 
     def done(pt: _DualPoint) -> bool:
-        r = pt.r - 2.0 * ulps
-        return bool(np.all((r <= TRACE_SLACK_TOL - ulps) & (pt.l * np.abs(r) <= 0.5 * gap_tol)))
+        return bool(np.all((pt.r <= TRACE_SLACK_TOL * budget)
+                           & (pt.l * np.abs(pt.r) <= 0.5 * gap_tol)))
 
-    pt, evaluations = _dual_point(q_half, src.p1, l0, aim), 1
+    pt, evaluations = _dual_point(q_half, src.p1, l0, budget), 1
     while not done(pt) and evaluations < _MAX_EVALUATIONS:
         step = _newton_step(pt, _hessian(pt, src.p1), l0)
         level = np.abs(step) < pt.l
@@ -360,12 +364,14 @@ def _solve_dual(
         while True:
             ts = t * step
             l = np.divide(pt.l**2, pt.l - ts, out=np.maximum(pt.l + ts, 0.0), where=level)
-            trial, evaluations = _dual_point(q_half, src.p1, l, aim), evaluations + 1
+            trial, evaluations = _dual_point(q_half, src.p1, l, budget), evaluations + 1
             armijo = 1e-4 * float(pt.r @ (trial.l - pt.l)) - 1e-13 * pt.scale
             if trial.value - pt.value >= armijo or done(trial) or evaluations >= _MAX_EVALUATIONS:
                 break
             t *= 0.5
         pt = trial
+    if not done(pt):
+        raise RuntimeError(f"dual solver did not converge within {evaluations} evaluations")
     c = ((v / root) @ v.T) @ pt.u
     theta = (c * np.maximum(0.5 - pt.m, 0.0)) @ c.T
     sigma = (pt.b * pt.z) @ pt.b.T

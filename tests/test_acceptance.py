@@ -20,7 +20,6 @@ from jointrdf import (
     check_cm_optimality,
     check_distortion,
     conditional_mean_map,
-    conditional_mean_target,
     cvf_objective,
     det_identity_residual,
     gray_lower_bound,
@@ -157,8 +156,7 @@ def test_criterion_6_structural_property_suite(example_source, case1, case2, reg
             check = verify_condition1(r, tol=1e-8)
             assert check.passed
             m = conditional_mean_map(r)
-            target = conditional_mean_target(r)
-            assert np.linalg.norm(m - target, "fro") <= 1e-8
+            assert np.linalg.norm(m - r.xhat_cov.projector, "fro") <= 1e-8
 
 
 def test_criterion_7_canonical_form_identity():

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from jointrdf import solve, DistortionPair
+from jointrdf import solve, solver, DistortionPair
 from jointrdf.cli import main
 from conftest import EXAMPLE_Q
 
@@ -85,6 +85,16 @@ class TestSolveCommand:
         )
         assert code == 3
         assert "infinite" in err
+
+    def test_capped_dual_solve_exits_1(self, example_source_file, capsys, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_EVALUATIONS", 2)
+        code, out, err = run_cli(
+            capsys, "solve", example_source_file, "--d1", "1.65", "--d2", "1.85"
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
 
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

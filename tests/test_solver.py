@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,9 +18,10 @@ from jointrdf import (
     solve,
     validate_source,
 )
+from jointrdf import solver
 from jointrdf.solver import GAP_TOL, TRACE_SLACK_TOL
-from conftest import CASE1_RATE, CASE2_SIGMA_3SF
-from helpers import random_pd_pair, scalar_bruteforce_rate, scalar_pair_rate
+from conftest import CASE1_RATE, CASE2_SIGMA_3SF, EXAMPLE_Q
+from helpers import conditioned_pd, random_pd_pair, scalar_bruteforce_rate, scalar_pair_rate
 
 
 def _oracle_tol(report) -> float:
@@ -193,7 +195,8 @@ class TestKktResiduals:
             dual_feasible=True,
         )
         out = kkt_residuals(example_source, case1, sigma, cert)
-        assert out.stationarity_residual > 1.0
+        # with zero multipliers the residual is all of 0.5 Sigma^{-1}
+        assert out.stationarity_residual == pytest.approx(1.0, rel=1e-12)
 
     def test_interior_point_passes_recheck(self, example_source, case2):
         # the second point, near the d1 trace, is the interior-point point of
@@ -203,6 +206,26 @@ class TestKktResiduals:
             out = kkt_residuals(example_source, d, report.sigma, report.certificate)
             assert out.stationarity_residual <= 1e-7
             assert max(abs(r) for r in out.slackness_residuals) <= 1e-7
+
+    @pytest.mark.parametrize("c", [1.0, 1e8])
+    def test_negative_theta_mode_flagged_at_any_scale(self, c):
+        src = validate_source(c * EXAMPLE_Q, 2, 2)
+        d = DistortionPair(1.65 * c, 1.85 * c)
+        report = solve(src, d)
+        w, u = np.linalg.eigh(report.certificate.theta)
+        w[0] = -1e-4 * np.abs(w).max()
+        cert = replace(report.certificate, theta=(u * w) @ u.T)
+        assert not kkt_residuals(src, d, report.sigma, cert).dual_feasible
+
+    def test_ill_conditioned_optimum_certifies(self):
+        # cond(Q) = 1e8: ||0.5 Sigma^{-1}||_F is large, and the residual is
+        # measured against it
+        q = conditioned_pd(np.random.default_rng(5), 6, 1e8)
+        src = validate_source(q, 3, 3)
+        d = DistortionPair(0.3 * float(np.trace(q[:3, :3])), 0.3 * float(np.trace(q[3:, 3:])))
+        report = solve(src, d, force_interior=True)
+        assert report.certificate.stationarity_residual <= 1e-7
+        assert report.certificate.dual_feasible
 
     def test_singular_sigma_rejected(self, example_source, case1):
         sigma = ErrorCovariance(2, 2, np.zeros((4, 4)))
@@ -219,6 +242,20 @@ class TestErrorCovarianceValidation:
         sigma = ErrorCovariance(2, 2, np.diag([0.3, 0.3, 0.25, 0.25]))
         with pytest.raises(FeasibilityError, match="trace budget"):
             sigma.validate(example_source, case1)
+
+    @pytest.mark.parametrize("c", [1e-10, 1.0, 1e10])
+    @pytest.mark.parametrize("delta, rejected", [(1e-6, True), (1e-12, False)])
+    def test_trace_slack_is_relative_to_budget(self, case1, c, delta, rejected):
+        src = validate_source(c * EXAMPLE_Q, 2, 2)
+        d = DistortionPair(c * case1.d1, c * case1.d2)
+        s = np.array(closed_form_candidate(src, d).sigma)
+        s[:2, :2] *= 1.0 + delta
+        sigma = ErrorCovariance(2, 2, s)
+        if rejected:
+            with pytest.raises(FeasibilityError, match="trace budget"):
+                sigma.validate(src, d)
+        else:
+            sigma.validate(src, d)
 
     def test_dominance_violation_rejected(self, example_source):
         sigma = ErrorCovariance(2, 2, 1.1 * example_source.q)
@@ -379,6 +416,30 @@ class TestInvariances:
                 scaled = solve(validate_source(c * q, p1, p2), DistortionPair(c * d.d1, c * d.d2))
                 assert scaled.rate_nats == pytest.approx(base, rel=1e-9)
 
+    def test_joint_scaling_near_trace(self):
+        # one budget above its block trace and one just below it: the dual
+        # optimum lies near l = 0, where an absolute trace slack would let
+        # Sigma = Q pass at small scales
+        rng = np.random.default_rng(10**8)
+        for _ in range(100):
+            n = int(rng.integers(2, 9))
+            p1 = int(rng.integers(1, n))
+            q = random_pd_pair(rng, p1, n - p1)
+            q = 0.5 * (q + q.T)
+            fracs = [rng.uniform(1.0, 1.3), rng.uniform(0.9, 1.0)]
+            if rng.random() < 0.5:
+                fracs.reverse()
+            d = DistortionPair(
+                float(fracs[0]) * float(np.trace(q[:p1, :p1])),
+                float(fracs[1]) * float(np.trace(q[p1:, p1:])),
+            )
+            base = solve(validate_source(q, p1, n - p1), d).rate_nats
+            for c in (1e-10, 1e-8, 1e8):
+                scaled = solve(
+                    validate_source(c * q, p1, n - p1), DistortionPair(c * d.d1, c * d.d2)
+                )
+                assert scaled.rate_nats == pytest.approx(base, rel=1e-9)
+
     def test_block_rotation(self):
         for rng, q, p1, p2, d in self._instances():
             base = solve(validate_source(q, p1, p2), d).rate_nats
@@ -421,15 +482,14 @@ class TestDualStress:
             )
             report = solve(src, d, force_interior=True)
             report.sigma.validate(src, d)
-            s_inv_norm = np.linalg.norm(0.5 * np.linalg.inv(report.sigma.sigma), "fro")
-            assert report.certificate.stationarity_residual <= 1e-12 * s_inv_norm
+            assert report.certificate.stationarity_residual <= 1e-12
             assert report.certificate.dual_feasible
             assert report.iterations <= STRESS_MAX_EVALUATIONS
 
     def test_large_scale_traces_stay_within_budget(self):
-        # at ||Q|| ~ 1e6 and above, one ulp of a block trace exceeds the
-        # absolute TRACE_SLACK_TOL: round-off in assembling Sigma must not
-        # push a converged trace over its budget, nor stall the iteration
+        # at ||Q|| ~ 1e6 and above, round-off in assembling Sigma is large in
+        # absolute terms: it must not push a converged trace over its
+        # budget's relative slack, nor stall the iteration
         rng = np.random.default_rng(10**6)
         for k in range(200):
             n = int(rng.integers(2, 13))
@@ -444,3 +504,11 @@ class TestDualStress:
             report = solve(src, d, force_interior=True)
             report.sigma.validate(src, d)
             assert report.iterations <= STRESS_MAX_EVALUATIONS
+
+
+class TestEvaluationCap:
+    def test_capped_solve_raises(self, example_source, case2, monkeypatch):
+        # case2 needs 4 evaluations
+        monkeypatch.setattr(solver, "_MAX_EVALUATIONS", 2)
+        with pytest.raises(RuntimeError, match="2 evaluations"):
+            solve(example_source, case2)
