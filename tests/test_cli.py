@@ -86,6 +86,17 @@ class TestSolveCommand:
         assert code == 3
         assert "infinite" in err
 
+    @pytest.mark.parametrize("command, extra", [
+        ("realize", ()), ("verify", ("--samples", "1000", "--seed", "1")),
+    ])
+    def test_zero_budget_exits_3_like_solve(self, example_source_file, capsys, command, extra):
+        budgets = ("--d1", "0", "--d2", "1")
+        _, _, solve_err = run_cli(capsys, "solve", example_source_file, *budgets)
+        code, out, err = run_cli(capsys, command, example_source_file, *budgets, *extra)
+        assert code == 3
+        assert out == ""
+        assert err == solve_err
+
     def test_capped_dual_solve_exits_1(self, example_source_file, capsys, monkeypatch):
         monkeypatch.setattr(solver, "_MAX_EVALUATIONS", 2)
         code, out, err = run_cli(
@@ -209,12 +220,24 @@ class TestRealizeCommand:
     def test_check_tolerance_does_not_move_rank(self, example_source_file, capsys):
         code, out, _ = run_cli(
             capsys, "realize", example_source_file, "--d1", "0.4", "--d2", "0.5",
-            "--tol-check", "1e-15",
+            "--tol-check", "1e-17",
         )
-        assert code == 4  # round-off exceeds the 1e-15 pass threshold
+        assert code == 4  # round-off exceeds the 1e-17 pass threshold
         checks = json.loads(out)["checks"]
         assert checks["condition1_rank"] == 4
         assert checks["full_rank"] is True
+
+    @pytest.mark.parametrize("c, flags, expected", [
+        (1e8, (), 0),  # round-off of 4e-7 absolute is 5e-15 of ||Q||_2
+        (1e-8, ("--debug-tamper-sigma", "1e-3"), 4),  # 1e-3 of Sigma is 2e-11 absolute
+    ])
+    def test_checks_are_relative_to_q(self, tmp_path, capsys, c, flags, expected):
+        doc = tmp_path / "scaled.json"
+        doc.write_text(json.dumps({"p1": 2, "p2": 2, "Q": (c * EXAMPLE_Q).tolist()}))
+        code, _, _ = run_cli(
+            capsys, "realize", str(doc), "--d1", repr(1.65 * c), "--d2", repr(1.85 * c), *flags
+        )
+        assert code == expected
 
     def test_tampered_sigma_exits_4(self, example_source_file, capsys):
         code, out, err = run_cli(

@@ -86,6 +86,8 @@ class TestSolveCase1:
         )
         assert report.rate_nats == pytest.approx(CASE1_RATE, abs=1e-10)
         assert abs(report.rate_nats - report.gray_bound_nats) <= 1e-6
+        # the dual starts at the closed-form multipliers, optimal on region D
+        assert report.iterations == 1
 
     def test_certificate_is_tight(self, example_source, case1):
         report = solve(example_source, case1)
@@ -139,8 +141,19 @@ class TestSolveEdges:
         report = solve(example_source, d)
         assert report.branch is SolveBranch.ZERO_RATE
         assert report.rate_nats == 0.0
-        np.testing.assert_array_equal(report.sigma.sigma, example_source.q)
+        # Sigma = Q^{1/2} Q^{1/2}, so Q up to a few ulps of ||Q||_2
+        ulp = np.finfo(float).eps * example_source.q_norm
+        assert np.abs(report.sigma.sigma - example_source.q).max() <= 4.0 * ulp
         assert report.certificate.max_residual <= 1e-9
+        assert report.iterations == 1  # the dual starts at its optimum l = 0
+
+    def test_covered_budget_multiplier_starts_at_zero(self, example_source):
+        # d1 covers tr Q11 = 6.558 and d2 does not: lambda1 starts at 0 and
+        # stays there, where the closed-form start 1/7 took 4 evaluations
+        report = solve(example_source, DistortionPair(7.0, 1.85))
+        assert report.branch is SolveBranch.INTERIOR_POINT
+        assert report.certificate.lambda1 == 0.0
+        assert report.iterations < 4
 
     def test_scalar_budgets_beyond_variances(self):
         src = validate_source(np.array([[2.0, 0.5], [0.5, 1.0]]), 1, 1)
@@ -223,7 +236,7 @@ class TestKktResiduals:
         q = conditioned_pd(np.random.default_rng(5), 6, 1e8)
         src = validate_source(q, 3, 3)
         d = DistortionPair(0.3 * float(np.trace(q[:3, :3])), 0.3 * float(np.trace(q[3:, 3:])))
-        report = solve(src, d, force_interior=True)
+        report = solve(src, d)
         assert report.certificate.stationarity_residual <= 1e-7
         assert report.certificate.dual_feasible
 
@@ -343,14 +356,14 @@ class TestSolverProperties:
                 float(rng.uniform(0.2, 0.8)) * p2 * lam_min,
             )
             assert in_region_d(src, d)
-            closed = solve(src, d)
-            forced = solve(src, d, force_interior=True)
-            assert closed.branch is SolveBranch.CLOSED_FORM_INTERIOR_D
-            assert forced.branch is SolveBranch.INTERIOR_POINT
-            assert abs(closed.rate_nats - forced.rate_nats) <= 1e-6
-            assert np.linalg.norm(closed.sigma.sigma - forced.sigma.sigma) <= 1e-5
-            assert forced.certificate.stationarity_residual <= 1e-7
-            assert max(abs(r) for r in forced.certificate.slackness_residuals) <= 1e-7
+            report = solve(src, d)
+            closed = closed_form_candidate(src, d)
+            assert report.branch is SolveBranch.CLOSED_FORM_INTERIOR_D
+            assert abs(report.rate_nats - rate_of(src, closed)) <= 1e-12
+            err = np.abs(report.sigma.sigma - closed.sigma).max()
+            assert err <= 1e-12 * src.q_norm
+            assert report.certificate.stationarity_residual <= 1e-7
+            assert max(abs(r) for r in report.certificate.slackness_residuals) <= 1e-7
 
     def test_gray_equality_inside_region(self):
         rng = np.random.default_rng(271828)
@@ -480,7 +493,7 @@ class TestDualStress:
                 float(rng.uniform(0.05, 1.3)) * float(np.trace(q[:p1, :p1])),
                 float(rng.uniform(0.05, 1.3)) * float(np.trace(q[p1:, p1:])),
             )
-            report = solve(src, d, force_interior=True)
+            report = solve(src, d)
             report.sigma.validate(src, d)
             assert report.certificate.stationarity_residual <= 1e-12
             assert report.certificate.dual_feasible
@@ -501,7 +514,7 @@ class TestDualStress:
                 float(rng.uniform(0.05, 0.9)) * float(np.trace(q[:p1, :p1])),
                 float(rng.uniform(0.05, 0.9)) * float(np.trace(q[p1:, p1:])),
             )
-            report = solve(src, d, force_interior=True)
+            report = solve(src, d)
             report.sigma.validate(src, d)
             assert report.iterations <= STRESS_MAX_EVALUATIONS
 
