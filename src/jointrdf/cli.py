@@ -209,6 +209,8 @@ def _cmd_sweep(src: GaussianPairSource, args: argparse.Namespace) -> int:
         else:
             for row in map(point, d1s, d2s):
                 rows.append(row)
+    except ValueError:  # invalid input such as a bad --tol-gap: main exits 2, as for solve
+        raise
     except Exception as exc:  # results arrive in order, so len(rows) names the point
         at = points[min(len(rows), len(points) - 1)]
         print(f"sweep failed at grid point (d1={at[0]:.6g}, d2={at[1]:.6g}): {exc}",
@@ -283,6 +285,8 @@ def _cmd_realize(src: GaussianPairSource, args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(src: GaussianPairSource, args: argparse.Namespace) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     d, report = _solve(src, args)
     n_min = _min_samples(src)
     if args.samples < n_min:

@@ -12,6 +12,13 @@ asymmetry of the input and PSD_RTOL for its eigenvalues.  The source stores
 ||Q||_2, and every tolerance on the spectrum of Q, here and in the solver
 and realization, is taken relative to that one value.
 
+A source also caches the factors of Q that the bound and the solver need,
+each computed from Q alone on first use and read-only: eigh(Q) (handed over
+by validate_source, which computes it anyway), Q^{1/2} and Q^{-1/2}, the
+Cholesky log-dets of Q11, Q22 and Q, the block traces and the clipped block
+eigenvalues.  Every budget solved on one source shares them, so after the
+first call the Gray bound and the mutual information factor nothing.
+
 All rates are in nats.  Display conversion to bits lives in the CLI.
 """
 
@@ -20,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +53,11 @@ class GaussianPairSource:
     symmetrized, clipped to the PSD cone within tolerance, and marked
     read-only; block views q11, q12, q22 index directly into it.  q_norm is
     ||q||_2, the scale against which every PSD tolerance on q is measured.
+
+    The cached properties below are functions of q alone, computed once on
+    first use and read-only, so a solve stays a pure function of (q, d).
+    q_inv_half and log_dets require q > 0; the callers check
+    positive_definite first.
     """
 
     p1: int
@@ -68,6 +81,40 @@ class GaussianPairSource:
     @property
     def q22(self) -> np.ndarray:
         return self.q[self.p1 :, self.p1 :]
+
+    @cached_property
+    def q_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """eigh(q): ascending eigenvalues and orthonormal eigenvectors."""
+        w, u = np.linalg.eigh(self.q)
+        return readonly(w), readonly(u)
+
+    @cached_property
+    def q_half(self) -> np.ndarray:
+        """The symmetric square root Q^{1/2}."""
+        w, u = self.q_eigh
+        return readonly(sym((u * np.sqrt(w)) @ u.T))
+
+    @cached_property
+    def q_inv_half(self) -> np.ndarray:
+        """Q^{-1/2}, from the same eigenpairs as q_half."""
+        w, u = self.q_eigh
+        return readonly((u / np.sqrt(w)) @ u.T)
+
+    @cached_property
+    def log_dets(self) -> tuple[float, float, float]:
+        """Cholesky ln det of (Q11, Q22, Q)."""
+        return chol_logdet(self.q11), chol_logdet(self.q22), chol_logdet(self.q)
+
+    @cached_property
+    def block_traces(self) -> tuple[float, float]:
+        """(tr Q11, tr Q22)."""
+        return float(np.trace(self.q11)), float(np.trace(self.q22))
+
+    @cached_property
+    def block_eigenvalues(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues of Q11 and Q22, negative round-off clipped to 0."""
+        return tuple(readonly(np.maximum(np.linalg.eigvalsh(b), 0.0))
+                     for b in (self.q11, self.q22))
 
 
 @dataclass(frozen=True)
@@ -121,15 +168,20 @@ def validate_source(raw_matrix: np.ndarray, p1: int, p2: int) -> GaussianPairSou
             f"covariance is not positive semidefinite: min eigenvalue {w[0]:.3e} "
             f"below tolerance {-PSD_RTOL * eig_scale:.3e}"
         )
-    if w[0] < 0.0:
+    clipped = w[0] < 0.0
+    if clipped:
         q = sym((u * np.maximum(w, 0.0)) @ u.T)
-    return GaussianPairSource(
+    src = GaussianPairSource(
         p1=p1,
         p2=p2,
         q=readonly(q),
         positive_definite=bool(w[0] > PSD_RTOL * eig_scale),
         q_norm=eig_scale,
     )
+    if not clipped:
+        # the eigh of the stored q, so the cache need not repeat it
+        vars(src)["q_eigh"] = (readonly(w), readonly(u))
+    return src
 
 
 def mutual_information(src: GaussianPairSource) -> float:
@@ -140,8 +192,8 @@ def mutual_information(src: GaussianPairSource) -> float:
     """
     if not src.positive_definite:
         raise NotPositiveDefiniteError("mutual information requires q > 0")
-    val = 0.5 * (chol_logdet(src.q11) + chol_logdet(src.q22) - chol_logdet(src.q))
-    return max(val, 0.0)
+    ld11, ld22, ld = src.log_dets
+    return max(0.5 * (ld11 + ld22 - ld), 0.0)
 
 
 def marginal_rdf(cov: np.ndarray, delta: float) -> float:
@@ -166,22 +218,29 @@ def marginal_rdf(cov: np.ndarray, delta: float) -> float:
     eig_scale = float(np.abs(w).max()) if w.size else 0.0
     if w[0] < -PSD_RTOL * eig_scale:
         raise ValueError(f"cov is not positive semidefinite: min eigenvalue {w[0]:.3e}")
-    mu = np.maximum(w, 0.0)
-    total = float(mu.sum())
-    if delta >= total:
+    return _water_fill(np.maximum(w, 0.0), delta)
+
+
+def _water_fill(mu: np.ndarray, delta: float) -> float:
+    """Reverse water-filling rate of the ascending eigenvalues mu >= 0 at
+    total distortion delta >= 0, as :func:`marginal_rdf` describes."""
+    mu = mu.tolist()
+    if delta >= sum(mu):
         return 0.0
     if delta == 0.0:
         return math.inf
     # With mu ascending, a level between mu_{k-1} and mu_k fills the k lowest
     # modes and leaves m - k at theta; the first such candidate within mu_k
     # is the level.  The last candidate always is in exact arithmetic, but
-    # may miss by rounding when delta is within round-off of the trace.
-    below = np.concatenate(([0.0], np.cumsum(mu[:-1])))
-    levels = (delta - below) / np.arange(mu.size, 0, -1)
-    fits = levels <= mu
-    fits[-1] = True
-    theta = float(levels[np.argmax(fits)])
-    return float(0.5 * np.sum(np.log(np.maximum(mu / theta, 1.0))))
+    # may miss by rounding when delta is within round-off of the trace; the
+    # loop then ends on it all the same.
+    below = 0.0
+    for k, mu_k in enumerate(mu):
+        theta = (delta - below) / (len(mu) - k)
+        if theta <= mu_k:
+            break
+        below += mu_k
+    return 0.5 * sum(math.log(mu_j / theta) for mu_j in mu if mu_j > theta)
 
 
 def gray_lower_bound(src: GaussianPairSource, d: DistortionPair) -> float:
@@ -192,7 +251,8 @@ def gray_lower_bound(src: GaussianPairSource, d: DistortionPair) -> float:
         raise NotPositiveDefiniteError("lower bound requires q > 0")
     if d.d1 <= 0.0 or d.d2 <= 0.0:
         raise ValueError("lower bound requires strictly positive distortion budgets")
-    return marginal_rdf(src.q11, d.d1) + marginal_rdf(src.q22, d.d2) - mutual_information(src)
+    mu1, mu2 = src.block_eigenvalues
+    return _water_fill(mu1, d.d1) + _water_fill(mu2, d.d2) - mutual_information(src)
 
 
 def parse_source(obj: dict) -> GaussianPairSource:

@@ -9,8 +9,13 @@ minimized over 0 <= Sigma <= Q by
 Sigma = Q^{1/2} U diag(min(1, 1/(2 m_i))) U^T Q^{1/2}, the spectral form of
 reverse water-filling, whose rate is 0.5 sum ln(2 max(m_i, 1/2)).  The dual
 g(l1, l2) is concave with gradient (tr Sigma11 - d1, tr Sigma22 - d2); it is
-maximized by projected Newton ascent over l >= 0, one n x n eigh per
-evaluation.
+maximized by projected Newton ascent over l >= 0.  One evaluation is one
+n x n eigh and a few O(n^2) array operations; the 2x2 Newton step, the
+stopping rule and the line search run on Python floats.  Q^{1/2}, Q^{-1/2},
+the block traces and the Gray bound's factors come from the source's cache
+(see :class:`jointrdf.model.GaussianPairSource`), so a solve factors Q only
+the first time a source is solved.  The certificate recheck, the
+feasibility check and the region test recompute from Sigma and Q.
 
 The branch of a solve labels the instance; it selects no computation:
 
@@ -26,8 +31,9 @@ Every solve carries a certificate (lambda1, lambda2, Theta) whose stationarity
 and complementary-slackness residuals are recomputable via
 :func:`kkt_residuals`; Theta is exact by construction.
 
-gap_tol of :func:`solve` (default GAP_TOL), the duality gap in nats at which
-the dual iteration stops, is the only tolerance a caller sets.  The others
+gap_tol of :func:`solve` (default GAP_TOL, finite and positive), the
+duality gap in nats at which the dual iteration stops, is the only
+tolerance a caller sets.  The others
 are fixed and scale with the problem, so scaling (Q, d) to (cQ, cd) moves
 no decision: REGION_TOL, the strict-positivity margin of the region test
 relative to ||Q||_2; TRACE_SLACK_TOL, the trace overshoot the dual iteration
@@ -200,7 +206,7 @@ def rate_of(src: GaussianPairSource, sigma) -> float:
         ld_sigma = chol_logdet(_as_matrix(sigma))
     except np.linalg.LinAlgError:
         return math.inf
-    return 0.5 * (chol_logdet(src.q) - ld_sigma)
+    return 0.5 * (src.log_dets[2] - ld_sigma)
 
 
 def kkt_residuals(
@@ -219,15 +225,11 @@ def kkt_residuals(
     """
     s = sym(_as_matrix(sigma))
     try:
-        chol = np.linalg.cholesky(s)
+        chol_inv = np.linalg.inv(np.linalg.cholesky(s))
     except np.linalg.LinAlgError as exc:
         raise FeasibilityError("kkt residuals require sigma > 0") from exc
-    eye = np.eye(sigma.n)
-    s_inv = np.linalg.solve(chol.T, np.linalg.solve(chol, eye))
-    lam_block = np.zeros((sigma.n, sigma.n))
-    lam_block[: sigma.p1, : sigma.p1] = cert.lambda1 * np.eye(sigma.p1)
-    lam_block[sigma.p1 :, sigma.p1 :] = cert.lambda2 * np.eye(sigma.p2)
-    half_inv = 0.5 * sym(s_inv)
+    half_inv = 0.5 * (chol_inv.T @ chol_inv)  # exactly symmetric: a product with its transpose
+    lam_block = np.diag([cert.lambda1] * sigma.p1 + [cert.lambda2] * sigma.p2)
     stat = float(np.linalg.norm(lam_block + cert.theta - half_inv) / np.linalg.norm(half_inv))
     slack = (
         cert.lambda1 * (float(np.trace(sigma.sigma11)) - d.d1),
@@ -261,18 +263,20 @@ _MAX_EVALUATIONS = 100
 class _DualPoint(NamedTuple):
     """Lagrangian minimizer Sigma = b diag(z) b^T at multipliers l = (l1, l2)."""
 
-    l: np.ndarray
+    l: tuple[float, float]
     m: np.ndarray
     u: np.ndarray
     z: np.ndarray
     b: np.ndarray
-    r: np.ndarray
+    r: tuple[float, float]
     rate: float
     value: float
     scale: float
 
 
-def _dual_point(q_half: np.ndarray, p1: int, l: np.ndarray, budget: np.ndarray) -> _DualPoint:
+def _dual_point(
+    q_half: np.ndarray, p1: int, l: tuple[float, float], budget: tuple[float, float]
+) -> _DualPoint:
     """Spectral reverse water-filling at l = (l1, l2), from one n x n eigh.
 
     (m, u) are the eigenpairs of M = Q^{1/2} Block-diag(l1 I, l2 I) Q^{1/2},
@@ -280,36 +284,44 @@ def _dual_point(q_half: np.ndarray, p1: int, l: np.ndarray, budget: np.ndarray) 
     tr Sigma22 - d2), the gradient of the dual value g(l) = rate + l . r;
     rate = 0.5 sum ln(2 max(m, 1/2)) = -0.5 sum ln z is the rate of Sigma,
     exactly 0.0 at l = 0, and scale the sum of the magnitudes of g's terms.
+    l, r and the scalars are Python floats.
     """
-    n = q_half.shape[0]
-    m, u = np.linalg.eigh(sym((q_half * np.repeat(l, (p1, n - p1))) @ q_half))
-    z = 0.5 / np.maximum(m, 0.5)
+    (l1, l2), (d1, d2) = l, budget
+    scaling = np.array([l1] * p1 + [l2] * (q_half.shape[0] - p1))
+    m, u = np.linalg.eigh(sym((q_half * scaling) @ q_half))
+    top = np.maximum(m, 0.5)
+    z = 0.5 / top
     b = q_half @ u
-    traces = np.add.reduceat(b * b, [0, p1]) @ z
-    rate = 0.5 * float(np.log(2.0 * np.maximum(m, 0.5)).sum())
-    value = rate + float(l @ (traces - budget))
-    scale = rate + float(l @ (traces + budget))
-    return _DualPoint(l, m, u, z, b, traces - budget, rate, value, scale)
+    diag = ((b * b) @ z).tolist()
+    t1, t2 = sum(diag[:p1]), sum(diag[p1:])
+    rate = 0.5 * sum(np.log(2.0 * top).tolist())
+    r = (t1 - d1, t2 - d2)
+    value = rate + (l1 * r[0] + l2 * r[1])
+    scale = rate + (l1 * (t1 + d1) + l2 * (t2 + d2))
+    return _DualPoint(l, m, u, z, b, r, rate, value, scale)
 
 
-def _hessian(pt: _DualPoint, p1: int) -> np.ndarray:
-    """Jacobian of pt.r in l, the Hessian of the dual, in one product.
+def _hessian(pt: _DualPoint, p1: int) -> tuple[float, float, float]:
+    """Jacobian of pt.r in l, the Hessian of the dual, as (j11, j12, j22).
 
-    By the Daleckii-Krein formula it is sum(A_k * A_j * F), with
+    By the Daleckii-Krein formula j_kj = sum(A_k * A_j * F), with
     A_k = b_k^T b_k over the rows b_k of block k and F the divided
     differences of z(m) = 1 / (2 max(m, 1/2)).
     """
-    m, z, b = pt.m, pt.z, pt.b
-    a = np.stack([b[:p1].T @ b[:p1], b[p1:].T @ b[p1:]]).reshape(2, m.size**2)
+    m, z, b1, b2 = pt.m, pt.z, pt.b[:p1], pt.b[p1:]
+    a1, a2 = b1.T @ b1, b2.T @ b2
     # dz/dm = -2 z^2 on active modes (m > 1/2) and 0 on the others
-    z_active = np.where(m > 0.5, z, 0.0)
-    dm = m[:, None] - m[None, :]
-    f = np.divide(z[:, None] - z[None, :], dm, out=-2.0 * np.outer(z_active, z_active),
+    z_active = z * (m > 0.5)
+    dm = m[:, None] - m
+    f = np.divide(z[:, None] - z, dm, out=(-2.0 * z_active)[:, None] * z_active,
                   where=dm != 0.0)
-    return (a * f.ravel()) @ a.T
+    a1f = a1 * f
+    return float(np.vdot(a1f, a1)), float(np.vdot(a1f, a2)), float(np.vdot(a2 * f, a2))
 
 
-def _newton_step(pt: _DualPoint, jac: np.ndarray, l0: np.ndarray) -> np.ndarray:
+def _newton_step(
+    pt: _DualPoint, jac: tuple[float, float, float], l0: tuple[float, float]
+) -> list[float]:
     """Ascent step on the concave dual from pt, whose Hessian is jac.
 
     A multiplier with a slack budget that its own Newton step would take
@@ -319,27 +331,30 @@ def _newton_step(pt: _DualPoint, jac: np.ndarray, l0: np.ndarray) -> np.ndarray:
     rises by more than its own value, or past l0 from zero: a near-flat
     diagonal would overshoot the next mode to turn active.
     """
-    l, r = pt.l, pt.r
-    jd = np.diag(jac)
-    limit = np.where(l > 0.0, l, l0)
-    bound = (r <= 0.0) & (l * jd >= r)
-    newton = ~bound & (-jd > 1e-13 * np.abs(jac).max())
-    step = np.where(bound, -l, limit)
-    rhs = -(r + jac @ np.where(newton, 0.0, step))
-    if newton.all():
-        (j11, j12), (_, j22) = jac.tolist()
-        step = np.array([[j22, -j12], [-j12, j11]]) @ rhs / (j11 * j22 - j12 * j12)
+    j11, j12, j22 = jac
+    jd = (j11, j22)
+    flat = 1e-13 * max(abs(j11), abs(j12), abs(j22))
+    limit = [li if li > 0.0 else l0i for li, l0i in zip(pt.l, l0)]
+    bound = [ri <= 0.0 and li * ji >= ri for li, ri, ji in zip(pt.l, pt.r, jd)]
+    newton = [not bi and -ji > flat for bi, ji in zip(bound, jd)]
+    step = [-li if bi else lim for li, bi, lim in zip(pt.l, bound, limit)]
+    s1, s2 = (0.0 if nw else si for nw, si in zip(newton, step))
+    rhs = (-(pt.r[0] + (j11 * s1 + j12 * s2)), -(pt.r[1] + (j12 * s1 + j22 * s2)))
+    if all(newton):
+        det = j11 * j22 - j12 * j12
+        step = [(j22 * rhs[0] - j12 * rhs[1]) / det, (j11 * rhs[1] - j12 * rhs[0]) / det]
     else:
-        step[newton] = rhs[newton] / jd[newton]
-    rise = newton & (step > limit)
-    if rise.any():
-        step[newton] *= np.min(limit[rise] / step[rise])
+        step = [hi / ji if nw else si for hi, ji, nw, si in zip(rhs, jd, newton, step)]
+    over = [lim / si for nw, si, lim in zip(newton, step, limit) if nw and si > lim]
+    if over:
+        t = min(over)
+        step = [si * t if nw else si for nw, si in zip(newton, step)]
     return step
 
 
 def _solve_dual(
-    src: GaussianPairSource, d: DistortionPair, covered: np.ndarray, gap_tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
+    src: GaussianPairSource, d: DistortionPair, covered: tuple[bool, bool], gap_tol: float
+) -> tuple[np.ndarray, np.ndarray, tuple[float, float], float, int]:
     """Maximize the concave dual g(l) by projected Newton ascent over l >= 0.
 
     Starts from l0, which is 0 for a budget that covers its block trace (the
@@ -355,35 +370,36 @@ def _solve_dual(
     TRACE_SLACK_TOL * d_i; raises RuntimeError if _MAX_EVALUATIONS comes
     first.  Returns (sigma, theta, l, rate, evaluations); Theta =
     Q^{-1/2} u diag(max(0, 1/2 - m)) u^T Q^{-1/2} is PSD and complementary
-    to Q - Sigma mode by mode.
+    to Q - Sigma mode by mode.  Q^{1/2} and Q^{-1/2} come from the source's
+    cache, so each evaluation costs one eigh and O(n^2) bookkeeping.
     """
-    w_q, v = np.linalg.eigh(src.q)
-    root = np.sqrt(w_q)
-    q_half = sym((v * root) @ v.T)
-    budget = np.array([d.d1, d.d2])
-    l0 = np.where(covered, 0.0, np.array([src.p1, src.p2]) / (2.0 * budget))
+    q_half, p1 = src.q_half, src.p1
+    budget = (d.d1, d.d2)
+    l0 = tuple(0.0 if c else p / (2.0 * di) for c, p, di in zip(covered, (p1, src.p2), budget))
+    slack = tuple(TRACE_SLACK_TOL * di for di in budget)
+    half_gap = 0.5 * gap_tol
 
     def done(pt: _DualPoint) -> bool:
-        return bool(np.all((pt.r <= TRACE_SLACK_TOL * budget)
-                           & (pt.l * np.abs(pt.r) <= 0.5 * gap_tol)))
+        return all(ri <= si and li * abs(ri) <= half_gap
+                   for li, ri, si in zip(pt.l, pt.r, slack))
 
-    pt, evaluations = _dual_point(q_half, src.p1, l0, budget), 1
+    pt, evaluations = _dual_point(q_half, p1, l0, budget), 1
     while not done(pt) and evaluations < _MAX_EVALUATIONS:
-        step = _newton_step(pt, _hessian(pt, src.p1), l0)
-        level = np.abs(step) < pt.l
+        step = _newton_step(pt, _hessian(pt, p1), l0)
         t = 1.0
         while True:
-            ts = t * step
-            l = np.divide(pt.l**2, pt.l - ts, out=np.maximum(pt.l + ts, 0.0), where=level)
-            trial, evaluations = _dual_point(q_half, src.p1, l, budget), evaluations + 1
-            armijo = 1e-4 * float(pt.r @ (trial.l - pt.l)) - 1e-13 * pt.scale
+            l = tuple(li * li / (li - t * si) if abs(si) < li else max(li + t * si, 0.0)
+                      for li, si in zip(pt.l, step))
+            trial, evaluations = _dual_point(q_half, p1, l, budget), evaluations + 1
+            rise = sum(ri * (tl - li) for ri, tl, li in zip(pt.r, trial.l, pt.l))
+            armijo = 1e-4 * rise - 1e-13 * pt.scale
             if trial.value - pt.value >= armijo or done(trial) or evaluations >= _MAX_EVALUATIONS:
                 break
             t *= 0.5
         pt = trial
     if not done(pt):
         raise RuntimeError(f"dual solver did not converge within {evaluations} evaluations")
-    c = ((v / root) @ v.T) @ pt.u
+    c = src.q_inv_half @ pt.u
     theta = (c * np.maximum(0.5 - pt.m, 0.0)) @ c.T
     sigma = (pt.b * pt.z) @ pt.b.T
     return sym(sigma), sym(theta), pt.l, pt.rate, evaluations
@@ -402,18 +418,21 @@ def solve(
 ) -> SolveReport:
     """Compute the joint rate-distortion value and its optimal error covariance.
 
-    Every feasible instance is solved by the two-multiplier dual; gap_tol is
-    the duality gap in nats at which its iteration stops, and iterations
-    counts its evaluations, one eigh each (1 on the zero-rate and region-D
-    instances).  The rate is that of the returned Sigma, from the final dual
-    point's eigenvalues.  The branch labels the instance as the module
-    docstring describes; it does not select a computation.
+    Every feasible instance is solved by the two-multiplier dual; gap_tol
+    is the duality gap in nats at which its iteration stops (ValueError
+    unless finite and positive), and iterations counts its evaluations,
+    one eigh each (1 on the zero-rate and region-D instances).  The rate
+    is that of the returned Sigma, from the final dual point's
+    eigenvalues.  The branch labels the instance as the module docstring
+    describes; it does not select a computation.
 
     A zero budget against a block with positive variance yields the
     Infeasible branch with an infinite rate: every admissible error
     covariance is then singular.
     """
     start = time.perf_counter()
+    if not 0.0 < gap_tol < math.inf:
+        raise ValueError(f"gap_tol must be finite and positive, got {gap_tol!r}")
     if not src.positive_definite:
         raise NotPositiveDefiniteError("solve requires q > 0")
     n = src.n
@@ -433,13 +452,13 @@ def solve(
 
     gray = gray_lower_bound(src, d)
     region = in_region_d(src, d)
-    covered = np.array([d.d1 >= np.trace(src.q11), d.d2 >= np.trace(src.q22)])
+    covered = (d.d1 >= src.block_traces[0], d.d2 >= src.block_traces[1])
     s, theta, lam, rate, iterations = _solve_dual(src, d, covered, gap_tol)
     sigma = ErrorCovariance(p1=src.p1, p2=src.p2, sigma=readonly(s))
     sigma.validate(src, d)
-    blank = KktCertificate(float(lam[0]), float(lam[1]), readonly(theta), 0.0, (0.0,) * 4, True)
+    blank = KktCertificate(*lam, readonly(theta), 0.0, (0.0,) * 4, True)
     cert = kkt_residuals(src, d, sigma, blank)
-    if covered.all():
+    if all(covered):
         branch = SolveBranch.ZERO_RATE
     elif region:
         branch = SolveBranch.CLOSED_FORM_INTERIOR_D

@@ -107,6 +107,21 @@ class TestSolveCommand:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("command, extra", [
+        ("solve", ("--d1", "1.65", "--d2", "1.85")),
+        ("sweep", ("--grid", "1:2:2,1:2:2")),
+        ("realize", ("--d1", "1.65", "--d2", "1.85")),
+        ("verify", ("--d1", "1.65", "--d2", "1.85", "--samples", "1000", "--seed", "1")),
+    ])
+    def test_bad_tol_gap_exits_2(self, example_source_file, capsys, command, extra, tol):
+        code, out, err = run_cli(
+            capsys, command, example_source_file, *extra, "--tol-gap", tol,
+        )
+        assert code == 2
+        assert out == ""
+        assert "invalid input" in err and "gap_tol" in err
+
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -273,6 +288,16 @@ class TestVerifyCommand:
         obj = json.loads(out)
         assert obj["warning"] == "insufficient samples"
         assert obj["checks_skipped"] is True
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_sample_count_below_one_exits_2(self, example_source_file, capsys, samples):
+        code, out, err = run_cli(
+            capsys, "verify", example_source_file, "--d1", "0.4", "--d2", "0.5",
+            "--samples", samples, "--seed", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "invalid input" in err and "--samples" in err
 
 
 class TestCanonicalCommand:

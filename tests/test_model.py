@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -17,7 +18,12 @@ from jointrdf import (
     validate_source,
 )
 from conftest import EXAMPLE_Q
-from helpers import random_pd_pair, waterfill_bisection_rate, waterfill_oracle
+from helpers import (
+    conditioned_pd,
+    random_pd_pair,
+    waterfill_bisection_rate,
+    waterfill_oracle,
+)
 
 
 class TestValidateSource:
@@ -223,3 +229,69 @@ class TestGrayLowerBound:
     def test_zero_budget_rejected(self, example_source):
         with pytest.raises(ValueError):
             gray_lower_bound(example_source, DistortionPair(0.0, 1.0))
+
+
+def _assert_same_report(a, b):
+    """Every field of two solve reports but the wall time, bit for bit."""
+    assert (a.rate_nats, a.branch, a.in_region_d, a.gray_bound_nats, a.iterations) == (
+        b.rate_nats, b.branch, b.in_region_d, b.gray_bound_nats, b.iterations
+    )
+    assert np.array_equal(a.sigma.sigma, b.sigma.sigma)
+    ca, cb = a.certificate, b.certificate
+    assert (ca.lambda1, ca.lambda2, ca.stationarity_residual, ca.slackness_residuals,
+            ca.dual_feasible) == (cb.lambda1, cb.lambda2, cb.stationarity_residual,
+                                  cb.slackness_residuals, cb.dual_feasible)
+    assert np.array_equal(ca.theta, cb.theta)
+
+
+# interior-point, region-D and zero-rate budgets on the example source
+_BUDGETS = [DistortionPair(1.65, 1.85), DistortionPair(0.4, 0.5), DistortionPair(7.0, 6.0),
+            DistortionPair(3.0, 0.9)]
+
+
+class TestSourceCache:
+    def test_cached_arrays_read_only(self):
+        src = validate_source(EXAMPLE_Q, 2, 2)
+        arrays = [*src.q_eigh, src.q_half, src.q_inv_half, *src.block_eigenvalues]
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        # the eigh handed over by validate_source is that of the stored q
+        w, u = src.q_eigh
+        np.testing.assert_allclose((u * w) @ u.T, src.q, rtol=0, atol=1e-14 * src.q_norm)
+        np.testing.assert_allclose(src.q_half @ src.q_half, src.q, rtol=0,
+                                   atol=1e-14 * src.q_norm)
+        np.testing.assert_allclose(src.q_inv_half @ src.q_half, np.eye(4), rtol=0, atol=1e-14)
+
+    def test_warm_source_solves_like_a_fresh_one(self):
+        warm = validate_source(EXAMPLE_Q, 2, 2)
+        for d in _BUDGETS:
+            solve(warm, d)
+        for d in reversed(_BUDGETS):
+            _assert_same_report(solve(warm, d), solve(validate_source(EXAMPLE_Q, 2, 2), d))
+
+    def test_pickled_warm_source_gives_identical_reports(self):
+        warm = validate_source(EXAMPLE_Q, 2, 2)
+        solve(warm, _BUDGETS[0])
+        copy = pickle.loads(pickle.dumps(warm))
+        for d in _BUDGETS:
+            _assert_same_report(solve(copy, d), solve(warm, d))
+
+    def test_cached_gray_bound_matches_direct_computation(self):
+        def chol_logdet(a):
+            return 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(a)))))
+
+        rng = np.random.default_rng(20211011)
+        for _ in range(200):
+            p1, p2 = (int(k) for k in rng.integers(1, 7, size=2))
+            q = conditioned_pd(rng, p1 + p2, 10.0 ** rng.uniform(0.0, 8.0))
+            src = validate_source(q, p1, p2)
+            d = DistortionPair(float(rng.uniform(0.05, 1.2)) * float(np.trace(src.q11)),
+                               float(rng.uniform(0.05, 1.2)) * float(np.trace(src.q22)))
+            r1, r2 = marginal_rdf(src.q11, d.d1), marginal_rdf(src.q22, d.d2)
+            mi = max(0.5 * (chol_logdet(src.q11) + chol_logdet(src.q22) - chol_logdet(src.q)),
+                     0.0)
+            for _ in range(2):  # filling the cache, then reading it
+                bound = gray_lower_bound(src, d)
+                assert abs(bound - (r1 + r2 - mi)) <= 1e-12 * (r1 + r2 + mi)

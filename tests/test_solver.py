@@ -1,4 +1,5 @@
 import math
+from collections import defaultdict
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from jointrdf import (
 )
 from jointrdf import solver
 from jointrdf.solver import GAP_TOL, TRACE_SLACK_TOL
-from conftest import CASE1_RATE, CASE2_SIGMA_3SF, EXAMPLE_Q
+from conftest import CASE1_RATE, CASE2_BUDGETS, CASE2_SIGMA_3SF, EXAMPLE_Q
 from helpers import conditioned_pd, random_pd_pair, scalar_bruteforce_rate, scalar_pair_rate
 
 
@@ -166,6 +167,11 @@ class TestSolveEdges:
         assert report.branch is SolveBranch.INFEASIBLE
         assert report.rate_nats == math.inf
         assert report.certificate is None
+
+    @pytest.mark.parametrize("gap_tol", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_gap_tol_rejected(self, example_source, case2, gap_tol):
+        with pytest.raises(ValueError, match="gap_tol"):
+            solve(example_source, case2, gap_tol=gap_tol)
 
     def test_non_pd_source_rejected(self):
         src = validate_source(np.diag([1.0, 0.0, 1.0]), 2, 1)
@@ -525,3 +531,41 @@ class TestEvaluationCap:
         monkeypatch.setattr(solver, "_MAX_EVALUATIONS", 2)
         with pytest.raises(RuntimeError, match="2 evaluations"):
             solve(example_source, case2)
+
+
+class TestFactorCounts:
+    """Exact counts of the factorizations a solve makes, which timing noise
+    cannot hide: one eigh per dual evaluation, and Q, Q11 and Q22 factored
+    only while the source's cache fills."""
+
+    ROUTINES = ("eigh", "eigvalsh", "cholesky", "solve")
+
+    def _count(self, monkeypatch) -> defaultdict:
+        calls = defaultdict(list)
+        for name in self.ROUTINES:
+            def counted(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls[_name].append(np.array(a))
+                return _real(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    @staticmethod
+    def _factored(calls, block) -> bool:
+        return any(a.shape == block.shape and np.array_equal(a, block)
+                   for name in calls for a in calls[name])
+
+    def test_solve_factors_each_source_once(self, monkeypatch):
+        src = validate_source(EXAMPLE_Q, 2, 2)
+        calls = self._count(monkeypatch)
+        first = solve(src, DistortionPair(*CASE2_BUDGETS))
+        # validate_source hands its eigh(Q) to the cache, so the dual's
+        # evaluations are the only eigh; the Gray bound fills the rest
+        assert len(calls["eigh"]) == first.iterations
+        assert not calls["solve"]
+        assert all(self._factored(calls, b) for b in (src.q, src.q11, src.q22))
+        calls.clear()
+        second = solve(src, DistortionPair(2.5, 1.2))
+        assert second.branch is SolveBranch.INTERIOR_POINT
+        assert len(calls["eigh"]) == second.iterations
+        assert not calls["solve"]
+        assert not any(self._factored(calls, b) for b in (src.q, src.q11, src.q22))
