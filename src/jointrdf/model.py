@@ -66,6 +66,15 @@ class GaussianPairSource:
     positive_definite: bool
     q_norm: float
 
+    def __setstate__(self, state: dict) -> None:
+        # pickle does not keep numpy's writeable flag, so an unpickled source
+        # would hand out writable q and factors; clear the flag again
+        for value in state.values():
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
+        vars(self).update(state)
+
     @property
     def n(self) -> int:
         return self.p1 + self.p2

@@ -7,9 +7,12 @@ counter-based Philox bit generator, which is seedable and splittable; the
 generator identity is recorded on every report so runs are self-describing.
 All pass/fail thresholds are statistical (concentration-based), never exact.
 
-The checks make one pass over the batch in row chunks.  Means and variances
-merge across chunks by a stable pairwise update, so the checks need memory
-O(chunk) beyond the batch itself; the batch holds x, xhat and e in full.
+Every step walks the batch in row chunks.  Sampling and the channel push
+draw their normals chunk by chunk from one Philox stream each (bit-identical
+to one large draw) and write straight into the preallocated x and xhat; the
+checks form the residual x - xhat per chunk, and their means and variances
+merge across chunks by a stable pairwise update.  So the batch holds x and
+xhat in full and nothing else does: memory beyond them is O(chunk).
 """
 
 from __future__ import annotations
@@ -33,10 +36,11 @@ def _rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Source draws x, reproductions xhat, and residuals e = x - xhat.
+    """Source draws x and reproductions xhat.
 
     sample_source fills x only; push_channel returns a completed batch.
-    Rows are samples, columns the stacked (p1 + p2) coordinates.
+    Rows are samples, columns the stacked (p1 + p2) coordinates.  The
+    residuals are not stored: e derives them on each access.
     """
 
     p1: int
@@ -44,7 +48,12 @@ class SampleBatch:
     n: int
     x: np.ndarray
     xhat: np.ndarray | None = None
-    e: np.ndarray | None = None
+
+    @property
+    def e(self) -> np.ndarray | None:
+        """Residuals x - xhat as a new full-size array on every access, or
+        None before push_channel.  The checks never call it."""
+        return None if self.xhat is None else self.x - self.xhat
 
 
 @dataclass(frozen=True)
@@ -71,18 +80,34 @@ class CmOptimalityReport:
     generator: str = GENERATOR
 
 
+# Rows per chunk of every pass over a batch: a chunk's temporaries stay small
+# (at most about 1.4 MB, in the dominance check at n = 4 with three
+# alternatives), and the per-chunk Python overhead stays small against the
+# arithmetic.
+_CHUNK_ROWS = 4096
+
+
+def _row_chunks(rows: int) -> Iterator[slice]:
+    return (slice(start, start + _CHUNK_ROWS) for start in range(0, rows, _CHUNK_ROWS))
+
+
 def sample_source(src: GaussianPairSource, n: int, seed: int) -> SampleBatch:
     """Draw n i.i.d. zero-mean Gaussian rows with covariance q.
 
-    The covariance factor comes from an eigendecomposition with negative
-    round-off clipped to zero, so semidefinite (degenerate) sources sample
-    correctly.  Deterministic for a fixed seed.
+    The covariance factor comes from the source's cached eigendecomposition
+    with negative round-off clipped to zero, so semidefinite (degenerate)
+    sources sample correctly.  Deterministic for a fixed seed.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    factor = sqrt_factor(src.q)
-    z = _rng(seed).standard_normal((n, src.n))
-    return SampleBatch(p1=src.p1, p2=src.p2, n=n, x=z @ factor.T)
+    w, u = src.q_eigh
+    factor_t = (u * np.sqrt(np.maximum(w, 0.0))).T
+    x = np.empty((n, src.n))
+    rng = _rng(seed)
+    for rows in _row_chunks(n):
+        chunk = x[rows]
+        np.matmul(rng.standard_normal(chunk.shape), factor_t, out=chunk)
+    return SampleBatch(p1=src.p1, p2=src.p2, n=n, x=x)
 
 
 def push_channel(batch: SampleBatch, r: TestChannelRealization, seed: int) -> SampleBatch:
@@ -91,22 +116,22 @@ def push_channel(batch: SampleBatch, r: TestChannelRealization, seed: int) -> Sa
         raise ValueError(
             f"batch dimension {batch.x.shape[1]} does not match channel dimension {r.n}"
         )
-    # Built in place, noise first: each step then keeps at most one
-    # full-size temporary alive.  Forming x @ H^T first leaves the peak as
-    # high as with a separate sum.
-    xhat = _rng(seed).standard_normal((batch.n, r.n)) @ sqrt_factor(r.qv).T
-    xhat += batch.x @ r.h.T
-    return replace(batch, xhat=xhat, e=batch.x - xhat)
+    noise_t = sqrt_factor(r.qv).T
+    h_t = r.h.T
+    xhat = np.empty_like(batch.x)
+    rng = _rng(seed)
+    for rows in _row_chunks(batch.n):
+        chunk = xhat[rows]
+        np.matmul(rng.standard_normal(chunk.shape), noise_t, out=chunk)
+        chunk += batch.x[rows] @ h_t
+    return replace(batch, xhat=xhat)
 
 
-# Rows per chunk of the streamed checks: a chunk's temporaries (a few
-# hundred KB at n = 4 with three alternatives) stay in cache, and the
-# per-chunk Python overhead stays small against the arithmetic.
-_CHUNK_ROWS = 4096
-
-
-def _row_chunks(rows: int) -> Iterator[slice]:
-    return (slice(start, start + _CHUNK_ROWS) for start in range(0, rows, _CHUNK_ROWS))
+def _residual_chunks(batch: SampleBatch) -> Iterator[np.ndarray]:
+    """The residual x - xhat, one new row-chunk array at a time."""
+    if batch.xhat is None:
+        raise ValueError("batch has no residuals; run push_channel first")
+    return (batch.x[rows] - batch.xhat[rows] for rows in _row_chunks(batch.n))
 
 
 def _col_sums(a: np.ndarray) -> np.ndarray:
@@ -152,12 +177,9 @@ def check_distortion(batch: SampleBatch, d: DistortionPair) -> DistortionReport:
     the three-sigma allowance 1 + 3*sqrt(2 p_i / n).  The column sums of
     squares stream over row chunks, so memory beyond the batch is O(chunk).
     """
-    if batch.e is None:
-        raise ValueError("batch has no residuals; run push_channel first")
     col_sq = np.zeros(batch.x.shape[1])
-    for rows in _row_chunks(batch.n):
-        chunk = batch.e[rows]
-        col_sq += _col_sums(chunk * chunk)
+    for e in _residual_chunks(batch):
+        col_sq += _col_sums(e * e)
     emp1, emp2 = _block_means(col_sq, batch.p1, batch.n)
     bound1 = d.d1 * (1.0 + 3.0 * math.sqrt(2.0 * batch.p1 / batch.n))
     bound2 = d.d2 * (1.0 + 3.0 * math.sqrt(2.0 * batch.p2 / batch.n))
@@ -232,7 +254,9 @@ def check_cm_optimality(
 
 
 def empirical_error_covariance(batch: SampleBatch) -> np.ndarray:
-    """Sample covariance of the residuals (zero-mean convention)."""
-    if batch.e is None:
-        raise ValueError("batch has no residuals; run push_channel first")
-    return (batch.e.T @ batch.e) / batch.n
+    """Sample covariance of the residuals (zero-mean convention), summed
+    over row chunks."""
+    cov = np.zeros((batch.x.shape[1], batch.x.shape[1]))
+    for e in _residual_chunks(batch):
+        cov += e.T @ e
+    return cov / batch.n

@@ -213,3 +213,20 @@ def unchunked_cm_optimality(batch, r, alternatives):
         slacks = tuple(3.0 * float(diff.std(ddof=ddof)) / np.sqrt(batch.n) for diff in diffs)
         results.append((margins, slacks))
     return (float(base1.mean()), float(base2.mean())), tuple(results)
+
+
+def one_shot_batch(src, r, rows: int, seeds: tuple[int, int]):
+    """x and xhat each from a single whole-batch Philox draw: x = Z F^T with
+    F F^T = Q, then xhat = W G^T + x H^T with G G^T = Qv."""
+
+    def draw(seed):
+        return np.random.Generator(np.random.Philox(seed)).standard_normal((rows, src.n))
+
+    def factor(a):
+        w, u = np.linalg.eigh(0.5 * (a + a.T))
+        return u * np.sqrt(np.maximum(w, 0.0))
+
+    x = draw(seeds[0]) @ factor(src.q).T
+    xhat = draw(seeds[1]) @ factor(r.qv).T
+    xhat += x @ r.h.T
+    return x, xhat

@@ -275,6 +275,12 @@ class TestSourceCache:
         warm = validate_source(EXAMPLE_Q, 2, 2)
         solve(warm, _BUDGETS[0])
         copy = pickle.loads(pickle.dumps(warm))
+        arrays = [a for value in vars(copy).values()
+                  for a in (value if isinstance(value, tuple) else (value,))
+                  if isinstance(a, np.ndarray)]
+        # q, both halves of q_eigh and of block_eigenvalues, q_half, q_inv_half
+        assert len(arrays) == 7
+        assert not any(a.flags.writeable for a in arrays)
         for d in _BUDGETS:
             _assert_same_report(solve(copy, d), solve(warm, d))
 

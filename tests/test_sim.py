@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,12 @@ from jointrdf import (
     validate_source,
 )
 from jointrdf.sim import _CHUNK_ROWS
-from helpers import random_pd_pair, unchunked_cm_optimality, unchunked_distortion
+from helpers import (
+    one_shot_batch,
+    random_pd_pair,
+    unchunked_cm_optimality,
+    unchunked_distortion,
+)
 
 N_BIG = 1_000_000
 
@@ -96,6 +102,41 @@ class TestPushChannel:
         b = push_channel(base, r, seed=42)
         assert np.array_equal(a.xhat, b.xhat)
         assert np.array_equal(a.e, b.e)
+
+
+class TestChunkedBatch:
+    def test_matches_one_shot_draw(self, example_source, case2):
+        rows = 3 * _CHUNK_ROWS + 17
+        r = realize(example_source, solve(example_source, case2).sigma)
+        batch = push_channel(sample_source(example_source, rows, seed=111), r, seed=112)
+        x, xhat = one_shot_batch(example_source, r, rows, (111, 112))
+        for got, want in ((batch.x, x), (batch.xhat, xhat)):
+            np.testing.assert_allclose(got, want, rtol=1e-13,
+                                       atol=1e-13 * float(np.abs(want).max()))
+        assert np.array_equal(batch.e, batch.x - batch.xhat)
+
+    def test_memory_is_two_arrays_plus_chunks(self, example_source, case2):
+        # tracemalloc sees numpy's data buffers.  The batch holds x and xhat;
+        # everything else is per-chunk temporaries, about 1.4 MB at n = 4
+        # in the dominance check with three alternatives.
+        r = realize(example_source, solve(example_source, case2).sigma)
+        alternatives = [0.9 * np.eye(4), 1.1 * np.eye(4), np.ones((4, 4))]
+
+        def pipeline(rows):
+            batch = push_channel(sample_source(example_source, rows, seed=121), r, seed=122)
+            check_distortion(batch, case2)
+            check_cm_optimality(batch, r, alternatives)
+            empirical_error_covariance(batch)
+            return batch.x.nbytes
+
+        pipeline(10)  # lazy imports and first-call set-up stay out of the peak
+        tracemalloc.start()
+        try:
+            x_bytes = pipeline(200_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * x_bytes + 2 * 2**20
 
 
 class TestCheckDistortion:

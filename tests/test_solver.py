@@ -16,6 +16,7 @@ from jointrdf import (
     in_region_d,
     kkt_residuals,
     rate_of,
+    sample_source,
     solve,
     validate_source,
 )
@@ -569,3 +570,10 @@ class TestFactorCounts:
         assert len(calls["eigh"]) == second.iterations
         assert not calls["solve"]
         assert not any(self._factored(calls, b) for b in (src.q, src.q11, src.q22))
+
+    def test_sampling_a_warm_source_factors_nothing(self, monkeypatch):
+        src = validate_source(EXAMPLE_Q, 2, 2)
+        solve(src, DistortionPair(*CASE2_BUDGETS))
+        calls = self._count(monkeypatch)
+        sample_source(src, 10, seed=1)
+        assert not any(calls.values())
