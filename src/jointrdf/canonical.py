@@ -187,6 +187,16 @@ def log_det_cvf(form: CanonicalForm) -> float:
     return float(np.sum(np.log1p(-form.d4_vals**2)))
 
 
+def _log_det_product(form: CanonicalForm) -> float:
+    """ln of det(D1) det(D2) det(Q_cvf), which the canonical determinant
+    identity equates to ln det of the covariance the form came from."""
+    return (
+        float(np.sum(np.log(form.d1_vals)))
+        + float(np.sum(np.log(form.d2_vals)))
+        + log_det_cvf(form)
+    )
+
+
 def cvf_objective(src_cvf: CanonicalForm, err_cvf: CanonicalForm) -> float:
     """Rate value in canonical coordinates, in nats.
 
@@ -209,27 +219,15 @@ def cvf_objective(src_cvf: CanonicalForm, err_cvf: CanonicalForm) -> float:
             "degenerate error covariance: canonical correlation equal to 1 "
             "makes the error form singular"
         )
-    num = (
-        float(np.sum(np.log(src_cvf.d1_vals)))
-        + float(np.sum(np.log(src_cvf.d2_vals)))
-        + log_det_cvf(src_cvf)
-    )
-    den = (
-        float(np.sum(np.log(err_cvf.d1_vals)))
-        + float(np.sum(np.log(err_cvf.d2_vals)))
-        + log_det_cvf(err_cvf)
-    )
-    return 0.5 * (num - den)
+    return 0.5 * (_log_det_product(src_cvf) - _log_det_product(err_cvf))
 
 
 def det_identity_residual(src: GaussianPairSource, form: CanonicalForm) -> float:
-    """Relative residual of det(Q) = det(Q11) det(Q22) prod(1 - d4_i^2)."""
+    """Relative residual of det(Q) = det(Q11) det(Q22) prod(1 - d4_i^2).
+
+    The log-dets of Q11, Q22 and Q are the source's cached Cholesky ones.
+    """
     if form.partition.p11 > 0:
         return math.inf
-    log_lhs = float(np.linalg.slogdet(src.q)[1])
-    log_rhs = (
-        float(np.linalg.slogdet(src.q11)[1])
-        + float(np.linalg.slogdet(src.q22)[1])
-        + log_det_cvf(form)
-    )
-    return abs(math.expm1(log_rhs - log_lhs))
+    ld11, ld22, ld = src.log_dets
+    return abs(math.expm1(ld11 + ld22 + log_det_cvf(form) - ld))

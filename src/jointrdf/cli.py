@@ -7,8 +7,9 @@ validation, and emit the canonical variable form.  Sources are JSON documents
 
 Exit codes: 0 success, 2 invalid input, 3 infeasible (zero budget against
 positive variance), 4 structural check failure, 5 statistical check failure,
-1 internal failure (a dual solve that reaches its evaluation cap, or a sweep
-point whose solve misbehaves).  A reader that closes the output pipe early
+1 internal failure (a dual solve that reaches its evaluation cap, a sweep
+point whose solve misbehaves, or an allocation that fails, such as a sample
+count too large for memory).  A reader that closes the output pipe early
 (e.g. `| head`) does not change the exit code.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import functools
 import json
 import math
@@ -119,18 +121,25 @@ def _solve(
     return d, report
 
 
-def _row(d: DistortionPair, report: SolveReport) -> tuple[float, float, float, str, float, bool]:
-    return (d.d1, d.d2, report.rate_nats, report.branch.value, report.gray_bound_nats,
-            report.in_region_d)
+def _row(d: DistortionPair, report: SolveReport) -> dict:
+    """One CSV or sweep-JSON row, rates in nats."""
+    return {"d1": d.d1, "d2": d.d2, "rate": report.rate_nats, "branch": report.branch.value,
+            "gray_bound": report.gray_bound_nats, "in_region_d": report.in_region_d}
 
 
-def _csv(rows: list[tuple], scale: float) -> str:
-    lines = ["d1,d2,rate,branch,gray_bound,in_region_d"]
-    for r in rows:
-        lines.append(
-            f"{_fmt(r[0])},{_fmt(r[1])},{_fmt(r[2] * scale)},{r[3]},"
-            f"{_fmt(r[4] * scale)},{str(r[5]).lower()}"
-        )
+def _scaled(row: dict, scale: float) -> dict:
+    return {**row, "rate": row["rate"] * scale, "gray_bound": row["gray_bound"] * scale}
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    return value if isinstance(value, str) else _fmt(value)
+
+
+def _csv(rows: list[dict], scale: float) -> str:
+    lines = [",".join(rows[0])]
+    lines += [",".join(map(_cell, _scaled(r, scale).values())) for r in rows]
     return "\n".join(lines)
 
 
@@ -167,9 +176,7 @@ def _parse_grid(text: str) -> tuple[np.ndarray, np.ndarray]:
     return axes[0], axes[1]
 
 
-def _sweep_point(
-    src: GaussianPairSource, gap_tol: float, d1: float, d2: float
-) -> tuple[float, float, float, str, float, bool]:
+def _sweep_point(src: GaussianPairSource, gap_tol: float, d1: float, d2: float) -> dict:
     d = DistortionPair(d1, d2)
     return _row(d, solve(src, d, gap_tol=gap_tol))
 
@@ -177,18 +184,15 @@ def _sweep_point(
 def _check_sweep_monotone(
     d1_axis: np.ndarray, d2_axis: np.ndarray, rates: np.ndarray, tol: float = 1e-8
 ) -> None:
-    inc_d1 = np.diff(rates, axis=0)
-    inc_d2 = np.diff(rates, axis=1)
-    if (inc_d1 > tol).any() or (inc_d2 > tol).any():
-        bad = np.argwhere(inc_d1 > tol)
-        i, j = (int(bad[0][0]) + 1, int(bad[0][1])) if bad.size else (0, 0)
-        if not bad.size:
-            bad = np.argwhere(inc_d2 > tol)
-            i, j = int(bad[0][0]), int(bad[0][1]) + 1
-        raise RuntimeError(
-            f"sweep rates are not non-increasing near (d1={d1_axis[i]:.6g}, "
-            f"d2={d2_axis[j]:.6g})"
-        )
+    for axis in (0, 1):
+        bad = np.argwhere(np.diff(rates, axis=axis) > tol)
+        if bad.size:
+            # the rise is into the next point along this axis
+            i, j = (int(k) + (a == axis) for a, k in enumerate(bad[0]))
+            raise RuntimeError(
+                f"sweep rates are not non-increasing near (d1={d1_axis[i]:.6g}, "
+                f"d2={d2_axis[j]:.6g})"
+            )
 
 
 def _cmd_sweep(src: GaussianPairSource, args: argparse.Namespace) -> int:
@@ -200,7 +204,7 @@ def _cmd_sweep(src: GaussianPairSource, args: argparse.Namespace) -> int:
     points = [(float(a), float(b)) for a in d1_axis for b in d2_axis]
     d1s, d2s = zip(*points)
     point = functools.partial(_sweep_point, src, args.tol_gap)
-    rows: list[tuple] = []
+    rows: list[dict] = []
     try:
         if args.jobs > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -217,7 +221,7 @@ def _cmd_sweep(src: GaussianPairSource, args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
 
-    rates = np.array([row[2] for row in rows]).reshape(len(d1_axis), len(d2_axis))
+    rates = np.array([row["rate"] for row in rows]).reshape(len(d1_axis), len(d2_axis))
     try:
         _check_sweep_monotone(d1_axis, d2_axis, rates)
     except RuntimeError as exc:
@@ -226,14 +230,7 @@ def _cmd_sweep(src: GaussianPairSource, args: argparse.Namespace) -> int:
 
     scale = _unit_scale(args.unit)
     if args.output == "json":
-        obj = [
-            {
-                "d1": r[0], "d2": r[1], "rate": r[2] * scale, "branch": r[3],
-                "gray_bound": r[4] * scale, "in_region_d": r[5],
-            }
-            for r in rows
-        ]
-        _emit(json.dumps(obj, indent=2), args.out)
+        _emit(json.dumps([_scaled(r, scale) for r in rows], indent=2), args.out)
     else:
         _emit(_csv(rows, scale), args.out)
     return 0
@@ -357,11 +354,7 @@ def _cmd_canonical(src: GaussianPairSource, args: argparse.Namespace) -> int:
         "d1_vals": form.d1_vals.tolist(),
         "d2_vals": form.d2_vals.tolist(),
         "d4_vals": form.d4_vals.tolist(),
-        "partition": {
-            "p11": form.partition.p11, "p12": form.partition.p12,
-            "p13": form.partition.p13, "p21": form.partition.p21,
-            "p22": form.partition.p22, "p23": form.partition.p23,
-        },
+        "partition": dataclasses.asdict(form.partition),
         "det_identity_residual": canon.det_identity_residual(src, form),
     }
     _emit(json.dumps(obj, indent=2), args.out)
@@ -457,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SourceValidationError, NotPositiveDefiniteError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, MemoryError) as exc:
         print(f"internal failure: {exc}", file=sys.stderr)
         return 1
 

@@ -249,7 +249,9 @@ def _water_fill(mu: np.ndarray, delta: float) -> float:
         if theta <= mu_k:
             break
         below += mu_k
-    return 0.5 * sum(math.log(mu_j / theta) for mu_j in mu if mu_j > theta)
+    # in logs: at a subnormal delta, theta underflows to 0 or mu_j / theta overflows
+    log_theta = math.log(delta - below) - math.log(len(mu) - k)
+    return 0.5 * sum(math.log(mu_j) - log_theta for mu_j in mu if mu_j > theta)
 
 
 def gray_lower_bound(src: GaussianPairSource, d: DistortionPair) -> float:

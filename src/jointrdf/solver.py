@@ -14,17 +14,18 @@ n x n eigh and a few O(n^2) array operations; the 2x2 Newton step, the
 stopping rule and the line search run on Python floats.  Q^{1/2}, Q^{-1/2},
 the block traces and the Gray bound's factors come from the source's cache
 (see :class:`jointrdf.model.GaussianPairSource`), so a solve factors Q only
-the first time a source is solved.  The certificate recheck, the
-feasibility check and the region test recompute from Sigma and Q.
+the first time a source is solved.  The certificate recheck and the
+feasibility check recompute from Sigma and Q.
 
-The branch of a solve labels the instance; it selects no computation:
+The branch labels the instance, read off the dual's first evaluation (see
+:func:`_solve_dual`); it selects no computation:
 
 * ZeroRate when both budgets cover the block traces: the optimum is l = 0,
   where Sigma = Q and the rate is exactly 0.
-* ClosedFormInteriorD on the distortion region where Q minus
-  Block-diag((d1/p1) I, (d2/p2) I) stays strictly positive definite: the
-  optimum is l_i = p_i / (2 d_i), where Sigma is that block diagonal and the
-  additive lower bound of :func:`jointrdf.model.gray_lower_bound` is attained.
+* ClosedFormInteriorD on the distortion region where Q - D stays strictly
+  positive definite, D = Block-diag((d1/p1) I, (d2/p2) I): the optimum is
+  l_i = p_i / (2 d_i), where Sigma = D and the additive lower bound of
+  :func:`jointrdf.model.gray_lower_bound` is attained.
 * InteriorPoint otherwise.
 
 Every solve carries a certificate (lambda1, lambda2, Theta) whose stationarity
@@ -33,12 +34,12 @@ and complementary-slackness residuals are recomputable via
 
 gap_tol of :func:`solve` (default GAP_TOL, finite and positive), the
 duality gap in nats at which the dual iteration stops, is the only
-tolerance a caller sets.  The others
-are fixed and scale with the problem, so scaling (Q, d) to (cQ, cd) moves
-no decision: REGION_TOL, the strict-positivity margin of the region test
-relative to ||Q||_2; TRACE_SLACK_TOL, the trace overshoot the dual iteration
-and the feasibility check accept, relative to each budget; and
-model.PSD_RTOL for the PSD checks, Theta's included.
+tolerance a caller sets.  The others are fixed and scale with the problem,
+so scaling (Q, d) to (cQ, cd) moves no decision: REGION_TOL, the margin of
+the region test relative to the budgets (Q - D > REGION_TOL * D);
+TRACE_SLACK_TOL, the trace overshoot the dual iteration and the
+feasibility check accept, relative to each budget; and model.PSD_RTOL for
+the PSD checks, Theta's included.
 """
 
 from __future__ import annotations
@@ -166,10 +167,14 @@ class SolveReport:
     sigma: ErrorCovariance
     certificate: KktCertificate | None
     branch: SolveBranch
-    in_region_d: bool
     gray_bound_nats: float
     iterations: int
     wall_time: float
+
+    @property
+    def in_region_d(self) -> bool:
+        """Derived from the branch, not stored: the region is ClosedFormInteriorD."""
+        return self.branch is SolveBranch.CLOSED_FORM_INTERIOR_D
 
 
 def closed_form_candidate(src: GaussianPairSource, d: DistortionPair) -> ErrorCovariance:
@@ -184,18 +189,18 @@ def closed_form_candidate(src: GaussianPairSource, d: DistortionPair) -> ErrorCo
 
 
 def in_region_d(src: GaussianPairSource, d: DistortionPair) -> bool:
-    """True iff Q minus the closed-form candidate is strictly positive definite.
+    """True iff Q - D > REGION_TOL * D for the closed-form candidate D.
 
-    Zero budgets are excluded outright: the closed-form candidate is then
-    singular and the rate infinite, so the point cannot lie in the region.
-    Boundary contact within REGION_TOL * ||Q||_2 is classified as outside so
-    the general branch handles it.
+    An independent check of the label :func:`solve` reads off its first dual
+    evaluation, with the same margin: eigvalsh(D^{-1/2} Q D^{-1/2}) above
+    1 + REGION_TOL.  Zero budgets are excluded outright: D is then singular
+    and the rate infinite.
     """
     if d.d1 <= 0.0 or d.d2 <= 0.0:
         return False
-    cand = closed_form_candidate(src, d)
-    w = np.linalg.eigvalsh(src.q - cand.sigma)
-    return bool(w[0] > REGION_TOL * src.q_norm)
+    inv_sqrt = 1.0 / np.sqrt(np.diag(closed_form_candidate(src, d).sigma))
+    w = np.linalg.eigvalsh(src.q * np.outer(inv_sqrt, inv_sqrt))
+    return bool(w[0] > 1.0 + REGION_TOL)
 
 
 def rate_of(src: GaussianPairSource, sigma) -> float:
@@ -219,7 +224,8 @@ def kkt_residuals(
 
     Stationarity is the Frobenius norm of
     -0.5 * Sigma^{-1} + Block-diag(lambda1 I, lambda2 I) + Theta divided by
-    that of 0.5 * Sigma^{-1}; the four slackness residuals follow the field
+    that of 0.5 * Sigma^{-1}, both over its largest entry first so that a tiny
+    Sigma cannot overflow them; the four slackness residuals follow the field
     order documented on KktCertificate.  Theta counts as PSD down to
     -PSD_RTOL times its largest eigenvalue magnitude.
     """
@@ -230,7 +236,9 @@ def kkt_residuals(
         raise FeasibilityError("kkt residuals require sigma > 0") from exc
     half_inv = 0.5 * (chol_inv.T @ chol_inv)  # exactly symmetric: a product with its transpose
     lam_block = np.diag([cert.lambda1] * sigma.p1 + [cert.lambda2] * sigma.p2)
-    stat = float(np.linalg.norm(lam_block + cert.theta - half_inv) / np.linalg.norm(half_inv))
+    unit = float(np.abs(half_inv).max())
+    stat = float(np.linalg.norm((lam_block + cert.theta - half_inv) / unit)
+                 / np.linalg.norm(half_inv / unit))
     slack = (
         cert.lambda1 * (float(np.trace(sigma.sigma11)) - d.d1),
         cert.lambda2 * (float(np.trace(sigma.sigma22)) - d.d2),
@@ -353,14 +361,17 @@ def _newton_step(
 
 
 def _solve_dual(
-    src: GaussianPairSource, d: DistortionPair, covered: tuple[bool, bool], gap_tol: float
-) -> tuple[np.ndarray, np.ndarray, tuple[float, float], float, int]:
+    src: GaussianPairSource, d: DistortionPair, gap_tol: float
+) -> tuple[np.ndarray, np.ndarray, tuple[float, float], float, int, SolveBranch]:
     """Maximize the concave dual g(l) by projected Newton ascent over l >= 0.
 
     Starts from l0, which is 0 for a budget that covers its block trace (the
     constraint is then implied by Sigma <= Q and its multiplier stays 0) and
     the closed-form multiplier p_i / (2 d_i) otherwise, so a zero-rate or a
-    region-D instance stops at its first evaluation.  A multiplier that
+    region-D instance stops at its first evaluation, which also sets the
+    branch: with no budget covered, M at l0 has the eigenvalues of
+    0.5 D^{-1/2} Q D^{-1/2}, so Q - D > REGION_TOL * D iff all exceed
+    (1 + REGION_TOL) / 2.  A multiplier that
     :func:`_newton_step` changes by less than its own value moves by the
     same step in its level w = 1 / (2 l), in which the traces are nearly
     linear; the others move straight and are projected onto l >= 0.  Steps
@@ -368,13 +379,14 @@ def _solve_dual(
     Stops once each share l_i |r_i| of the duality gap g(l) - R(Sigma(l)) is
     within gap_tol / 2 and each trace overshoots its budget d_i by at most
     TRACE_SLACK_TOL * d_i; raises RuntimeError if _MAX_EVALUATIONS comes
-    first.  Returns (sigma, theta, l, rate, evaluations); Theta =
+    first.  Returns (sigma, theta, l, rate, evaluations, branch); Theta =
     Q^{-1/2} u diag(max(0, 1/2 - m)) u^T Q^{-1/2} is PSD and complementary
     to Q - Sigma mode by mode.  Q^{1/2} and Q^{-1/2} come from the source's
     cache, so each evaluation costs one eigh and O(n^2) bookkeeping.
     """
     q_half, p1 = src.q_half, src.p1
     budget = (d.d1, d.d2)
+    covered = tuple(di >= ti for di, ti in zip(budget, src.block_traces))
     l0 = tuple(0.0 if c else p / (2.0 * di) for c, p, di in zip(covered, (p1, src.p2), budget))
     slack = tuple(TRACE_SLACK_TOL * di for di in budget)
     half_gap = 0.5 * gap_tol
@@ -384,6 +396,12 @@ def _solve_dual(
                    for li, ri, si in zip(pt.l, pt.r, slack))
 
     pt, evaluations = _dual_point(q_half, p1, l0, budget), 1
+    if all(covered):
+        branch = SolveBranch.ZERO_RATE
+    elif not any(covered) and pt.m[0] > 0.5 * (1.0 + REGION_TOL):
+        branch = SolveBranch.CLOSED_FORM_INTERIOR_D
+    else:
+        branch = SolveBranch.INTERIOR_POINT
     while not done(pt) and evaluations < _MAX_EVALUATIONS:
         step = _newton_step(pt, _hessian(pt, p1), l0)
         t = 1.0
@@ -402,7 +420,7 @@ def _solve_dual(
     c = src.q_inv_half @ pt.u
     theta = (c * np.maximum(0.5 - pt.m, 0.0)) @ c.T
     sigma = (pt.b * pt.z) @ pt.b.T
-    return sym(sigma), sym(theta), pt.l, pt.rate, evaluations
+    return sym(sigma), sym(theta), pt.l, pt.rate, evaluations, branch
 
 
 # ---------------------------------------------------------------------------
@@ -435,34 +453,17 @@ def solve(
         raise ValueError(f"gap_tol must be finite and positive, got {gap_tol!r}")
     if not src.positive_definite:
         raise NotPositiveDefiniteError("solve requires q > 0")
-    n = src.n
 
     if d.d1 <= 0.0 or d.d2 <= 0.0:
-        sigma = ErrorCovariance(p1=src.p1, p2=src.p2, sigma=readonly(np.zeros((n, n))))
-        return SolveReport(
-            rate_nats=math.inf,
-            sigma=sigma,
-            certificate=None,
-            branch=SolveBranch.INFEASIBLE,
-            in_region_d=False,
-            gray_bound_nats=math.inf,
-            iterations=0,
-            wall_time=time.perf_counter() - start,
-        )
+        sigma = ErrorCovariance(p1=src.p1, p2=src.p2, sigma=readonly(np.zeros((src.n, src.n))))
+        return SolveReport(math.inf, sigma, None, SolveBranch.INFEASIBLE, math.inf, 0,
+                           time.perf_counter() - start)
 
     gray = gray_lower_bound(src, d)
-    region = in_region_d(src, d)
-    covered = (d.d1 >= src.block_traces[0], d.d2 >= src.block_traces[1])
-    s, theta, lam, rate, iterations = _solve_dual(src, d, covered, gap_tol)
+    s, theta, lam, rate, iterations, branch = _solve_dual(src, d, gap_tol)
     sigma = ErrorCovariance(p1=src.p1, p2=src.p2, sigma=readonly(s))
     sigma.validate(src, d)
     blank = KktCertificate(*lam, readonly(theta), 0.0, (0.0,) * 4, True)
     cert = kkt_residuals(src, d, sigma, blank)
-    if all(covered):
-        branch = SolveBranch.ZERO_RATE
-    elif region:
-        branch = SolveBranch.CLOSED_FORM_INTERIOR_D
-    else:
-        branch = SolveBranch.INTERIOR_POINT
     wall = time.perf_counter() - start
-    return SolveReport(rate, sigma, cert, branch, region, gray, iterations, wall)
+    return SolveReport(rate, sigma, cert, branch, gray, iterations, wall)

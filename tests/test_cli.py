@@ -107,6 +107,29 @@ class TestSolveCommand:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
+    def test_tiny_budgets_report_a_finite_residual(self, example_source_file, capsys):
+        # ||0.5 Sigma^{-1}||_F overflows here unless it is scaled first
+        with np.errstate(over="raise", invalid="raise"):
+            code, out, _ = run_cli(
+                capsys, "solve", example_source_file, "--d1", "1e-300", "--d2", "1e-300"
+            )
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["branch"] == "ClosedFormInteriorD"
+        assert obj["kkt"]["stationarity_residual"] <= 1e-12
+
+    def test_failed_allocation_exits_1(self, example_source_file, capsys):
+        # 1e15 samples of 4 doubles is 28 PiB, which numpy refuses outright,
+        # so nothing is allocated
+        code, out, err = run_cli(
+            capsys, "verify", example_source_file, "--d1", "0.4", "--d2", "0.5",
+            "--samples", "1000000000000000", "--seed", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("internal failure:")
+
     @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
     @pytest.mark.parametrize("command, extra", [
         ("solve", ("--d1", "1.65", "--d2", "1.85")),

@@ -194,6 +194,15 @@ class TestMarginalRdf:
         with pytest.raises(ValueError):
             marginal_rdf(np.array([[1.0, 0.2], [0.1, 1.0]]), 0.5)
 
+    @pytest.mark.parametrize("delta", [5e-324, 1e-323])
+    def test_subnormal_budget_gives_finite_rate(self, delta):
+        # two unit modes share delta: the level delta / 2 underflows to 0 at
+        # 5e-324, and 1 / level overflows at 1e-323, but the rate
+        # ln(2 / delta) is about 745 nats
+        assert marginal_rdf(np.eye(2), delta) == pytest.approx(
+            math.log(2.0) - math.log(delta), rel=1e-15
+        )
+
 
 class TestGrayLowerBound:
     def test_independent_blocks_sum_of_marginals(self):
@@ -225,6 +234,9 @@ class TestGrayLowerBound:
             )
             report = solve(src, d)
             assert report.rate_nats >= gray_lower_bound(src, d) - 1e-6
+
+    def test_subnormal_budget_is_finite(self, example_source):
+        assert math.isfinite(gray_lower_bound(example_source, DistortionPair(5e-324, 1.0)))
 
     def test_zero_budget_rejected(self, example_source):
         with pytest.raises(ValueError):

@@ -59,6 +59,45 @@ class TestInRegionD:
         assert not in_region_d(example_source, DistortionPair(0.0, 0.0))
         assert not in_region_d(example_source, DistortionPair(0.0, 1.0))
 
+    @pytest.mark.parametrize("c", [1e-8, 1.0, 1e12])
+    def test_boundary_is_outside_at_every_scale(self, c):
+        # Q = s D + V V^T with V of n - 1 columns, so Q - D is singular at
+        # s = 1 and strictly positive at s = 1 + 1e-6, under random block
+        # rotations, which keep D
+        rng = np.random.default_rng(4242)
+        for _ in range(20):
+            p1, p2 = (int(p) for p in rng.integers(1, 5, size=2))
+            n = p1 + p2
+            d = DistortionPair(c * float(rng.uniform(0.2, 2.0)), c * float(rng.uniform(0.2, 2.0)))
+            diag = np.diag(np.repeat([d.d1 / p1, d.d2 / p2], [p1, p2]))
+            v = np.sqrt(c) * rng.standard_normal((n, n - 1))
+            o = np.zeros((n, n))
+            o[:p1, :p1] = np.linalg.qr(rng.standard_normal((p1, p1)))[0]
+            o[p1:, p1:] = np.linalg.qr(rng.standard_normal((p2, p2)))[0]
+            for s, branch in ((1.0, SolveBranch.INTERIOR_POINT),
+                              (1.0 + 1e-6, SolveBranch.CLOSED_FORM_INTERIOR_D)):
+                q = o @ (s * diag + v @ v.T) @ o.T
+                src = validate_source(0.5 * (q + q.T), p1, p2)
+                report = solve(src, d)
+                assert report.branch is branch
+                assert report.in_region_d == in_region_d(src, d) == (s > 1.0)
+
+    def test_solve_label_agrees_with_region_test(self):
+        rng = np.random.default_rng(13)
+        closed = 0
+        for _ in range(500):
+            p1, p2 = (int(p) for p in rng.integers(1, 6, size=2))
+            src = validate_source(random_pd_pair(rng, p1, p2), p1, p2)
+            t1, t2 = src.block_traces
+            d = DistortionPair(float(rng.uniform(0.05, 1.1)) * t1,
+                               float(rng.uniform(0.05, 1.1)) * t2)
+            report = solve(src, d)
+            assert report.in_region_d == in_region_d(src, d)
+            if report.branch is SolveBranch.CLOSED_FORM_INTERIOR_D:
+                closed += 1
+                assert report.iterations == 1
+        assert closed >= 10
+
 
 class TestRateOf:
     def test_full_distortion_zero_rate(self, example_source):
@@ -568,6 +607,9 @@ class TestFactorCounts:
         second = solve(src, DistortionPair(2.5, 1.2))
         assert second.branch is SolveBranch.INTERIOR_POINT
         assert len(calls["eigh"]) == second.iterations
+        # sigma >= 0 and Q - sigma >= 0 in the feasibility check and Theta's
+        # PSD test in the certificate; the label costs none
+        assert len(calls["eigvalsh"]) == 3
         assert not calls["solve"]
         assert not any(self._factored(calls, b) for b in (src.q, src.q11, src.q22))
 
