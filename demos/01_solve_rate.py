@@ -19,7 +19,7 @@ Q = np.array(
     ]
 )
 src = validate_source(Q, p1=2, p2=2)
-print(f"source: p1={src.p1}, p2={src.p2}, positive definite: {src.positive_definite}")
+print(f"source: p1={src.p1}, p2={src.p2}, ||Q||_2 = {src.q_norm:.3f}")
 print(f"block traces: {np.trace(src.q11):.3f}, {np.trace(src.q22):.3f}")
 
 for budgets in [(0.4, 0.5), (1.65, 1.85)]:

@@ -18,7 +18,6 @@ from .canonical import (
 from .model import (
     DistortionPair,
     GaussianPairSource,
-    NotPositiveDefiniteError,
     SourceValidationError,
     gray_lower_bound,
     load_source,
@@ -72,7 +71,6 @@ __all__ = [
     "FeasibilityError",
     "GaussianPairSource",
     "KktCertificate",
-    "NotPositiveDefiniteError",
     "SampleBatch",
     "SolveBranch",
     "SolveReport",

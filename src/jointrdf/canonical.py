@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import readonly, sym
-from .model import GaussianPairSource, NotPositiveDefiniteError, validate_source
+from .model import GaussianPairSource, validate_source
 
 # Classification of canonical correlations: values >= 1 - UNIT_CORR_TOL count
 # as exactly 1, values <= ZERO_CORR_TOL as exactly 0.  Exact-arithmetic index
@@ -99,21 +99,16 @@ def _descending_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def to_canonical_form(src: GaussianPairSource) -> CanonicalForm:
-    """Transform a positive-definite pair covariance to canonical variable form.
+    """Transform a pair covariance to canonical variable form.
 
     Steps: eigendecompose each marginal block, whiten the cross block,
     singular-value decompose it, and classify each singular value as 1,
     interior, or 0 using the classification tolerances.  Signs of the
     decomposition factors are normalized so the transforms are deterministic.
     """
-    if not src.positive_definite:
-        raise NotPositiveDefiniteError("canonical form requires q > 0")
     p1, p2 = src.p1, src.p2
     d1_vals, u1 = _descending_eigh(src.q11)
     d2_vals, u2 = _descending_eigh(src.q22)
-    if d1_vals[-1] <= 0.0 or d2_vals[-1] <= 0.0:
-        raise NotPositiveDefiniteError("marginal block is numerically singular")
-
     t1 = (u1 / np.sqrt(d1_vals)).T
     t2 = (u2 / np.sqrt(d2_vals)).T
     c = t1 @ src.q12 @ t2.T

@@ -32,7 +32,6 @@ from . import sim
 from .model import (
     DistortionPair,
     GaussianPairSource,
-    NotPositiveDefiniteError,
     SourceValidationError,
     load_source,
 )
@@ -196,6 +195,8 @@ def _check_sweep_monotone(
 
 
 def _cmd_sweep(src: GaussianPairSource, args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     try:
         d1_axis, d2_axis = _parse_grid(args.grid)
     except ValueError as exc:
@@ -249,7 +250,7 @@ def _cmd_realize(src: GaussianPairSource, args: argparse.Namespace) -> int:
     tol = args.tol_check
     try:
         r = real.realize(src, sigma)
-    except (FeasibilityError, NotPositiveDefiniteError) as exc:
+    except FeasibilityError as exc:
         print(f"structural failure: realization rejected: {exc}", file=sys.stderr)
         return 4
     c1 = real.verify_condition1(r, tol=tol)
@@ -341,11 +342,7 @@ def _cmd_verify(src: GaussianPairSource, args: argparse.Namespace) -> int:
 
 
 def _cmd_canonical(src: GaussianPairSource, args: argparse.Namespace) -> int:
-    try:
-        form = canon.to_canonical_form(src)
-    except NotPositiveDefiniteError as exc:
-        print(f"invalid source for canonical form: {exc}", file=sys.stderr)
-        return 2
+    form = canon.to_canonical_form(src)
     obj = {
         "p1": form.p1,
         "p2": form.p2,
@@ -447,7 +444,7 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 3
-    except (SourceValidationError, NotPositiveDefiniteError, ValueError) as exc:
+    except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, MemoryError) as exc:

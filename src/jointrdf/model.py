@@ -8,14 +8,17 @@ water-filling, and combines the three into the additive lower bound on the
 joint rate-distortion function.
 
 Two fixed relative tolerances govern validation: SYMMETRY_RTOL for the
-asymmetry of the input and PSD_RTOL for its eigenvalues.  The source stores
-||Q||_2, and every tolerance on the spectrum of Q, here and in the solver
-and realization, is taken relative to that one value.
+asymmetry of the input and PSD_RTOL for its eigenvalues.  A source is
+positive definite by construction: validate_source refuses any Q whose
+smallest eigenvalue is not above PSD_RTOL * ||Q||_2, so nothing downstream
+checks definiteness again.  The source stores ||Q||_2, and every tolerance
+on the spectrum of Q, here and in the solver and realization, is taken
+relative to that one value.
 
 A source also caches the factors of Q that the bound and the solver need,
 each computed from Q alone on first use and read-only: eigh(Q) (handed over
 by validate_source, which computes it anyway), Q^{1/2} and Q^{-1/2}, the
-Cholesky log-dets of Q11, Q22 and Q, the block traces and the clipped block
+Cholesky log-dets of Q11, Q22 and Q, the block traces and the block
 eigenvalues.  Every budget solved on one source shares them, so after the
 first call the Gray bound and the mutual information factor nothing.
 
@@ -41,29 +44,22 @@ class SourceValidationError(ValueError):
     """Covariance input failed a shape, symmetry, or definiteness check."""
 
 
-class NotPositiveDefiniteError(ValueError):
-    """Operation requires a strictly positive-definite covariance."""
-
-
 @dataclass(frozen=True)
 class GaussianPairSource:
     """Validated joint covariance of a two-block zero-mean Gaussian vector.
 
-    Construct through :func:`validate_source`.  The stored matrix is
-    symmetrized, clipped to the PSD cone within tolerance, and marked
-    read-only; block views q11, q12, q22 index directly into it.  q_norm is
-    ||q||_2, the scale against which every PSD tolerance on q is measured.
+    Construct through :func:`validate_source`, which guarantees q > 0.  The
+    stored matrix is symmetrized and marked read-only; block views q11, q12,
+    q22 index directly into it.  q_norm is ||q||_2, the scale against which
+    every PSD tolerance on q is measured.
 
     The cached properties below are functions of q alone, computed once on
     first use and read-only, so a solve stays a pure function of (q, d).
-    q_inv_half and log_dets require q > 0; the callers check
-    positive_definite first.
     """
 
     p1: int
     p2: int
     q: np.ndarray
-    positive_definite: bool
     q_norm: float
 
     def __setstate__(self, state: dict) -> None:
@@ -121,9 +117,9 @@ class GaussianPairSource:
 
     @cached_property
     def block_eigenvalues(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues of Q11 and Q22, negative round-off clipped to 0."""
-        return tuple(readonly(np.maximum(np.linalg.eigvalsh(b), 0.0))
-                     for b in (self.q11, self.q22))
+        """Ascending eigenvalues of Q11 and Q22, all positive: they interlace
+        those of q, which exceed PSD_RTOL * ||q||_2."""
+        return tuple(readonly(np.linalg.eigvalsh(b)) for b in (self.q11, self.q22))
 
 
 @dataclass(frozen=True)
@@ -148,9 +144,9 @@ def validate_source(raw_matrix: np.ndarray, p1: int, p2: int) -> GaussianPairSou
 
     Checks, in order: dimensions match (p1 + p2) square; entries finite;
     relative asymmetry within SYMMETRY_RTOL (then symmetrized); minimum
-    eigenvalue >= -PSD_RTOL * ||q||_2 (negative round-off clipped to zero).
-    Whether the matrix is safely positive definite, and ||q||_2, are
-    recorded on the result.
+    eigenvalue above PSD_RTOL * ||q||_2.  Raises SourceValidationError on
+    the first that fails, so every source is positive definite.  ||q||_2
+    and eigh(q) are stored on the result.
     """
     if p1 < 1 or p2 < 1:
         raise SourceValidationError(f"block dimensions must be positive, got p1={p1}, p2={p2}")
@@ -171,25 +167,15 @@ def validate_source(raw_matrix: np.ndarray, p1: int, p2: int) -> GaussianPairSou
         )
     q = sym(a)
     w, u = np.linalg.eigh(q)
-    eig_scale = float(np.abs(w).max())
-    if w[0] < -PSD_RTOL * eig_scale:
+    cutoff = PSD_RTOL * float(w[-1])
+    if not w[0] > cutoff:
         raise SourceValidationError(
-            f"covariance is not positive semidefinite: min eigenvalue {w[0]:.3e} "
-            f"below tolerance {-PSD_RTOL * eig_scale:.3e}"
+            f"covariance is not positive definite: min eigenvalue {w[0]:.3e} "
+            f"is not above {PSD_RTOL:.0e} * ||Q||_2 = {cutoff:.3e}"
         )
-    clipped = w[0] < 0.0
-    if clipped:
-        q = sym((u * np.maximum(w, 0.0)) @ u.T)
-    src = GaussianPairSource(
-        p1=p1,
-        p2=p2,
-        q=readonly(q),
-        positive_definite=bool(w[0] > PSD_RTOL * eig_scale),
-        q_norm=eig_scale,
-    )
-    if not clipped:
-        # the eigh of the stored q, so the cache need not repeat it
-        vars(src)["q_eigh"] = (readonly(w), readonly(u))
+    src = GaussianPairSource(p1=p1, p2=p2, q=readonly(q), q_norm=float(w[-1]))
+    # the eigh of the stored q, so the cache need not repeat it
+    vars(src)["q_eigh"] = (readonly(w), readonly(u))
     return src
 
 
@@ -197,10 +183,8 @@ def mutual_information(src: GaussianPairSource) -> float:
     """Mutual information between the two blocks, in nats.
 
     Equals 0.5 * ln(det(Q11) det(Q22) / det(Q)); zero exactly when the
-    cross-covariance block vanishes.  Requires a positive-definite source.
+    cross-covariance block vanishes.
     """
-    if not src.positive_definite:
-        raise NotPositiveDefiniteError("mutual information requires q > 0")
     ld11, ld22, ld = src.log_dets
     return max(0.5 * (ld11 + ld22 - ld), 0.0)
 
@@ -258,8 +242,6 @@ def gray_lower_bound(src: GaussianPairSource, d: DistortionPair) -> float:
     """Additive lower bound on the joint rate: sum of marginal rates minus
     the mutual information between the blocks.  May be negative.
     """
-    if not src.positive_definite:
-        raise NotPositiveDefiniteError("lower bound requires q > 0")
     if d.d1 <= 0.0 or d.d2 <= 0.0:
         raise ValueError("lower bound requires strictly positive distortion budgets")
     mu1, mu2 = src.block_eigenvalues

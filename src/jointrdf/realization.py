@@ -20,6 +20,7 @@ pass or fail; it never moves the rank.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -27,8 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._linalg import readonly, sym
-from .model import PSD_RTOL, GaussianPairSource, NotPositiveDefiniteError
-from .solver import check_psd_bounds
+from .model import PSD_RTOL, GaussianPairSource
+from .solver import _as_matrix, check_psd_bounds
 
 CHECK_TOL = 1e-8
 
@@ -92,13 +93,11 @@ class Condition1Report:
 def realize(src: GaussianPairSource, sigma) -> TestChannelRealization:
     """Build the channel realizing an error covariance against its source.
 
-    Requires q > 0 and 0 <= Sigma <= Q, each within PSD_RTOL (for such Sigma
-    the noise covariance Sigma - Sigma Q^{-1} Sigma is PSD as well); raises
-    FeasibilityError otherwise.
+    Requires 0 <= Sigma <= Q within PSD_RTOL (for such Sigma the noise
+    covariance Sigma - Sigma Q^{-1} Sigma is PSD as well); raises
+    FeasibilityError otherwise.  Sigma is an ErrorCovariance or an array.
     """
-    if not src.positive_definite:
-        raise NotPositiveDefiniteError("realization requires q > 0")
-    s = sym(np.asarray(getattr(sigma, "sigma", sigma), dtype=float))
+    s = sym(_as_matrix(sigma))
     check_psd_bounds(src, s)
     q_inv_s = np.linalg.solve(src.q, s)  # Q^{-1} Sigma
     h = np.eye(src.n) - q_inv_s.T
@@ -112,8 +111,10 @@ def verify_condition1(r: TestChannelRealization, *, tol: float = CHECK_TOL) -> C
     deviation is ||Q H^T - (H Q H^T + Qv)||_F / ||Q||_2; it vanishes iff
     cov(X, Xhat) cov(Xhat)^+ is the range projector of cov(Xhat), the
     conditional-mean condition.  Rank deficiency is reported, not failed.
-    tol is the pass threshold only.
+    tol is the pass threshold only; ValueError unless finite and positive.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     residual = r.cross_covariance() - r.xhat_covariance()
     deviation = float(np.linalg.norm(residual, "fro")) / r.source.q_norm
     return Condition1Report(

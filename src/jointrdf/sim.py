@@ -94,14 +94,14 @@ def _row_chunks(rows: int) -> Iterator[slice]:
 def sample_source(src: GaussianPairSource, n: int, seed: int) -> SampleBatch:
     """Draw n i.i.d. zero-mean Gaussian rows with covariance q.
 
-    The covariance factor comes from the source's cached eigendecomposition
-    with negative round-off clipped to zero, so semidefinite (degenerate)
-    sources sample correctly.  Deterministic for a fixed seed.
+    The covariance factor U diag(sqrt(w)) comes from the source's cached
+    eigendecomposition, whose eigenvalues are all positive.  Deterministic
+    for a fixed seed.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     w, u = src.q_eigh
-    factor_t = (u * np.sqrt(np.maximum(w, 0.0))).T
+    factor_t = (u * np.sqrt(w)).T
     x = np.empty((n, src.n))
     rng = _rng(seed)
     for rows in _row_chunks(n):

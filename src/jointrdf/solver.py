@@ -1,7 +1,8 @@
 """Joint rate-distortion solver for a Gaussian source pair.
 
 The rate is the infimum of 0.5 * ln(det Q / det Sigma) over error covariances
-Sigma with 0 <= Sigma <= Q and per-block trace budgets.  Every feasible
+Sigma with 0 <= Sigma <= Q and per-block trace budgets; Q > 0 holds for every
+source (see :func:`jointrdf.model.validate_source`).  Every feasible
 instance is solved by the two-multiplier dual (block reverse water-filling).
 Only the trace budgets are dualized, with multipliers (l1, l2) >= 0.  With
 M = Q^{1/2} Block-diag(l1 I, l2 I) Q^{1/2} = U diag(m) U^T the Lagrangian is
@@ -57,7 +58,6 @@ from .model import (
     PSD_RTOL,
     DistortionPair,
     GaussianPairSource,
-    NotPositiveDefiniteError,
     gray_lower_bound,
 )
 
@@ -205,8 +205,6 @@ def in_region_d(src: GaussianPairSource, d: DistortionPair) -> bool:
 
 def rate_of(src: GaussianPairSource, sigma) -> float:
     """0.5 * (ln det Q - ln det Sigma) in nats; +inf for singular sigma."""
-    if not src.positive_definite:
-        raise NotPositiveDefiniteError("rate requires q > 0")
     try:
         ld_sigma = chol_logdet(_as_matrix(sigma))
     except np.linalg.LinAlgError:
@@ -451,8 +449,6 @@ def solve(
     start = time.perf_counter()
     if not 0.0 < gap_tol < math.inf:
         raise ValueError(f"gap_tol must be finite and positive, got {gap_tol!r}")
-    if not src.positive_definite:
-        raise NotPositiveDefiniteError("solve requires q > 0")
 
     if d.d1 <= 0.0 or d.d2 <= 0.0:
         sigma = ErrorCovariance(p1=src.p1, p2=src.p2, sigma=readonly(np.zeros((src.n, src.n))))

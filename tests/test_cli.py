@@ -152,6 +152,21 @@ class TestSolveCommand:
         assert code == 2
         assert "invalid source" in err
 
+    @pytest.mark.parametrize("command, extra", [
+        ("solve", ("--d1", "0.5", "--d2", "0.5")),
+        ("sweep", ("--grid", "0.5:1:2,0.5:1:2")),
+        ("realize", ("--d1", "0.5", "--d2", "0.5")),
+        ("verify", ("--d1", "0.5", "--d2", "0.5", "--samples", "1000", "--seed", "1")),
+        ("canonical", ()),
+    ])
+    def test_singular_source_exits_2(self, tmp_path, capsys, command, extra):
+        doc = tmp_path / "singular.json"
+        doc.write_text(json.dumps({"p1": 2, "p2": 1, "Q": np.diag([1.0, 0.0, 1.0]).tolist()}))
+        code, out, err = run_cli(capsys, command, str(doc), *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid source: covariance is not positive definite")
+
     def test_asymmetric_matrix_exits_2(self, tmp_path, capsys):
         q = EXAMPLE_Q.copy()
         q[0, 1] += 1e-3
@@ -223,6 +238,15 @@ class TestSweepCommand:
         )
         assert serial == parallel
 
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_jobs_below_one_exits_2(self, example_source_file, capsys, jobs):
+        code, out, err = run_cli(
+            capsys, "sweep", example_source_file, "--grid", "1:2:2,1:2:2", "--jobs", jobs
+        )
+        assert code == 2
+        assert out == ""
+        assert "invalid input" in err and "--jobs" in err
+
     def test_bad_grid_exits_2(self, example_source_file, capsys):
         code, _, err = run_cli(
             capsys, "sweep", example_source_file, "--grid", "0:3:5,1:2:2"
@@ -276,6 +300,16 @@ class TestRealizeCommand:
             capsys, "realize", str(doc), "--d1", repr(1.65 * c), "--d2", repr(1.85 * c), *flags
         )
         assert code == expected
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_bad_tol_check_exits_2(self, example_source_file, capsys, tol):
+        code, out, err = run_cli(
+            capsys, "realize", example_source_file, "--d1", "1.65", "--d2", "1.85",
+            "--tol-check", tol,
+        )
+        assert code == 2
+        assert out == ""
+        assert "invalid input" in err and "tol" in err
 
     def test_tampered_sigma_exits_4(self, example_source_file, capsys):
         code, out, err = run_cli(

@@ -17,6 +17,7 @@ from jointrdf import (
     to_canonical_form,
     validate_source,
 )
+from jointrdf.model import PSD_RTOL
 from conftest import EXAMPLE_Q
 from helpers import (
     conditioned_pd,
@@ -29,12 +30,11 @@ from helpers import (
 class TestValidateSource:
     def test_example_matrix_accepted_positive_definite(self):
         src = validate_source(EXAMPLE_Q, 2, 2)
-        assert src.positive_definite
+        assert src.q_eigh[0][0] > PSD_RTOL * src.q_norm
         assert src.p1 == src.p2 == 2
 
     def test_identity_accepted_zero_cross_block(self):
         src = validate_source(np.eye(4), 2, 2)
-        assert src.positive_definite
         assert np.all(src.q12 == 0.0)
 
     def test_asymmetry_rejected(self):
@@ -49,17 +49,25 @@ class TestValidateSource:
 
     def test_negative_eigenvalue_rejected(self):
         q = np.diag([1.0, 1.0, -0.5, 1.0])
-        with pytest.raises(SourceValidationError, match="not positive semidefinite"):
+        with pytest.raises(SourceValidationError, match="not positive definite"):
             validate_source(q, 2, 2)
 
-    def test_semidefinite_accepted_but_not_flagged_pd(self):
-        src = validate_source(np.diag([1.0, 0.0, 1.0]), 2, 1)
-        assert not src.positive_definite
+    @pytest.mark.parametrize("lam", [0.0, -1e-12])
+    def test_semidefinite_rejected(self, lam):
+        with pytest.raises(SourceValidationError, match="not positive definite"):
+            validate_source(np.diag([1.0, 1.0, 1.0, lam]), 2, 2)
 
-    def test_tiny_negative_roundoff_clipped(self):
-        q = np.diag([1.0, 1.0, 1.0, -1e-12])
-        src = validate_source(q, 2, 2)
-        assert np.linalg.eigvalsh(src.q)[0] >= 0.0
+    @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+    def test_positive_definite_cutoff(self, c):
+        # diagonal, so eigh returns the entries exactly; ||Q||_2 = 4c
+        cutoff = PSD_RTOL * (4.0 * c)
+        with pytest.raises(SourceValidationError, match="not positive definite"):
+            validate_source(np.diag([cutoff, c, 2.0 * c, 4.0 * c]), 2, 2)
+        above = np.nextafter(cutoff, math.inf)
+        src = validate_source(np.diag([above, c, 2.0 * c, 4.0 * c]), 2, 2)
+        assert src.q_norm == 4.0 * c
+        assert "q_eigh" in vars(src)
+        assert src.q_eigh[0][0] == above
 
     def test_block_reassembly_exact(self):
         src = validate_source(EXAMPLE_Q, 2, 2)
@@ -117,9 +125,9 @@ class TestMutualInformation:
             assert mutual_information(validate_source(q0, p1, p2)) <= 1e-12
 
     def test_singular_source_rejected(self):
-        src = validate_source(np.diag([1.0, 0.0, 1.0]), 2, 1)
-        with pytest.raises(ValueError):
-            mutual_information(src)
+        # ln det Q is finite on every source: a singular Q is never one
+        with pytest.raises(SourceValidationError, match="not positive definite"):
+            mutual_information(validate_source(np.diag([1.0, 0.0, 1.0]), 2, 1))
 
 
 class TestMarginalRdf:

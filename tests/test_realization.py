@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from jointrdf import (
     DistortionPair,
     ErrorCovariance,
     FeasibilityError,
+    SourceValidationError,
     closed_form_candidate,
     conditional_mean_map,
     implied_error_covariance,
@@ -67,9 +70,9 @@ class TestRealize:
             realize(example_source, -0.1 * np.eye(4))
 
     def test_non_pd_source_rejected(self):
-        src = validate_source(np.diag([1.0, 0.0, 1.0]), 2, 1)
-        with pytest.raises(ValueError):
-            realize(src, np.zeros((3, 3)))
+        # the source is refused before any channel is built
+        with pytest.raises(SourceValidationError, match="not positive definite"):
+            realize(validate_source(np.diag([1.0, 0.0, 1.0]), 2, 1), np.zeros((3, 3)))
 
 
 class TestVerifyCondition1:
@@ -86,6 +89,12 @@ class TestVerifyCondition1:
         assert check.passed
         assert not check.full_rank  # Q - sigma touches the PSD boundary
         assert check.rank == 3
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+    def test_bad_tol_rejected(self, example_source, tol):
+        r = realize(example_source, np.zeros((4, 4)))
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            verify_condition1(r, tol=tol)
 
     def test_perturbed_gain_detected(self, example_source, case1):
         report = solve(example_source, case1)

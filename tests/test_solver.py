@@ -11,6 +11,7 @@ from jointrdf import (
     FeasibilityError,
     KktCertificate,
     SolveBranch,
+    SourceValidationError,
     closed_form_candidate,
     gray_lower_bound,
     in_region_d,
@@ -214,9 +215,9 @@ class TestSolveEdges:
             solve(example_source, case2, gap_tol=gap_tol)
 
     def test_non_pd_source_rejected(self):
-        src = validate_source(np.diag([1.0, 0.0, 1.0]), 2, 1)
-        with pytest.raises(ValueError):
-            solve(src, DistortionPair(0.5, 0.5))
+        # the source is refused before any solve
+        with pytest.raises(SourceValidationError, match="not positive definite"):
+            solve(validate_source(np.diag([1.0, 0.0, 1.0]), 2, 1), DistortionPair(0.5, 0.5))
 
     def test_report_invariant_rate_vs_gray(self, example_source):
         rng = np.random.default_rng(61)
