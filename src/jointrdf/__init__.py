@@ -21,10 +21,8 @@ from .model import (
     SourceValidationError,
     gray_lower_bound,
     load_source,
-    marginal_rdf,
     mutual_information,
     parse_source,
-    source_to_dict,
     validate_source,
 )
 from .realization import (
@@ -89,7 +87,6 @@ __all__ = [
     "in_region_d",
     "kkt_residuals",
     "load_source",
-    "marginal_rdf",
     "mutual_information",
     "parse_source",
     "push_channel",
@@ -97,7 +94,6 @@ __all__ = [
     "realize",
     "sample_source",
     "solve",
-    "source_to_dict",
     "to_canonical_form",
     "validate_source",
     "verify_condition1",

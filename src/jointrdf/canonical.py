@@ -1,12 +1,14 @@
 """Canonical variable form of a two-block covariance.
 
 Two whitening transforms S1, S2 take the blocks to identity marginal
-covariance while the cross block becomes Block-diag(I, D4, 0): a leading
-identity for perfectly correlated coordinate pairs, a diagonal D4 of
+covariance while the cross block becomes Block-diag(D4, 0): a diagonal D4 of
 canonical correlations strictly inside (0, 1), and zeros for uncorrelated
-coordinates.  The resulting determinant identities turn the joint
-rate objective into a product over scalar canonical quantities, which this
-module evaluates for verification against the direct determinant form.
+coordinates.  No correlation reaches 1: whitening Q by Block-diag(Q11, Q22)
+gives eigenvalues 1 +- rho_k, and the smallest is at least
+lambda_min(Q) / ||Q||_2 > PSD_RTOL on every source validate_source accepts.
+The resulting determinant identities turn the joint rate objective into a
+product over scalar canonical quantities, which this module evaluates for
+verification against the direct determinant form.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ import numpy as np
 from ._linalg import readonly, sym
 from .model import GaussianPairSource, validate_source
 
-# Classification of canonical correlations: values >= 1 - UNIT_CORR_TOL count
-# as exactly 1, values <= ZERO_CORR_TOL as exactly 0.  Exact-arithmetic index
-# partitions need such a tolerance in floating point.
-UNIT_CORR_TOL = 1e-9
+# Canonical correlations <= ZERO_CORR_TOL count as exactly 0: a block-diagonal
+# Q has them, and an exact-arithmetic index partition needs such a tolerance
+# in floating point.
 ZERO_CORR_TOL = 1e-9
 
 _SIGN_REL_TOL = 1e-12
@@ -30,21 +31,20 @@ _SIGN_REL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class CanonicalPartition:
-    """Index counts (p11, p12, p13, p21, p22, p23) of the canonical split.
+    """Index counts (p12, p13, p22, p23) of the canonical split.
 
-    p11 = p21 counts correlations classified as 1, p12 = p22 counts those in
-    (0, 1), and p13 / p23 the uncorrelated remainder of each block.
+    p12 = p22 counts the canonical correlations in (0, 1), and p13 / p23 the
+    uncorrelated remainder of each block.  The paper's unit class (p11 = p21,
+    correlations equal to 1) is empty for every positive-definite source.
     """
 
-    p11: int
     p12: int
     p13: int
-    p21: int
     p22: int
     p23: int
 
-    def as_tuple(self) -> tuple[int, int, int, int, int, int]:
-        return (self.p11, self.p12, self.p13, self.p21, self.p22, self.p23)
+    def as_tuple(self) -> tuple[int, int, int, int]:
+        return (self.p12, self.p13, self.p22, self.p23)
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,9 @@ def to_canonical_form(src: GaussianPairSource) -> CanonicalForm:
     """Transform a pair covariance to canonical variable form.
 
     Steps: eigendecompose each marginal block, whiten the cross block,
-    singular-value decompose it, and classify each singular value as 1,
-    interior, or 0 using the classification tolerances.  Signs of the
-    decomposition factors are normalized so the transforms are deterministic.
+    singular-value decompose it, and classify each singular value as
+    interior or 0 using ZERO_CORR_TOL.  Signs of the decomposition factors
+    are normalized so the transforms are deterministic.
     """
     p1, p2 = src.p1, src.p2
     d1_vals, u1 = _descending_eigh(src.q11)
@@ -123,24 +123,12 @@ def to_canonical_form(src: GaussianPairSource) -> CanonicalForm:
     u3[:, k:] *= _column_signs(u3[:, k:])
     u4[:, k:] *= _column_signs(u4[:, k:])
 
-    n_one = int(np.count_nonzero(svals >= 1.0 - UNIT_CORR_TOL))
-    n_mid = int(np.count_nonzero((svals > ZERO_CORR_TOL) & (svals < 1.0 - UNIT_CORR_TOL)))
-    part = CanonicalPartition(
-        p11=n_one,
-        p12=n_mid,
-        p13=p1 - n_one - n_mid,
-        p21=n_one,
-        p22=n_mid,
-        p23=p2 - n_one - n_mid,
-    )
-    d4_vals = svals[n_one : n_one + n_mid].copy()
+    n_mid = int(np.count_nonzero(svals > ZERO_CORR_TOL))
+    part = CanonicalPartition(p12=n_mid, p13=p1 - n_mid, p22=n_mid, p23=p2 - n_mid)
+    d4_vals = svals[:n_mid].copy()
 
     d3 = np.zeros((p1, p2))
-    if n_one:
-        d3[:n_one, :n_one] = np.eye(n_one)
-    if n_mid:
-        idx = np.arange(n_one, n_one + n_mid)
-        d3[idx, idx] = d4_vals
+    d3[:n_mid, :n_mid] = np.diag(d4_vals)
     q_cvf = np.block([[np.eye(p1), d3], [d3.T, np.eye(p2)]])
 
     return CanonicalForm(
@@ -166,19 +154,8 @@ def canonical_form_of_covariance(q: np.ndarray, p1: int, p2: int) -> CanonicalFo
 
 
 def log_det_cvf(form: CanonicalForm) -> float:
-    """ln det of the canonical covariance: sum of ln(1 - d4_i^2).
-
-    Equal to 1 (log 0) when there are no interior correlations; requires the
-    unit-correlation class to be empty, since a correlation of 1 makes the
-    canonical covariance singular.
-    """
-    if form.partition.p11 > 0:
-        raise ValueError(
-            "canonical covariance is singular: "
-            f"{form.partition.p11} canonical correlation(s) classified as 1"
-        )
-    if form.d4_vals.size == 0:
-        return 0.0
+    """ln det of the canonical covariance: sum of ln(1 - d4_i^2), which is
+    0.0 when there are no interior correlations."""
     return float(np.sum(np.log1p(-form.d4_vals**2)))
 
 
@@ -197,23 +174,10 @@ def cvf_objective(src_cvf: CanonicalForm, err_cvf: CanonicalForm) -> float:
 
     0.5 * ln of det(D1) det(D2) det(Q_cvf) over the same product for the
     error form.  Coincides with 0.5 * ln(det Q / det Sigma) through the
-    canonical determinant identity.  Refuses when either form carries a
-    canonical correlation classified as 1: the source case falls outside the
-    supported index partition, the error case means a degenerate (singular)
-    error covariance.
+    canonical determinant identity.
     """
     if (src_cvf.p1, src_cvf.p2) != (err_cvf.p1, err_cvf.p2):
         raise ValueError("source and error canonical forms have mismatched block sizes")
-    if src_cvf.partition.p11 > 0:
-        raise ValueError(
-            "unsupported source: canonical correlations equal to 1 "
-            "(perfectly correlated coordinates); objective restricted to p11 = p21 = 0"
-        )
-    if err_cvf.partition.p11 > 0:
-        raise ValueError(
-            "degenerate error covariance: canonical correlation equal to 1 "
-            "makes the error form singular"
-        )
     return 0.5 * (_log_det_product(src_cvf) - _log_det_product(err_cvf))
 
 
@@ -222,7 +186,5 @@ def det_identity_residual(src: GaussianPairSource, form: CanonicalForm) -> float
 
     The log-dets of Q11, Q22 and Q are the source's cached Cholesky ones.
     """
-    if form.partition.p11 > 0:
-        return math.inf
     ld11, ld22, ld = src.log_dets
     return abs(math.expm1(ld11 + ld22 + log_det_cvf(form) - ld))

@@ -189,34 +189,16 @@ def mutual_information(src: GaussianPairSource) -> float:
     return max(0.5 * (ld11 + ld22 - ld), 0.0)
 
 
-def marginal_rdf(cov: np.ndarray, delta: float) -> float:
+def _water_fill(mu: np.ndarray, delta: float) -> float:
     """Rate-distortion function of one Gaussian block by reverse water-filling.
 
-    Eigenvalues mu_j of cov share a water level theta with
-    sum_j min(theta, mu_j) = delta; the rate is sum_j 0.5*ln(max(mu_j/theta, 1)).
-    Returns 0 when delta >= trace(cov) and +inf when delta == 0 with a
-    nonzero covariance.  The water level comes in closed form from the
-    sorted eigenvalues: theta = (delta - sum_{j<k} mu_j) / (m - k) at the
-    first k with theta <= mu_k (mu ascending, m modes).
+    The ascending eigenvalues mu_j >= 0 of the block share a water level
+    theta with sum_j min(theta, mu_j) = delta >= 0; the rate is
+    sum_j 0.5*ln(max(mu_j/theta, 1)).  Returns 0 when delta >= sum(mu) and
+    +inf when delta == 0 with a nonzero spectrum.  The water level comes in
+    closed form: theta = (delta - sum_{j<k} mu_j) / (m - k) at the first k
+    with theta <= mu_k (m modes).
     """
-    if not math.isfinite(delta) or delta < 0.0:
-        raise ValueError(f"delta must be finite and nonnegative, got {delta!r}")
-    a = np.asarray(cov, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"cov must be square, got shape {a.shape}")
-    scale = float(np.abs(a).max()) if a.size else 0.0
-    if float(np.abs(a - a.T).max()) > SYMMETRY_RTOL * scale:
-        raise ValueError("cov must be symmetric")
-    w = np.linalg.eigvalsh(sym(a))
-    eig_scale = float(np.abs(w).max()) if w.size else 0.0
-    if w[0] < -PSD_RTOL * eig_scale:
-        raise ValueError(f"cov is not positive semidefinite: min eigenvalue {w[0]:.3e}")
-    return _water_fill(np.maximum(w, 0.0), delta)
-
-
-def _water_fill(mu: np.ndarray, delta: float) -> float:
-    """Reverse water-filling rate of the ascending eigenvalues mu >= 0 at
-    total distortion delta >= 0, as :func:`marginal_rdf` describes."""
     mu = mu.tolist()
     if delta >= sum(mu):
         return 0.0
@@ -267,8 +249,3 @@ def load_source(path: str) -> GaussianPairSource:
         except json.JSONDecodeError as exc:
             raise SourceValidationError(f"invalid JSON in {path}: {exc}") from exc
     return parse_source(obj)
-
-
-def source_to_dict(src: GaussianPairSource) -> dict:
-    """Inverse of parse_source; round-trips matrix payloads bit-exactly."""
-    return {"p1": src.p1, "p2": src.p2, "Q": src.q.tolist()}

@@ -35,11 +35,10 @@ CHECK_TOL = 1e-8
 
 
 class XhatCovariance(NamedTuple):
-    """Rank, pseudoinverse and range projector of cov(Xhat)."""
+    """Rank and pseudoinverse of cov(Xhat)."""
 
     rank: int
     pinv: np.ndarray
-    projector: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,6 @@ class TestChannelRealization:
         return XhatCovariance(
             rank=int(np.count_nonzero(keep)),
             pinv=readonly(sym((ur / w[keep]) @ ur.T)),
-            projector=readonly(sym(ur @ ur.T)),
         )
 
     def xhat_covariance(self) -> np.ndarray:

@@ -40,7 +40,7 @@ class SampleBatch:
 
     sample_source fills x only; push_channel returns a completed batch.
     Rows are samples, columns the stacked (p1 + p2) coordinates.  The
-    residuals are not stored: e derives them on each access.
+    residuals x - xhat are not stored.
     """
 
     p1: int
@@ -48,12 +48,6 @@ class SampleBatch:
     n: int
     x: np.ndarray
     xhat: np.ndarray | None = None
-
-    @property
-    def e(self) -> np.ndarray | None:
-        """Residuals x - xhat as a new full-size array on every access, or
-        None before push_channel.  The checks never call it."""
-        return None if self.xhat is None else self.x - self.xhat
 
 
 @dataclass(frozen=True)

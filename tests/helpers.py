@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from jointrdf.solver import GAP_TOL, TRACE_SLACK_TOL
+
 
 def random_pd_pair(rng: np.random.Generator, p1: int, p2: int, ridge: float = 0.4):
     """Random strictly positive-definite (p1+p2) pair covariance."""
@@ -48,6 +50,13 @@ def random_feasible_sigma(
     w = (basis * scales) @ basis.T
     s = q_half @ w @ q_half
     return 0.5 * (s + s.T)
+
+
+def oracle_tol(report) -> float:
+    """What a solve may miss an exact rate by: the duality gap it stops at,
+    plus the trace overshoot it accepts priced at its own multipliers."""
+    cert = report.certificate
+    return GAP_TOL + (cert.lambda1 + cert.lambda2) * TRACE_SLACK_TOL
 
 
 def waterfill_oracle(eigenvalues: np.ndarray, delta: float) -> float:
@@ -187,9 +196,10 @@ def gaussian_mi_of_channel(q: np.ndarray, h: np.ndarray, qv: np.ndarray) -> floa
 def unchunked_distortion(batch) -> tuple[float, float]:
     """Empirical block distortions from whole-batch per-row block sums."""
     p1 = batch.p1
+    e = batch.x - batch.xhat
     return (
-        float(np.sum(batch.e[:, :p1] ** 2, axis=1).mean()),
-        float(np.sum(batch.e[:, p1:] ** 2, axis=1).mean()),
+        float(np.sum(e[:, :p1] ** 2, axis=1).mean()),
+        float(np.sum(e[:, p1:] ** 2, axis=1).mean()),
     )
 
 

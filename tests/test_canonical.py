@@ -31,7 +31,7 @@ class TestToCanonicalForm:
         src = validate_source(np.eye(5), 3, 2)
         form = to_canonical_form(src)
         assert form.d4_vals.size == 0
-        assert form.partition.as_tuple() == (0, 0, 3, 0, 0, 2)
+        assert form.partition.as_tuple() == (0, 3, 0, 2)
         np.testing.assert_allclose(form.s1 @ form.s1.T, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(form.s2 @ form.s2.T, np.eye(2), atol=1e-12)
 
@@ -44,7 +44,7 @@ class TestToCanonicalForm:
 
     def test_example_matrix_partition_and_invariants(self, example_source):
         form = to_canonical_form(example_source)
-        assert form.partition.as_tuple() == (0, 2, 0, 0, 2, 0)
+        assert form.partition.as_tuple() == (2, 0, 2, 0)
         assert np.all(form.d4_vals > 0.0) and np.all(form.d4_vals < 1.0)
         _check_invariants(example_source, form)
         mi = -0.5 * float(np.sum(np.log1p(-form.d4_vals**2)))
@@ -59,9 +59,9 @@ class TestToCanonicalForm:
             form = to_canonical_form(src)
             _check_invariants(src, form)
             part = form.partition
-            assert part.p11 == part.p21 and part.p12 == part.p22
-            assert part.p11 + part.p12 + part.p13 == p1
-            assert part.p21 + part.p22 + part.p23 == p2
+            assert part.p12 == part.p22 == form.d4_vals.size
+            assert part.p12 + part.p13 == p1
+            assert part.p22 + part.p23 == p2
 
     def test_descending_order(self):
         rng = np.random.default_rng(14)
@@ -134,17 +134,21 @@ class TestCvfObjective:
                 report.rate_nats, abs=1e-8
             )
 
-    def test_refuses_unit_source_correlation(self):
-        eps = 5e-10  # within the unit-classification tolerance, still PD
+    def test_near_unit_source_correlation_matches_rate(self):
+        # a correlation 5e-10 below 1 is still interior: every accepted
+        # source has 1 - rho_max > PSD_RTOL.  One ulp of rho (1.1e-16 near 1)
+        # moves ln(1 - rho^2) by about 1.1e-16 / (1 - rho) = 2.2e-7, on either
+        # side of the comparison.
+        eps = 5e-10
         q = np.array([[1.0, 1.0 - eps], [1.0 - eps, 1.0]])
         src = validate_source(q, 1, 1)
         form = to_canonical_form(src)
-        assert form.partition.p11 == 1
-        err_form = canonical_form_of_covariance(0.5 * np.eye(2), 1, 1)
-        with pytest.raises(ValueError, match="unsupported source"):
-            cvf_objective(form, err_form)
+        assert form.partition.as_tuple() == (1, 0, 1, 0)
+        sigma = 0.5 * np.eye(2)
+        err_form = canonical_form_of_covariance(sigma, 1, 1)
+        assert cvf_objective(form, err_form) == pytest.approx(rate_of(src, sigma), abs=1e-6)
 
-    def test_refuses_degenerate_error_covariance(self, example_source):
+    def test_near_degenerate_error_covariance_matches_rate(self, example_source):
         src_form = to_canonical_form(example_source)
         eps = 5e-10
         block = np.array([[1.0, 1.0 - eps], [1.0 - eps, 1.0]])
@@ -152,9 +156,10 @@ class TestCvfObjective:
         sigma[np.ix_([0, 2], [0, 2])] = block
         sigma[1, 1] = sigma[3, 3] = 1.0
         err_form = canonical_form_of_covariance(sigma, 2, 2)
-        assert err_form.partition.p11 == 1
-        with pytest.raises(ValueError, match="degenerate error covariance"):
-            cvf_objective(src_form, err_form)
+        assert err_form.partition.as_tuple() == (1, 1, 1, 1)
+        assert cvf_objective(src_form, err_form) == pytest.approx(
+            rate_of(example_source, sigma), abs=1e-6
+        )
 
     def test_zero_rate_optimum_gives_zero(self, example_source):
         d = DistortionPair(7.0, 6.0)

@@ -8,6 +8,7 @@ import pytest
 
 from jointrdf import solve, solver, DistortionPair
 from jointrdf.cli import main
+from jointrdf.model import PSD_RTOL
 from conftest import EXAMPLE_Q
 
 
@@ -362,9 +363,7 @@ class TestCanonicalCommand:
         code, out, _ = run_cli(capsys, "canonical", example_source_file)
         assert code == 0
         obj = json.loads(out)
-        assert obj["partition"] == {
-            "p11": 0, "p12": 2, "p13": 0, "p21": 0, "p22": 2, "p23": 0,
-        }
+        assert obj["partition"] == {"p12": 2, "p13": 0, "p22": 2, "p23": 0}
         assert len(obj["d4_vals"]) == 2
         assert all(0.0 < v < 1.0 for v in obj["d4_vals"])
         assert obj["det_identity_residual"] <= 1e-10
@@ -391,6 +390,51 @@ class TestCanonicalCommand:
             main(["canonical", example_source_file, *flag])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _strict_json(text):
+    """json.loads that refuses the non-standard NaN, Infinity and -Infinity."""
+
+    def refuse(name):
+        raise ValueError(f"not valid JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestPositiveDefiniteCutoff:
+    """Q = U diag(lmin, 0.5, 1, 1) U^T with p1 = p2 = 2, near the cutoff
+    lmin = PSD_RTOL * ||Q||_2 = 1e-10."""
+
+    @staticmethod
+    def _write(tmp_path, q):
+        doc = tmp_path / "cutoff.json"
+        doc.write_text(json.dumps({"p1": 2, "p2": 2, "Q": q.tolist()}))
+        return str(doc)
+
+    @pytest.mark.parametrize("command, extra", [
+        ("canonical", ()),
+        ("solve", ("--d1", "0.9", "--d2", "0.9")),
+        ("realize", ("--d1", "0.9", "--d2", "0.9")),
+    ])
+    def test_accepted_just_above(self, tmp_path, capsys, command, extra):
+        for seed in range(4):
+            v, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))
+            q = (v * np.array([2e-10, 0.5, 1.0, 1.0])) @ v.T
+            code, out, _ = run_cli(capsys, command, self._write(tmp_path, 0.5 * (q + q.T)), *extra)
+            assert code == 0
+            obj = _strict_json(out)
+            if command == "canonical":
+                assert obj["partition"] == {"p12": 2, "p13": 0, "p22": 2, "p23": 0}
+                # round-off of about cond(Q) * eps = 1.1e-6
+                assert obj["det_identity_residual"] <= 1e-5
+
+    def test_refused_at_cutoff(self, tmp_path, capsys):
+        # unrotated, so eigh returns lmin and ||Q||_2 exactly
+        q = np.diag([PSD_RTOL, 0.5, 1.0, 1.0])
+        code, out, err = run_cli(capsys, "canonical", self._write(tmp_path, q))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid source: covariance is not positive definite")
 
 
 class TestOutputFile:

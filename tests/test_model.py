@@ -8,19 +8,19 @@ import pytest
 from jointrdf import (
     DistortionPair,
     SourceValidationError,
+    SolveBranch,
     gray_lower_bound,
-    marginal_rdf,
     mutual_information,
     parse_source,
     solve,
-    source_to_dict,
     to_canonical_form,
     validate_source,
 )
-from jointrdf.model import PSD_RTOL
+from jointrdf.model import PSD_RTOL, _water_fill
 from conftest import EXAMPLE_Q
 from helpers import (
     conditioned_pd,
+    oracle_tol,
     random_pd_pair,
     waterfill_bisection_rate,
     waterfill_oracle,
@@ -76,7 +76,7 @@ class TestValidateSource:
 
     def test_json_roundtrip_bit_exact(self):
         src = validate_source(EXAMPLE_Q, 2, 2)
-        doc = json.loads(json.dumps(source_to_dict(src)))
+        doc = json.loads(json.dumps({"p1": src.p1, "p2": src.p2, "Q": src.q.tolist()}))
         again = parse_source(doc)
         assert np.array_equal(again.q, src.q)
 
@@ -131,36 +131,38 @@ class TestMutualInformation:
 
 
 class TestMarginalRdf:
+    """Reverse water-filling on the ascending spectrum of one block."""
+
     def test_budget_covering_trace_gives_zero(self):
-        assert marginal_rdf(np.eye(2), 2.0) == 0.0
-        assert marginal_rdf(np.eye(2), 5.0) == 0.0
+        assert _water_fill(np.ones(2), 2.0) == 0.0
+        assert _water_fill(np.ones(2), 5.0) == 0.0
 
     def test_two_modes_level_below_both(self):
-        # eigenvalues (4, 1), delta 1: level 0.5, rate 0.5*ln(4/0.5) + 0.5*ln(1/0.5)
-        got = marginal_rdf(np.diag([4.0, 1.0]), 1.0)
+        # eigenvalues (1, 4), delta 1: level 0.5, rate 0.5*ln(4/0.5) + 0.5*ln(1/0.5)
+        got = _water_fill(np.array([1.0, 4.0]), 1.0)
         assert got == pytest.approx(1.3862943611198906, abs=1e-10)
         assert got == pytest.approx(waterfill_oracle(np.array([4.0, 1.0]), 1.0), abs=1e-8)
 
     def test_small_mode_floods_first(self):
-        got = marginal_rdf(np.diag([4.0, 0.1]), 1.0)
+        got = _water_fill(np.array([0.1, 4.0]), 1.0)
         assert got == pytest.approx(0.7458274383888585, abs=1e-10)
         assert got == pytest.approx(waterfill_oracle(np.array([4.0, 0.1]), 1.0), abs=1e-8)
 
     def test_zero_budget_nonzero_cov_infinite(self):
-        assert marginal_rdf(np.eye(2), 0.0) == math.inf
+        assert _water_fill(np.ones(2), 0.0) == math.inf
 
     def test_zero_covariance_zero_rate(self):
-        assert marginal_rdf(np.zeros((2, 2)), 0.0) == 0.0
+        assert _water_fill(np.zeros(2), 0.0) == 0.0
 
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(33)
         for _ in range(10):
             m = int(rng.integers(1, 7))
             a = rng.standard_normal((m, m))
-            cov = a @ a.T
-            delta = float(rng.uniform(0.05, 1.0)) * float(np.trace(cov))
-            assert marginal_rdf(cov, delta) == pytest.approx(
-                waterfill_oracle(np.linalg.eigvalsh(cov), delta), abs=1e-8
+            mu = np.linalg.eigvalsh(a @ a.T)
+            delta = float(rng.uniform(0.05, 1.0)) * float(mu.sum())
+            assert _water_fill(mu, delta) == pytest.approx(
+                waterfill_oracle(mu, delta), abs=1e-8
             )
 
     def test_closed_form_level_matches_bisection(self):
@@ -182,7 +184,7 @@ class TestMarginalRdf:
         for mu in spectra:
             trace = float(mu.sum())
             for delta in (0.01 * trace, 0.5 * trace, trace * (1.0 - 1e-9), np.nextafter(trace, 0.0)):
-                got = marginal_rdf(np.diag(mu), float(delta))
+                got = _water_fill(np.sort(mu), float(delta))
                 ref = waterfill_bisection_rate(mu, float(delta))
                 assert got == pytest.approx(ref, rel=1e-10, abs=1e-12), (mu, delta)
 
@@ -191,23 +193,19 @@ class TestMarginalRdf:
         for _ in range(4):
             m = int(rng.integers(1, 7))
             a = rng.standard_normal((m, m))
-            cov = a @ a.T
-            deltas = np.linspace(0.01, 1.2 * float(np.trace(cov)), 50)
-            rates = np.array([marginal_rdf(cov, float(d)) for d in deltas])
+            mu = np.linalg.eigvalsh(a @ a.T)
+            deltas = np.linspace(0.01, 1.2 * float(mu.sum()), 50)
+            rates = np.array([_water_fill(mu, float(d)) for d in deltas])
             assert np.all(np.diff(rates) <= 1e-10)
             midpoint_gap = rates[1:-1] - 0.5 * (rates[:-2] + rates[2:])
             assert np.all(midpoint_gap <= 1e-9)
-
-    def test_asymmetric_input_rejected(self):
-        with pytest.raises(ValueError):
-            marginal_rdf(np.array([[1.0, 0.2], [0.1, 1.0]]), 0.5)
 
     @pytest.mark.parametrize("delta", [5e-324, 1e-323])
     def test_subnormal_budget_gives_finite_rate(self, delta):
         # two unit modes share delta: the level delta / 2 underflows to 0 at
         # 5e-324, and 1 / level overflows at 1e-323, but the rate
         # ln(2 / delta) is about 745 nats
-        assert marginal_rdf(np.eye(2), delta) == pytest.approx(
+        assert _water_fill(np.ones(2), delta) == pytest.approx(
             math.log(2.0) - math.log(delta), rel=1e-15
         )
 
@@ -217,7 +215,7 @@ class TestGrayLowerBound:
         q = np.diag([2.0, 1.0, 3.0, 0.5])
         src = validate_source(q, 2, 2)
         d = DistortionPair(0.7, 0.9)
-        expected = marginal_rdf(src.q11, 0.7) + marginal_rdf(src.q22, 0.9)
+        expected = _water_fill(np.array([1.0, 2.0]), 0.7) + _water_fill(np.array([0.5, 3.0]), 0.9)
         assert gray_lower_bound(src, d) == pytest.approx(expected, abs=1e-12)
 
     def test_equals_rate_inside_region(self, example_source, case1):
@@ -231,17 +229,23 @@ class TestGrayLowerBound:
         assert report.rate_nats - bound > 1e-3
 
     def test_never_exceeds_rate(self):
+        # each source at its random budgets and with one or both of them
+        # moved above its block trace: R == 0 iff both budgets cover
         rng = np.random.default_rng(5150)
+        covered = []
         for _ in range(10):
             p1 = int(rng.integers(1, 4))
             p2 = int(rng.integers(1, 4))
             src = validate_source(random_pd_pair(rng, p1, p2), p1, p2)
-            d = DistortionPair(
-                float(rng.uniform(0.1, 1.2)) * float(np.trace(src.q11)),
-                float(rng.uniform(0.1, 1.2)) * float(np.trace(src.q22)),
-            )
-            report = solve(src, d)
-            assert report.rate_nats >= gray_lower_bound(src, d) - 1e-6
+            traces = (float(np.trace(src.q11)), float(np.trace(src.q22)))
+            f1, f2 = float(rng.uniform(0.1, 1.2)), float(rng.uniform(0.1, 1.2))
+            for g1, g2 in ((f1, f2), (f1, 1.1), (1.1, f2), (1.1, 1.1)):
+                d = DistortionPair(g1 * traces[0], g2 * traces[1])
+                report = solve(src, d)
+                assert report.rate_nats >= gray_lower_bound(src, d) - oracle_tol(report)
+                covered.append(d.d1 >= traces[0] and d.d2 >= traces[1])
+                assert (report.rate_nats == 0.0) == covered[-1]
+        assert 10 <= sum(covered) < len(covered)
 
     def test_subnormal_budget_is_finite(self, example_source):
         assert math.isfinite(gray_lower_bound(example_source, DistortionPair(5e-324, 1.0)))
@@ -315,7 +319,8 @@ class TestSourceCache:
             src = validate_source(q, p1, p2)
             d = DistortionPair(float(rng.uniform(0.05, 1.2)) * float(np.trace(src.q11)),
                                float(rng.uniform(0.05, 1.2)) * float(np.trace(src.q22)))
-            r1, r2 = marginal_rdf(src.q11, d.d1), marginal_rdf(src.q22, d.d2)
+            r1 = _water_fill(np.linalg.eigvalsh(src.q11), d.d1)
+            r2 = _water_fill(np.linalg.eigvalsh(src.q22), d.d2)
             mi = max(0.5 * (chol_logdet(src.q11) + chol_logdet(src.q22) - chol_logdet(src.q)),
                      0.0)
             for _ in range(2):  # filling the cache, then reading it

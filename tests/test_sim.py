@@ -53,7 +53,7 @@ class TestSampleSource:
     def test_single_row(self, example_source):
         batch = sample_source(example_source, 1, seed=5)
         assert batch.x.shape == (1, 4)
-        assert batch.xhat is None and batch.e is None
+        assert batch.xhat is None
 
     def test_deterministic_for_fixed_seed(self, example_source):
         a = sample_source(example_source, 1000, seed=11)
@@ -73,20 +73,21 @@ class TestPushChannel:
         batch = sample_source(example_source, 1000, seed=21)
         out = push_channel(batch, r, seed=22)
         np.testing.assert_array_equal(out.xhat, batch.x)
-        assert np.all(out.e == 0.0)
 
     def test_zero_channel_distortion_equals_traces(self, example_source):
         r = realize(example_source, example_source.q.copy())
         batch = push_channel(sample_source(example_source, N_BIG, seed=31), r, seed=32)
-        sq1 = np.sum(batch.e[:, :2] ** 2, axis=1).mean()
-        sq2 = np.sum(batch.e[:, 2:] ** 2, axis=1).mean()
+        e = batch.x - batch.xhat
+        sq1 = np.sum(e[:, :2] ** 2, axis=1).mean()
+        sq2 = np.sum(e[:, 2:] ** 2, axis=1).mean()
         assert sq1 == pytest.approx(np.trace(example_source.q11), rel=0.02)
         assert sq2 == pytest.approx(np.trace(example_source.q22), rel=0.02)
 
     def test_case1_empirical_distortions(self, case1_run, case1):
         _, _, batch = case1_run
-        sq1 = np.sum(batch.e[:, :2] ** 2, axis=1).mean()
-        sq2 = np.sum(batch.e[:, 2:] ** 2, axis=1).mean()
+        e = batch.x - batch.xhat
+        sq1 = np.sum(e[:, :2] ** 2, axis=1).mean()
+        sq2 = np.sum(e[:, 2:] ** 2, axis=1).mean()
         assert sq1 == pytest.approx(case1.d1, rel=0.02)
         assert sq2 == pytest.approx(case1.d2, rel=0.02)
 
@@ -96,7 +97,6 @@ class TestPushChannel:
         a = push_channel(base, r, seed=42)
         b = push_channel(base, r, seed=42)
         assert np.array_equal(a.xhat, b.xhat)
-        assert np.array_equal(a.e, b.e)
 
 
 class TestChunkedBatch:
@@ -108,7 +108,6 @@ class TestChunkedBatch:
         for got, want in ((batch.x, x), (batch.xhat, xhat)):
             np.testing.assert_allclose(got, want, rtol=1e-13,
                                        atol=1e-13 * float(np.abs(want).max()))
-        assert np.array_equal(batch.e, batch.x - batch.xhat)
 
     def test_memory_is_two_arrays_plus_chunks(self, example_source, case2):
         # tracemalloc sees numpy's data buffers.  The batch holds x and xhat;
