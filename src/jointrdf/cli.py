@@ -5,12 +5,13 @@ synthesize and structurally verify a channel realization, run Monte-Carlo
 validation, and emit the canonical variable form.  Sources are JSON documents
 {"p1": int, "p2": int, "Q": [[...]]} with Q row-major.
 
-Exit codes: 0 success, 2 invalid input, 3 infeasible (zero budget against
-positive variance), 4 structural check failure, 5 statistical check failure,
-1 internal failure (a dual solve that reaches its evaluation cap, a sweep
-point whose solve misbehaves, or an allocation that fails, such as a sample
-count too large for memory).  A reader that closes the output pipe early
-(e.g. `| head`) does not change the exit code.
+Exit codes: 0 success, 2 invalid input (or an unwritable -o path), 3
+infeasible (zero budget against positive variance), 4 structural check
+failure, 5 statistical check failure, 1 internal failure (a dual solve that
+reaches its evaluation cap, a sweep point whose solve misbehaves, or an
+allocation that fails, such as a sample count too large for memory).  A reader
+that closes the output pipe early (e.g. `| head`) does not change the exit
+code.
 """
 
 from __future__ import annotations
@@ -244,19 +245,15 @@ def _cmd_sweep(src: GaussianPairSource, args: argparse.Namespace) -> int:
 
 def _cmd_realize(src: GaussianPairSource, args: argparse.Namespace) -> int:
     d, report = _solve(src, args)
-    sigma = report.sigma.sigma
-    if args.debug_tamper_sigma is not None:
-        sigma = (1.0 - args.debug_tamper_sigma) * sigma
-    tol = args.tol_check
     try:
-        r = real.realize(src, sigma)
+        r = real.realize(src, report.sigma)
     except FeasibilityError as exc:
         print(f"structural failure: realization rejected: {exc}", file=sys.stderr)
         return 4
-    c1 = real.verify_condition1(r, tol=tol)
+    c1 = real.verify_condition1(r)
     implied = real.implied_error_covariance(r)
     rep_err = float(np.linalg.norm(implied - report.sigma.sigma, "fro")) / src.q_norm
-    passed = c1.passed and rep_err <= tol
+    passed = c1.passed and rep_err <= real.CHECK_TOL
     obj = {
         "H": r.h.tolist(),
         "Qv": r.qv.tolist(),
@@ -265,7 +262,7 @@ def _cmd_realize(src: GaussianPairSource, args: argparse.Namespace) -> int:
             "condition1_rank": c1.rank,
             "full_rank": c1.full_rank,
             "reproduction_error": rep_err,
-            "tolerance": tol,
+            "tolerance": real.CHECK_TOL,
             "passed": passed,
         },
         "solve": _solve_dict(report, d, args.unit),
@@ -406,11 +403,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     _add_solve_options(sp)
     _add_distortions(sp)
-    sp.add_argument("--tol-check", type=float, default=real.CHECK_TOL,
-                    help="pass threshold of the structural checks, relative to "
-                         "||Q||_2 (default 1e-8)")
-    sp.add_argument("--debug-tamper-sigma", type=float, default=None,
-                    help=argparse.SUPPRESS)
     sp.set_defaults(handler=_cmd_realize)
 
     sp = sub.add_parser("verify", help="Monte-Carlo validation of a solved instance")
@@ -446,6 +438,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the source was read above; what is left is writing the output
+        print(f"invalid output path: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, MemoryError) as exc:
         print(f"internal failure: {exc}", file=sys.stderr)

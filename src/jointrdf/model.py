@@ -231,14 +231,15 @@ def gray_lower_bound(src: GaussianPairSource, d: DistortionPair) -> float:
 
 
 def parse_source(obj: dict) -> GaussianPairSource:
-    """Build a source from a decoded JSON document {"p1": int, "p2": int, "Q": [[...]]}."""
+    """Build a source from a decoded JSON document {"p1": int, "p2": int, "Q": [[...]]};
+    block sizes such as true, "2" or 2.0 are refused, not coerced."""
     try:
-        p1 = int(obj["p1"])
-        p2 = int(obj["p2"])
-        q = obj["Q"]
+        p1, p2, q = obj["p1"], obj["p2"], np.asarray(obj["Q"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise SourceValidationError(f"source document must carry p1, p2 and Q: {exc}") from exc
-    return validate_source(np.asarray(q, dtype=float), p1, p2)
+    if not all(isinstance(p, int) and not isinstance(p, bool) for p in (p1, p2)):
+        raise SourceValidationError(f"p1 and p2 must be integers, got p1={p1!r}, p2={p2!r}")
+    return validate_source(q, p1, p2)
 
 
 def load_source(path: str) -> GaussianPairSource:

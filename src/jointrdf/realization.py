@@ -14,13 +14,12 @@ the modes of cov(Xhat) are.
 The rank is decided once per channel, by one rule: the number of eigenvalues
 of cov(Xhat) = H Q H^T + Qv above PSD_RTOL * ||Q||_2.  For a realized
 channel cov(Xhat) = Q - Sigma, which loses rank exactly where the budgets
-push Q - Sigma onto the PSD boundary.  The check tolerance only decides
-pass or fail; it never moves the rank.
+push Q - Sigma onto the PSD boundary.  The fixed CHECK_TOL, also relative to
+||Q||_2, only decides pass or fail; it never moves the rank.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -103,21 +102,19 @@ def realize(src: GaussianPairSource, sigma) -> TestChannelRealization:
     return TestChannelRealization(h=readonly(h), qv=readonly(qv), source=src)
 
 
-def verify_condition1(r: TestChannelRealization, *, tol: float = CHECK_TOL) -> Condition1Report:
+def verify_condition1(r: TestChannelRealization) -> Condition1Report:
     """Check the orthogonality principle cov(X, Xhat) = cov(Xhat).
 
     deviation is ||Q H^T - (H Q H^T + Qv)||_F / ||Q||_2; it vanishes iff
     cov(X, Xhat) cov(Xhat)^+ is the range projector of cov(Xhat), the
-    conditional-mean condition.  Rank deficiency is reported, not failed.
-    tol is the pass threshold only; ValueError unless finite and positive.
+    conditional-mean condition.  The check passes iff deviation is at most
+    CHECK_TOL; rank deficiency is reported, not failed.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     residual = r.cross_covariance() - r.xhat_covariance()
     deviation = float(np.linalg.norm(residual, "fro")) / r.source.q_norm
     return Condition1Report(
         deviation=deviation,
-        passed=bool(deviation <= tol),
+        passed=bool(deviation <= CHECK_TOL),
         rank=r.xhat_cov.rank,
         full_rank=bool(r.xhat_cov.rank == r.n),
     )

@@ -154,7 +154,7 @@ def test_criterion_6_structural_property_suite(example_source, case1, case2, reg
         optima.extend((src, solve(src, d)) for src, d in region_instances)
         for src, report in optima:
             r = realize(src, report.sigma)
-            check = verify_condition1(r, tol=1e-8)
+            check = verify_condition1(r)
             assert check.passed
             m = conditional_mean_map(r)
             projector = r.xhat_cov.pinv @ r.xhat_covariance()

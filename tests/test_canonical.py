@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from jointrdf import (
     to_canonical_form,
     validate_source,
 )
-from helpers import random_feasible_sigma, random_pd_pair
+from helpers import random_feasible_sigma, random_pd_pair, scalar_pair_rate
 
 
 def _check_invariants(src, form, tol=1e-9):
@@ -167,3 +169,55 @@ class TestCvfObjective:
         src_form = to_canonical_form(example_source)
         err_form = canonical_form_of_covariance(report.sigma.sigma, 2, 2)
         assert cvf_objective(src_form, err_form) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestScaledIdentityMarginals:
+    """Oracle at any n: with Q11 = v1 I and Q22 = v2 I the canonical block
+    transforms are orthogonal up to sqrt(v_i), so the trace budgets keep their
+    meaning in canonical coordinates.  There the source splits into scalar
+    pairs with correlations d4 plus uncorrelated coordinates, and the optimal
+    Sigma splits the same way."""
+
+    @staticmethod
+    def _planted_source(rng):
+        p1, p2 = (int(p) for p in rng.integers(1, 7, size=2))
+        k = min(p1, p2)
+        v1, v2 = rng.uniform(0.2, 5.0, size=2)
+        rho = np.sort(rng.uniform(0.05, 0.95, size=k))[::-1]
+        if rng.random() < 0.3:
+            rho[-1] = 0.0
+        r1 = np.linalg.qr(rng.standard_normal((p1, p1)))[0]
+        r2 = np.linalg.qr(rng.standard_normal((p2, p2)))[0]
+        core = np.zeros((p1, p2))
+        core[:k, :k] = np.diag(rho)
+        q12 = math.sqrt(v1 * v2) * r1 @ core @ r2.T
+        q = np.block([[v1 * np.eye(p1), q12], [q12.T, v2 * np.eye(p2)]])
+        return validate_source(q, p1, p2), v1, v2, rho[rho > 0.0]
+
+    def test_solver_sigma_is_pair_structured_and_rates_add_up(self):
+        rng = np.random.default_rng(1707)
+        for _ in range(60):
+            src, v1, v2, rho = self._planted_source(rng)
+            p1, p2 = src.p1, src.p2
+            form = to_canonical_form(src)
+            t = np.zeros((src.n, src.n))
+            t[:p1, :p1] = math.sqrt(v1) * form.s1
+            t[p1:, p1:] = math.sqrt(v2) * form.s2
+            np.testing.assert_allclose(t @ t.T, np.eye(src.n), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(form.d4_vals, rho, rtol=0, atol=1e-12)
+
+            d = DistortionPair(*(rng.uniform(0.05, 1.1) * p * v for p, v in ((p1, v1), (p2, v2))))
+            report = solve(src, d)
+            sc = t @ report.sigma.sigma @ t.T
+            pairs = np.eye(src.n, dtype=bool)
+            for k in range(rho.size):
+                pairs[k, p1 + k] = pairs[p1 + k, k] = True
+            assert np.abs(sc[~pairs]).max(initial=0.0) <= 1e-12 * src.q_norm
+
+            diag = np.diag(sc)
+            total = sum(
+                scalar_pair_rate(v1, v2, r, diag[k], diag[p1 + k]) for k, r in enumerate(rho)
+            )
+            total += sum(0.5 * math.log(v1 / s) for s in diag[rho.size : p1])
+            total += sum(0.5 * math.log(v2 / s) for s in diag[p1 + rho.size :])
+            assert abs(total - report.rate_nats) <= 1e-12 * max(1.0, report.rate_nats)

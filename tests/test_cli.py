@@ -6,9 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from jointrdf import solve, solver, DistortionPair
+from jointrdf import realization, solve, solver, DistortionPair
 from jointrdf.cli import main
-from jointrdf.model import PSD_RTOL
+from jointrdf.model import PSD_RTOL, SourceValidationError, parse_source
 from conftest import EXAMPLE_Q
 
 
@@ -16,6 +16,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _tamper_realize(monkeypatch):
+    """Make the CLI realize its channel from (1 - 1e-3) Sigma instead of the
+    solver's Sigma, so the reproduction check fails."""
+    honest = realization.realize
+    monkeypatch.setattr(
+        realization, "realize", lambda src, sigma: honest(src, (1.0 - 1e-3) * sigma.sigma)
+    )
 
 
 class TestSolveCommand:
@@ -153,6 +162,32 @@ class TestSolveCommand:
         assert code == 2
         assert "invalid source" in err
 
+    @pytest.mark.parametrize("q", [[["a"]], [[1.0, 0.0], [0.0]]], ids=["string", "ragged"])
+    def test_non_numeric_q_exits_2(self, tmp_path, capsys, q):
+        path = tmp_path / "source.json"
+        path.write_text(json.dumps({"p1": 1, "p2": 1, "Q": q}))
+        code, out, err = run_cli(capsys, "canonical", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid source: source document must carry p1, p2 and Q")
+
+    @pytest.mark.parametrize(
+        "p1, p2",
+        [(True, 3), ("2", 2), (2.0, 2), (2.5, 2), (2, 2.0)],
+        ids=["true", "string", "float", "fraction", "float-p2"],
+    )
+    def test_non_integer_block_size_exits_2(self, tmp_path, capsys, p1, p2):
+        # each of these used to be coerced to block sizes that fit the 4x4 Q
+        doc = {"p1": p1, "p2": p2, "Q": EXAMPLE_Q.tolist()}
+        with pytest.raises(SourceValidationError, match="must be integers"):
+            parse_source(doc)
+        path = tmp_path / "source.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "canonical", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid source: p1 and p2 must be integers")
+
     @pytest.mark.parametrize("command, extra", [
         ("solve", ("--d1", "0.5", "--d2", "0.5")),
         ("sweep", ("--grid", "0.5:1:2,0.5:1:2")),
@@ -269,6 +304,7 @@ class TestSweepCommand:
 class TestRealizeCommand:
     @pytest.mark.parametrize("budgets", [("0.4", "0.5"), ("1.65", "1.85")])
     def test_structural_checks_pass(self, example_source_file, capsys, budgets):
+        rank = {"0.4": 4, "1.65": 3}[budgets[0]]  # Q - Sigma is singular at (1.65, 1.85)
         code, out, _ = run_cli(
             capsys, "realize", example_source_file, "--d1", budgets[0], "--d2", budgets[1]
         )
@@ -277,45 +313,37 @@ class TestRealizeCommand:
         assert obj["checks"]["passed"] is True
         assert obj["checks"]["condition1_deviation"] <= 1e-8
         assert obj["checks"]["reproduction_error"] <= 1e-8
+        assert obj["checks"]["tolerance"] == 1e-8
+        assert obj["checks"]["condition1_rank"] == rank
+        assert obj["checks"]["full_rank"] is (rank == 4)
         h = np.array(obj["H"])
         assert h.shape == (4, 4)
 
-    def test_check_tolerance_does_not_move_rank(self, example_source_file, capsys):
-        code, out, _ = run_cli(
-            capsys, "realize", example_source_file, "--d1", "0.4", "--d2", "0.5",
-            "--tol-check", "1e-17",
-        )
-        assert code == 4  # round-off exceeds the 1e-17 pass threshold
-        checks = json.loads(out)["checks"]
-        assert checks["condition1_rank"] == 4
-        assert checks["full_rank"] is True
-
-    @pytest.mark.parametrize("c, flags, expected", [
-        (1e8, (), 0),  # round-off of 4e-7 absolute is 5e-15 of ||Q||_2
-        (1e-8, ("--debug-tamper-sigma", "1e-3"), 4),  # 1e-3 of Sigma is 2e-11 absolute
+    @pytest.mark.parametrize("c, tamper, expected", [
+        (1e8, False, 0),  # round-off of 4e-7 absolute is 5e-15 of ||Q||_2
+        (1e-8, True, 4),  # 1e-3 of Sigma is 2e-11 absolute
     ])
-    def test_checks_are_relative_to_q(self, tmp_path, capsys, c, flags, expected):
+    def test_checks_are_relative_to_q(self, tmp_path, monkeypatch, capsys, c, tamper, expected):
+        if tamper:
+            _tamper_realize(monkeypatch)
         doc = tmp_path / "scaled.json"
         doc.write_text(json.dumps({"p1": 2, "p2": 2, "Q": (c * EXAMPLE_Q).tolist()}))
         code, _, _ = run_cli(
-            capsys, "realize", str(doc), "--d1", repr(1.65 * c), "--d2", repr(1.85 * c), *flags
+            capsys, "realize", str(doc), "--d1", repr(1.65 * c), "--d2", repr(1.85 * c)
         )
         assert code == expected
 
-    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
-    def test_bad_tol_check_exits_2(self, example_source_file, capsys, tol):
-        code, out, err = run_cli(
-            capsys, "realize", example_source_file, "--d1", "1.65", "--d2", "1.85",
-            "--tol-check", tol,
-        )
-        assert code == 2
-        assert out == ""
-        assert "invalid input" in err and "tol" in err
+    @pytest.mark.parametrize("flag", [("--tol-check", "1e-8"), ("--debug-tamper-sigma", "1e-3")])
+    def test_removed_flags_rejected(self, example_source_file, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["realize", example_source_file, "--d1", "0.4", "--d2", "0.5", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_tampered_sigma_exits_4(self, example_source_file, capsys):
+    def test_tampered_sigma_exits_4(self, example_source_file, monkeypatch, capsys):
+        _tamper_realize(monkeypatch)
         code, out, err = run_cli(
-            capsys, "realize", example_source_file, "--d1", "0.4", "--d2", "0.5",
-            "--debug-tamper-sigma", "1e-3",
+            capsys, "realize", example_source_file, "--d1", "0.4", "--d2", "0.5"
         )
         assert code == 4
         assert "structural failure" in err
@@ -449,6 +477,25 @@ class TestOutputFile:
         obj = json.loads(target.read_text())
         assert obj["branch"] == "ClosedFormInteriorD"
 
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--d1", "0.4", "--d2", "0.5"),
+        ("sweep", "--grid", "1:2:2,1:2:2"),
+        ("realize", "--d1", "0.4", "--d2", "0.5"),
+        ("verify", "--d1", "0.4", "--d2", "0.5", "--samples", "1000", "--seed", "1"),
+        ("canonical",),
+    ])
+    def test_unwritable_out_exits_2(self, example_source_file, tmp_path, capsys, argv):
+        target = tmp_path / "missing" / "out.json"
+        code, out, err = run_cli(
+            capsys, argv[0], example_source_file, *argv[1:], "-o", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("invalid output path:")
+        assert "Traceback" not in err
+        assert not target.parent.exists()
+
 
 class _ClosedPipe:
     """A stdout whose reader has gone away, backed by a real descriptor."""
@@ -471,12 +518,14 @@ class TestBrokenPipe:
         "argv, expected",
         [
             (("sweep", "--grid", "0.1:3:3,0.1:3:3"), 0),
-            (("realize", "--d1", "0.4", "--d2", "0.5", "--debug-tamper-sigma", "1e-3"), 4),
+            (("realize", "--d1", "0.4", "--d2", "0.5"), 4),  # with a tampered Sigma
         ],
     )
     def test_closed_reader_keeps_exit_code(
         self, example_source_file, tmp_path, monkeypatch, capsys, argv, expected
     ):
+        if argv[0] == "realize":
+            _tamper_realize(monkeypatch)
         fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
         try:
             monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -90,12 +88,6 @@ class TestVerifyCondition1:
         assert not check.full_rank  # Q - sigma touches the PSD boundary
         assert check.rank == 3
 
-    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
-    def test_bad_tol_rejected(self, example_source, tol):
-        r = realize(example_source, np.zeros((4, 4)))
-        with pytest.raises(ValueError, match="tol must be finite and positive"):
-            verify_condition1(r, tol=tol)
-
     def test_perturbed_gain_detected(self, example_source, case1):
         report = solve(example_source, case1)
         r = realize(example_source, report.sigma)
@@ -108,11 +100,6 @@ class TestVerifyCondition1:
         check = verify_condition1(bad)
         assert not check.passed
         assert check.deviation >= 1e-4
-
-    def test_check_tolerance_does_not_move_rank(self, example_source, case1):
-        r = realize(example_source, closed_form_candidate(example_source, case1))
-        check = verify_condition1(r, tol=1e-15)
-        assert check.rank == 4 and check.full_rank
 
     def test_rank_zero_channel_reported_not_failed(self, example_source):
         r = realize(example_source, example_source.q.copy())
