@@ -168,9 +168,10 @@ def _parse_grid(text: str) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError(f"grid axis must be 'min:max:steps', got {part!r}")
         lo, hi = float(fields[0]), float(fields[1])
         steps = int(fields[2])
-        if not (lo > 0.0 and hi >= lo and steps >= 1):
+        if not (0.0 < lo <= hi < math.inf and steps >= 1):
             raise ValueError(
-                f"grid bounds must be positive and increasing with steps >= 1, got {part!r}"
+                f"grid bounds must be finite, positive and increasing with steps >= 1, "
+                f"got {part!r}"
             )
         axes.append(np.linspace(lo, hi, steps))
     return axes[0], axes[1]

@@ -7,12 +7,14 @@ counter-based Philox bit generator, which is seedable and splittable; the
 generator identity is recorded on every report so runs are self-describing.
 All pass/fail thresholds are statistical (concentration-based), never exact.
 
-Every step walks the batch in row chunks.  Sampling and the channel push
+Every check reads one streamed statistic.  Sampling and the channel push
 draw their normals chunk by chunk from one Philox stream each (bit-identical
-to one large draw) and write straight into the preallocated x and xhat; the
-checks form the residual x - xhat per chunk, and their means and variances
-merge across chunks by a stable pairwise update.  So the batch holds x and
-xhat in full and nothing else does: memory beyond them is O(chunk).
+to one large draw); the push forms each row chunk of z = [x, xhat] and adds
+its z^T z into the 2n x 2n second-moment matrix C = (1/N) sum z z^T.  X and
+Xhat are jointly Gaussian, so C holds everything the checks need: a block
+mean squared error is tr(A C) for a quadratic form z^T A z, and by Isserlis'
+theorem that form has variance 2 tr((A C)^2).  The batch holds x and C;
+xhat is never stored, so memory beyond x is O(chunk).
 """
 
 from __future__ import annotations
@@ -36,18 +38,19 @@ def _rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Source draws x and reproductions xhat.
+    """Source draws x and the second moments of z = [x, xhat].
 
-    sample_source fills x only; push_channel returns a completed batch.
-    Rows are samples, columns the stacked (p1 + p2) coordinates.  The
-    residuals x - xhat are not stored.
+    sample_source fills x only; push_channel returns a completed batch whose
+    moments is the 2n x 2n matrix C = (1/N) sum z z^T, coordinates of x
+    first.  Rows of x are samples, columns the stacked (p1 + p2)
+    coordinates.  The reproductions xhat are not stored.
     """
 
     p1: int
     p2: int
     n: int
     x: np.ndarray
-    xhat: np.ndarray | None = None
+    moments: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -74,10 +77,9 @@ class CmOptimalityReport:
     generator: str = GENERATOR
 
 
-# Rows per chunk of every pass over a batch: a chunk's temporaries stay small
-# (at most about 1.4 MB, in the dominance check at n = 4 with three
-# alternatives), and the per-chunk Python overhead stays small against the
-# arithmetic.
+# Rows per chunk of sampling and the channel push: a chunk's temporaries stay
+# small (about 0.6 MB at n = 4: the normals, their product and the chunk of
+# z), and the per-chunk Python overhead stays small against the arithmetic.
 _CHUNK_ROWS = 4096
 
 
@@ -105,85 +107,62 @@ def sample_source(src: GaussianPairSource, n: int, seed: int) -> SampleBatch:
 
 
 def push_channel(batch: SampleBatch, r: TestChannelRealization, seed: int) -> SampleBatch:
-    """Apply xhat = x H^T + v with v ~ N(0, qv) independent of x."""
-    if batch.x.shape[1] != r.n:
-        raise ValueError(
-            f"batch dimension {batch.x.shape[1]} does not match channel dimension {r.n}"
-        )
-    noise_t = sqrt_factor(r.qv).T
-    h_t = r.h.T
-    xhat = np.empty_like(batch.x)
+    """Apply xhat = x H^T + v with v ~ N(0, qv) independent of x, one row
+    chunk at a time, and return the batch with the moments of [x, xhat]."""
+    dim = batch.x.shape[1]
+    if dim != r.n:
+        raise ValueError(f"batch dimension {dim} does not match channel dimension {r.n}")
+    # A chunk of z is x [I, H^T] + w [0, F^T] for standard normals w and
+    # F F^T = qv: two products into contiguous rows, no strided copies.
+    x_to_z = np.hstack([np.eye(dim), r.h.T])
+    noise_to_z = np.hstack([np.zeros((dim, dim)), sqrt_factor(r.qv).T])
+    z = np.empty((min(batch.n, _CHUNK_ROWS), 2 * dim))
+    gram = np.zeros((2 * dim, 2 * dim))
     rng = _rng(seed)
     for rows in _row_chunks(batch.n):
-        chunk = xhat[rows]
-        np.matmul(rng.standard_normal(chunk.shape), noise_t, out=chunk)
-        chunk += batch.x[rows] @ h_t
-    return replace(batch, xhat=xhat)
+        x = batch.x[rows]
+        chunk = z[: x.shape[0]]
+        np.matmul(x, x_to_z, out=chunk)
+        chunk += rng.standard_normal(x.shape) @ noise_to_z
+        gram += chunk.T @ chunk
+    return replace(batch, moments=gram / batch.n)
 
 
-def _residual_chunks(batch: SampleBatch) -> Iterator[np.ndarray]:
-    """The residual x - xhat, one new row-chunk array at a time."""
-    if batch.xhat is None:
-        raise ValueError("batch has no residuals; run push_channel first")
-    return (batch.x[rows] - batch.xhat[rows] for rows in _row_chunks(batch.n))
+def _moments(batch: SampleBatch) -> np.ndarray:
+    if batch.moments is None:
+        raise ValueError("batch has no reproductions; run push_channel first")
+    return batch.moments
 
 
-def _col_sums(a: np.ndarray) -> np.ndarray:
-    # A BLAS product: on narrow arrays .sum(axis=0) is several times slower.
-    return np.ones(a.shape[0]) @ a
-
-
-def _block_means(col_sq: np.ndarray, p1: int, rows: int) -> tuple[float, float]:
-    return float(col_sq[:p1].sum()) / rows, float(col_sq[p1:].sum()) / rows
-
-
-class _RunningMoments:
-    """Per-column count, mean and centered second moment over row chunks.
-
-    Chunks merge by the pairwise update of Chan, Golub and LeVeque (1979),
-    which avoids the cancellation of a single-pass sum of squares.
-    """
-
-    def __init__(self, columns: int) -> None:
-        self.count = 0
-        self.mean = np.zeros(columns)
-        self.m2 = np.zeros(columns)
-
-    def add(self, chunk: np.ndarray) -> None:
-        """Merge the rows of chunk; chunk is centered in place."""
-        k = chunk.shape[0]
-        chunk_mean = _col_sums(chunk) / k
-        chunk -= chunk_mean
-        total = self.count + k
-        delta = chunk_mean - self.mean
-        self.mean = self.mean + delta * (k / total)
-        self.m2 = self.m2 + _col_sums(chunk * chunk) + delta * delta * (self.count * k / total)
-        self.count = total
-
-    def std(self, ddof: int) -> np.ndarray:
-        return np.sqrt(self.m2 / (self.count - ddof))
+def empirical_error_covariance(batch: SampleBatch) -> np.ndarray:
+    """Second moment of the residual x - xhat (zero-mean convention), from
+    the batch's moments as C_xx + C_yy - (C_xy + C_yx), exactly symmetric."""
+    c = _moments(batch)
+    n = batch.x.shape[1]
+    return c[:n, :n] + c[n:, n:] - (c[:n, n:] + c[n:, :n])
 
 
 def check_distortion(batch: SampleBatch, d: DistortionPair) -> DistortionReport:
     """Empirical per-block mean squared residuals against the budgets.
 
-    Passes iff each empirical distortion is at most the budget inflated by
-    the three-sigma allowance 1 + 3*sqrt(2 p_i / n).  The column sums of
-    squares stream over row chunks, so memory beyond the batch is O(chunk).
+    The empirical distortions are the block traces of the residual second
+    moment.  Passes iff each is at most the budget inflated by the
+    three-sigma allowance 1 + 3*sqrt(2 p_i / n).
     """
-    col_sq = np.zeros(batch.x.shape[1])
-    for e in _residual_chunks(batch):
-        col_sq += _col_sums(e * e)
-    emp1, emp2 = _block_means(col_sq, batch.p1, batch.n)
+    e = empirical_error_covariance(batch)
+    p1 = batch.p1
+    emp1, emp2 = float(np.trace(e[:p1, :p1])), float(np.trace(e[p1:, p1:]))
     bound1 = d.d1 * (1.0 + 3.0 * math.sqrt(2.0 * batch.p1 / batch.n))
     bound2 = d.d2 * (1.0 + 3.0 * math.sqrt(2.0 * batch.p2 / batch.n))
-    return DistortionReport(
-        empirical_d1=emp1,
-        empirical_d2=emp2,
-        bound_d1=bound1,
-        bound_d2=bound2,
-        passed=bool(emp1 <= bound1 and emp2 <= bound2),
-    )
+    return DistortionReport(empirical_d1=emp1, empirical_d2=emp2, bound_d1=bound1,
+                            bound_d2=bound2, passed=bool(emp1 <= bound1 and emp2 <= bound2))
+
+
+def _block_forms(g: np.ndarray, p1: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A_1, A_2) with z^T A_b z the squared error of block b of x - g xhat:
+    A_b = P_b^T P_b, for P_b the rows of P = [I, -g] in block b."""
+    p = np.hstack([np.eye(g.shape[0]), -g])
+    return p[:p1].T @ p[:p1], p[p1:].T @ p[p1:]
 
 
 def check_cm_optimality(
@@ -194,63 +173,31 @@ def check_cm_optimality(
     """Empirical MSE dominance of the conditional-mean estimate.
 
     For each alternative linear map g the per-block MSE of x - g(xhat) must
-    not beat the conditional-mean map by more than the statistical slack
-    3 * std / sqrt(n) of the per-sample MSE difference.
-
-    One pass over row chunks: with u = x - xhat M^T the conditional-mean
-    residual and delta_g = xhat (M - g)^T, the per-sample block difference is
-    sum_{j in block} delta_j (delta_j + 2 u_j), formed for every alternative
-    by one product against the stacked (M - g)^T.  Its mean and variance
-    merge across chunks by a stable pairwise update, so memory beyond the
-    batch is O(chunk).  For g == M, delta is exactly zero and so is the margin.
+    not beat the conditional-mean map M by more than the statistical slack.
+    Block b's per-sample difference is z^T A z, A = A_b(g) - A_b(M), so its
+    margin is tr(A C) and its slack 3 sqrt(2 tr((A C)^2) / n), three
+    standard errors of the mean of a Gaussian quadratic form.  Both come
+    from S = F^T A F with C = F F^T, as tr(S) and |S|_F, so round-off cannot
+    make the variance negative.  For g == M, A is exactly zero and so are
+    the margin and the slack.
     """
-    if batch.xhat is None:
-        raise ValueError("batch has no reproductions; run push_channel first")
     n = batch.x.shape[1]
-    m = conditional_mean_map(r)
-    maps = [np.asarray(g, dtype=float) for g in alternatives]
-    for g in maps:
+    f = sqrt_factor(_moments(batch))
+
+    def mean_and_slack(a: np.ndarray) -> tuple[float, float]:
+        s = f.T @ a @ f
+        return float(np.trace(s)), 3.0 * float(np.linalg.norm(s)) * math.sqrt(2.0 / batch.n)
+
+    base = _block_forms(conditional_mean_map(r), batch.p1)
+    margins = []
+    for g in alternatives:
+        g = np.asarray(g, dtype=float)
         if g.shape != (n, n):
             raise ValueError(f"alternative map must be {n}x{n}, got shape {g.shape}")
-    # Column k*n + j of deltas_t is row j of (M - g_k)^T; the empty leading
-    # block keeps hstack valid when there are no alternatives.
-    deltas_t = np.hstack([np.empty((n, 0))] + [(m - g).T for g in maps])
-    twice_tiled = np.tile(2.0 * np.eye(n), (1, len(maps)))
-    blocks = np.zeros((n, 2))
-    blocks[: batch.p1, 0] = 1.0
-    blocks[batch.p1 :, 1] = 1.0
-    # Sums each alternative's n columns into its (block 1, block 2) pair.
-    block_sums = np.kron(np.eye(len(maps)), blocks)
-
-    base_sq = np.zeros(n)
-    diffs = _RunningMoments(2 * len(maps))
-    for rows in _row_chunks(batch.n):
-        xhat = batch.xhat[rows]
-        u = batch.x[rows] - xhat @ m.T
-        base_sq += _col_sums(u * u)
-        delta = xhat @ deltas_t
-        # |u + delta|^2 - |u|^2 per column, as delta * (delta + 2u)
-        sq_diff = u @ twice_tiled
-        sq_diff += delta
-        sq_diff *= delta
-        diffs.add(sq_diff @ block_sums)
-
-    slacks = 3.0 * diffs.std(ddof=1 if batch.n > 1 else 0) / math.sqrt(batch.n)
-    means = diffs.mean
+        stats = [mean_and_slack(a - b) for a, b in zip(_block_forms(g, batch.p1), base)]
+        margins.append(tuple(zip(*stats)))
     return CmOptimalityReport(
-        base_mse=_block_means(base_sq, batch.p1, batch.n),
-        margins=tuple(
-            ((float(means[i]), float(means[i + 1])), (float(slacks[i]), float(slacks[i + 1])))
-            for i in range(0, means.size, 2)
-        ),
-        passed=not bool(np.any(means < -slacks)),
+        base_mse=(mean_and_slack(base[0])[0], mean_and_slack(base[1])[0]),
+        margins=tuple(margins),
+        passed=not any(m < -s for ms, ss in margins for m, s in zip(ms, ss)),
     )
-
-
-def empirical_error_covariance(batch: SampleBatch) -> np.ndarray:
-    """Sample covariance of the residuals (zero-mean convention), summed
-    over row chunks."""
-    cov = np.zeros((batch.x.shape[1], batch.x.shape[1]))
-    for e in _residual_chunks(batch):
-        cov += e.T @ e
-    return cov / batch.n

@@ -193,35 +193,55 @@ def gaussian_mi_of_channel(q: np.ndarray, h: np.ndarray, qv: np.ndarray) -> floa
     return 0.5 * (np.linalg.slogdet(q)[1] + np.linalg.slogdet(c_hh)[1] - ld_joint)
 
 
-def unchunked_distortion(batch) -> tuple[float, float]:
+def one_shot_moments(x, xhat) -> np.ndarray:
+    """The second-moment matrix z^T z / N of z = [x, xhat], in one product."""
+    z = np.hstack([x, xhat])
+    return z.T @ z / x.shape[0]
+
+
+def unchunked_distortion(x, xhat, p1: int) -> tuple[float, float]:
     """Empirical block distortions from whole-batch per-row block sums."""
-    p1 = batch.p1
-    e = batch.x - batch.xhat
+    e = x - xhat
     return (
         float(np.sum(e[:, :p1] ** 2, axis=1).mean()),
         float(np.sum(e[:, p1:] ** 2, axis=1).mean()),
     )
 
 
-def unchunked_cm_optimality(batch, r, alternatives):
+def unchunked_cm_optimality(x, xhat, p1: int, r, alternatives):
     """base_mse and per-alternative (margins, slacks) from whole-batch
-    residuals, one full residual array per estimator."""
+    residuals.  A margin is the mean of the per-sample block differences;
+    its slack is 3 sqrt(2 tr((A C)^2) / N), with A the block's quadratic
+    form in z = [x, xhat] built from an explicit selector S_b, and C the
+    one-shot second moments of z."""
     from jointrdf import conditional_mean_map
 
-    p1 = batch.p1
+    n = x.shape[1]
+    rows = x.shape[0]
+    c = one_shot_moments(x, xhat)
+    selectors = (np.diag((np.arange(n) < p1).astype(float)),
+                 np.diag((np.arange(n) >= p1).astype(float)))
 
-    def block_sq(res):
+    def block_sq(g):
+        res = x - xhat @ g.T
         return np.sum(res[:, :p1] ** 2, axis=1), np.sum(res[:, p1:] ** 2, axis=1)
 
-    base1, base2 = block_sq(batch.x - batch.xhat @ conditional_mean_map(r).T)
-    ddof = 1 if batch.n > 1 else 0
+    def forms(g):
+        p = np.hstack([np.eye(n), -g])
+        return [p.T @ s @ p for s in selectors]
+
+    m = conditional_mean_map(r)
+    base1, base2 = block_sq(m)
     results = []
     for g in alternatives:
-        alt1, alt2 = block_sq(batch.x - batch.xhat @ np.asarray(g, dtype=float).T)
-        diffs = (alt1 - base1, alt2 - base2)
-        margins = tuple(float(diff.mean()) for diff in diffs)
-        slacks = tuple(3.0 * float(diff.std(ddof=ddof)) / np.sqrt(batch.n) for diff in diffs)
-        results.append((margins, slacks))
+        g = np.asarray(g, dtype=float)
+        alt1, alt2 = block_sq(g)
+        margins = (float((alt1 - base1).mean()), float((alt2 - base2).mean()))
+        slacks = []
+        for a_g, a_m in zip(forms(g), forms(m)):
+            ac = (a_g - a_m) @ c
+            slacks.append(3.0 * np.sqrt(2.0 * np.trace(ac @ ac) / rows))
+        results.append((margins, tuple(float(s) for s in slacks)))
     return (float(base1.mean()), float(base2.mean())), tuple(results)
 
 

@@ -290,6 +290,15 @@ class TestSweepCommand:
         assert code == 2
         assert "grid" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "grid", ["0.1:inf:2,1:2:2", "0.1:1e309:2,1:2:2", "1:2:2,0.1:inf:2", "1:2:2,0.1:1e309:2"]
+    )
+    def test_infinite_grid_bound_exits_2_with_one_line(self, example_source_file, capsys, grid):
+        code, _, err = run_cli(capsys, "sweep", example_source_file, "--grid", grid)
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "grid" in err
+
     def test_json_output(self, example_source_file, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", example_source_file, "--grid", "1:2:2,1:2:2",
