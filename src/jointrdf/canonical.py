@@ -73,14 +73,9 @@ class CanonicalForm:
 
 def _column_signs(u: np.ndarray) -> np.ndarray:
     """-1 for each column whose first significant entry is negative, else +1."""
-    signs = np.ones(u.shape[1])
-    for k in range(u.shape[1]):
-        col = u[:, k]
-        thresh = _SIGN_REL_TOL * float(np.abs(col).max() or 1.0)
-        sig = np.nonzero(np.abs(col) > thresh)[0]
-        if sig.size and col[sig[0]] < 0.0:
-            signs[k] = -1.0
-    return signs
+    mag = np.abs(u)
+    first = np.argmax(mag > _SIGN_REL_TOL * mag.max(axis=0), axis=0)
+    return np.where(u[first, np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
 
 
 def _fix_column_signs(u: np.ndarray) -> np.ndarray:

@@ -15,12 +15,11 @@ checks definiteness again.  The source stores ||Q||_2, and every tolerance
 on the spectrum of Q, here and in the solver and realization, is taken
 relative to that one value.
 
-A source also caches the factors of Q that the bound and the solver need,
-each computed from Q alone on first use and read-only: eigh(Q) (handed over
-by validate_source, which computes it anyway), Q^{1/2} and Q^{-1/2}, the
-Cholesky log-dets of Q11, Q22 and Q, the block traces and the block
-eigenvalues.  Every budget solved on one source shares them, so after the
-first call the Gray bound and the mutual information factor nothing.
+A source also caches, read-only and from Q alone on first use, what the bound
+and the solver need: eigh(Q) (handed over by validate_source, which computes
+it anyway), the log-dets of Q11, Q22 and Q, the block traces and the block
+eigenvalues.  After the first call on a source, the Gray bound and the
+mutual information factor nothing.
 
 All rates are in nats.  Display conversion to bits lives in the CLI.
 """
@@ -34,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import chol_logdet, readonly, sym
+from ._linalg import readonly, sym
 
 SYMMETRY_RTOL = 1e-12
 PSD_RTOL = 1e-10
@@ -94,21 +93,12 @@ class GaussianPairSource:
         return readonly(w), readonly(u)
 
     @cached_property
-    def q_half(self) -> np.ndarray:
-        """The symmetric square root Q^{1/2}."""
-        w, u = self.q_eigh
-        return readonly(sym((u * np.sqrt(w)) @ u.T))
-
-    @cached_property
-    def q_inv_half(self) -> np.ndarray:
-        """Q^{-1/2}, from the same eigenpairs as q_half."""
-        w, u = self.q_eigh
-        return readonly((u / np.sqrt(w)) @ u.T)
-
-    @cached_property
     def log_dets(self) -> tuple[float, float, float]:
-        """Cholesky ln det of (Q11, Q22, Q)."""
-        return chol_logdet(self.q11), chol_logdet(self.q22), chol_logdet(self.q)
+        """ln det of (Q11, Q22, Q), from one Cholesky call on Q and Block-diag(Q11, Q22)."""
+        p1, blocks = self.p1, np.zeros_like(self.q)
+        blocks[:p1, :p1], blocks[p1:, p1:] = self.q11, self.q22
+        logs = 2.0 * np.log(np.diagonal(np.linalg.cholesky(np.stack((self.q, blocks))), 0, 1, 2))
+        return float(logs[1, :p1].sum()), float(logs[1, p1:].sum()), float(logs[0].sum())
 
     @cached_property
     def block_traces(self) -> tuple[float, float]:

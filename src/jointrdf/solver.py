@@ -3,20 +3,16 @@
 The rate is the infimum of 0.5 * ln(det Q / det Sigma) over error covariances
 Sigma with 0 <= Sigma <= Q and per-block trace budgets; Q > 0 holds for every
 source (see :func:`jointrdf.model.validate_source`).  Every feasible
-instance is solved by the two-multiplier dual (block reverse water-filling).
-Only the trace budgets are dualized, with multipliers (l1, l2) >= 0.  With
-M = Q^{1/2} Block-diag(l1 I, l2 I) Q^{1/2} = U diag(m) U^T the Lagrangian is
-minimized over 0 <= Sigma <= Q by
-Sigma = Q^{1/2} U diag(min(1, 1/(2 m_i))) U^T Q^{1/2}, the spectral form of
-reverse water-filling, whose rate is 0.5 sum ln(2 max(m_i, 1/2)).  The dual
-g(l1, l2) is concave with gradient (tr Sigma11 - d1, tr Sigma22 - d2); it is
-maximized by projected Newton ascent over l >= 0.  One evaluation is one
-n x n eigh and a few O(n^2) array operations; the 2x2 Newton step, the
-stopping rule and the line search run on Python floats.  Q^{1/2}, Q^{-1/2},
-the block traces and the Gray bound's factors come from the source's cache
-(see :class:`jointrdf.model.GaussianPairSource`), so a solve factors Q only
-the first time a source is solved.  The certificate recheck and the
-feasibility check recompute from Sigma and Q.
+instance is solved by the two-multiplier dual (block reverse water-filling):
+only the trace budgets are dualized, with multipliers (l1, l2) >= 0.  With
+s = sqrt(l) per coordinate and K = Q * outer(s, s) = V diag(m) V^T, the
+Lagrangian is minimized over 0 <= Sigma <= Q by
+Sigma = diag(s)^{-1} V diag(min(m, 1/2)) V^T diag(s)^{-1}, whose rate is
+0.5 sum ln(2 max(m, 1/2)); a zero multiplier drops its block from K.
+Scaling one block, Q -> S Q S with l -> S^{-2} l, leaves K unchanged, as it
+leaves R.  The concave dual g(l) has gradient (tr Sigma11 - d1,
+tr Sigma22 - d2) and is maximized by projected Newton ascent over l >= 0;
+each evaluation is one eigh and a few O(n^2) array operations.
 
 The branch labels the instance, read off the dual's first evaluation (see
 :func:`_solve_dual`); it selects no computation:
@@ -29,18 +25,13 @@ The branch labels the instance, read off the dual's first evaluation (see
   :func:`jointrdf.model.gray_lower_bound` is attained.
 * InteriorPoint otherwise.
 
-Every solve carries a certificate (lambda1, lambda2, Theta) whose stationarity
-and complementary-slackness residuals are recomputable via
-:func:`kkt_residuals`; Theta is exact by construction.
-
-gap_tol of :func:`solve` (default GAP_TOL, finite and positive), the
-duality gap in nats at which the dual iteration stops, is the only
-tolerance a caller sets.  The others are fixed and scale with the problem,
-so scaling (Q, d) to (cQ, cd) moves no decision: REGION_TOL, the margin of
-the region test relative to the budgets (Q - D > REGION_TOL * D);
-TRACE_SLACK_TOL, the trace overshoot the dual iteration and the
-feasibility check accept, relative to each budget; and model.PSD_RTOL for
-the PSD checks, Theta's included.
+Every solve carries a certificate (lambda1, lambda2, Theta), exact by
+construction, whose residuals :func:`kkt_residuals` recomputes.  gap_tol of
+:func:`solve` (default GAP_TOL), the duality gap in nats at which the dual
+iteration stops, is the only tolerance a caller sets.  REGION_TOL, the margin
+of the region test (Q - D > REGION_TOL * D), TRACE_SLACK_TOL, the trace
+overshoot accepted relative to each budget, and model.PSD_RTOL are fixed and
+scale with the problem.
 """
 
 from __future__ import annotations
@@ -191,16 +182,14 @@ def closed_form_candidate(src: GaussianPairSource, d: DistortionPair) -> ErrorCo
 def in_region_d(src: GaussianPairSource, d: DistortionPair) -> bool:
     """True iff Q - D > REGION_TOL * D for the closed-form candidate D.
 
-    An independent check of the label :func:`solve` reads off its first dual
-    evaluation, with the same margin: eigvalsh(D^{-1/2} Q D^{-1/2}) above
-    1 + REGION_TOL.  Zero budgets are excluded outright: D is then singular
-    and the rate infinite.
+    The label :func:`solve` reads off its first dual evaluation, at
+    l_i = p_i / (2 d_i): K = 0.5 D^{-1/2} Q D^{-1/2} has its eigenvalues above
+    (1 + REGION_TOL) / 2.  Zero budgets are excluded outright: D is singular.
     """
     if d.d1 <= 0.0 or d.d2 <= 0.0:
         return False
-    inv_sqrt = 1.0 / np.sqrt(np.diag(closed_form_candidate(src, d).sigma))
-    w = np.linalg.eigvalsh(src.q * np.outer(inv_sqrt, inv_sqrt))
-    return bool(w[0] > 1.0 + REGION_TOL)
+    l0 = (src.p1 / (2.0 * d.d1), src.p2 / (2.0 * d.d2))
+    return bool(_dual_point(src, l0, (d.d1, d.d2)).m[0] > 0.5 * (1.0 + REGION_TOL))
 
 
 def rate_of(src: GaussianPairSource, sigma) -> float:
@@ -267,13 +256,15 @@ _MAX_EVALUATIONS = 100
 
 
 class _DualPoint(NamedTuple):
-    """Lagrangian minimizer Sigma = b diag(z) b^T at multipliers l = (l1, l2)."""
+    """Lagrangian minimizer at multipliers l = (l1, l2), in modal form."""
 
     l: tuple[float, float]
+    pos: slice
+    zero: slice
+    s: np.ndarray
     m: np.ndarray
-    u: np.ndarray
-    z: np.ndarray
-    b: np.ndarray
+    v: np.ndarray
+    c: np.ndarray | None
     r: tuple[float, float]
     rate: float
     value: float
@@ -281,81 +272,82 @@ class _DualPoint(NamedTuple):
 
 
 def _dual_point(
-    q_half: np.ndarray, p1: int, l: tuple[float, float], budget: tuple[float, float]
+    src: GaussianPairSource, l: tuple[float, float], budget: tuple[float, float]
 ) -> _DualPoint:
-    """Spectral reverse water-filling at l = (l1, l2), from one n x n eigh.
+    """Spectral reverse water-filling at l = (l1, l2), from one eigh.
 
-    (m, u) are the eigenpairs of M = Q^{1/2} Block-diag(l1 I, l2 I) Q^{1/2},
-    b = Q^{1/2} u and z = min(1, 1/(2 m)).  r holds (tr Sigma11 - d1,
-    tr Sigma22 - d2), the gradient of the dual value g(l) = rate + l . r;
-    rate = 0.5 sum ln(2 max(m, 1/2)) = -0.5 sum ln z is the rate of Sigma,
-    exactly 0.0 at l = 0, and scale the sum of the magnitudes of g's terms.
-    l, r and the scalars are Python floats.
+    On pos, the coordinates with l > 0, (m, v) = eigh(K), K = Q_pos,pos *
+    outer(s, s), s = sqrt(l), read from the triangle of the larger multiplier:
+    only so does eigh keep the small m of a graded K to high relative
+    accuracy.  Sigma's diagonal there is ((v * v) @ min(m, 1/2)) / l; a zero
+    block has trace tr Q_ii - sum(c^2 (1 - z) / m), z = min(1, 1/(2 m)) and
+    c = Q_zero,pos diag(s) v.  r = (tr Sigma11 - d1, tr Sigma22 - d2) is the
+    gradient of g(l) = rate + l . r, rate = 0.5 sum ln(2 max(m, 1/2)); scale
+    sums the magnitudes of g's terms.  ValueError unless max(l) ||Q||_2, which
+    bounds every entry of K, is finite.
     """
     (l1, l2), (d1, d2) = l, budget
-    scaling = np.array([l1] * p1 + [l2] * (q_half.shape[0] - p1))
-    m, u = np.linalg.eigh(sym((q_half * scaling) @ q_half))
+    q, p1, n = src.q, src.p1, src.n
+    lo, hi = (0 if l1 > 0.0 else p1), (n if l2 > 0.0 else p1)
+    pos = slice(lo, hi)
+    # the rest is one slice too, all of Q when both multipliers are zero
+    zero = slice(0, n) if lo == hi else slice(hi, n) if lo == 0 else slice(0, lo)
+    if not math.isfinite(max(l) * src.q_norm):
+        i = 2 if l2 > l1 else 1
+        raise ValueError(f"budget d{i} = {budget[i - 1]!r} is too small for this Q: "
+                         f"its multiplier p{i} / (2 d{i}) is not representable")
+    lp = np.array([l1] * p1 + [l2] * (n - p1))[pos]
+    s = np.sqrt(lp)
+    m, v = np.linalg.eigh(q[pos, pos] * (s[:, None] * s), UPLO="L" if l1 >= l2 else "U")
     top = np.maximum(m, 0.5)
-    z = 0.5 / top
-    b = q_half @ u
-    diag = ((b * b) @ z).tolist()
-    t1, t2 = sum(diag[:p1]), sum(diag[p1:])
+    diag = (((v * v) @ np.minimum(m, 0.5)) / lp).tolist()
+    t, c = (sum(diag[: p1 - lo]), sum(diag[p1 - lo :])), None
+    if zero.start < zero.stop:
+        c = (q[zero, pos] * s) @ v
+        removed = float(np.vdot(c * ((top - 0.5) / top**2), c))
+        t = tuple(ti if li > 0.0 else tq - removed for ti, li, tq in zip(t, l, src.block_traces))
     rate = 0.5 * sum(np.log(2.0 * top).tolist())
-    r = (t1 - d1, t2 - d2)
+    r = (t[0] - d1, t[1] - d2)
     value = rate + (l1 * r[0] + l2 * r[1])
-    scale = rate + (l1 * (t1 + d1) + l2 * (t2 + d2))
-    return _DualPoint(l, m, u, z, b, r, rate, value, scale)
+    scale = rate + (l1 * (t[0] + d1) + l2 * (t[1] + d2))
+    return _DualPoint(l, pos, zero, s, m, v, c, r, rate, value, scale)
 
 
-def _hessian(pt: _DualPoint, p1: int) -> tuple[float, float, float]:
-    """Jacobian of pt.r in l, the Hessian of the dual, as (j11, j12, j22).
+def _newton_step(pt: _DualPoint, p1: int, l0: tuple[float, float]) -> list[float]:
+    """Ascent step on the concave dual from pt, on h = diag(l) J diag(l).
 
-    By the Daleckii-Krein formula j_kj = sum(A_k * A_j * F), with
-    A_k = b_k^T b_k over the rows b_k of block k and F the divided
-    differences of z(m) = 1 / (2 max(m, 1/2)).
+    By Daleckii-Krein, h_ij = sum(F * G_i * G_j): G_i = v_i^T v_i over block
+    i's rows of v (none if l_i = 0), F = m_a m_b (z_a - z_b) / (m_a - m_b),
+    exactly -1/2 between active modes (m > 1/2) and 0 between inactive ones.
+    Multipliers move in units of their own value, or of l0 from zero, and
+    every test reads h and (l1 r1, l2 r2), so scaling a block moves nothing.
+    A slack budget whose own Newton step crosses zero goes to zero; a binding
+    one on a flat diagonal (its modes all at z = 1, or l_i = 0) rises by one
+    unit.  The rest take the Newton step given those moves, shrunk to rise by
+    at most one unit: a near-flat diagonal would overshoot the next mode.
     """
-    m, z, b1, b2 = pt.m, pt.z, pt.b[:p1], pt.b[p1:]
-    a1, a2 = b1.T @ b1, b2.T @ b2
-    # dz/dm = -2 z^2 on active modes (m > 1/2) and 0 on the others
-    z_active = z * (m > 0.5)
-    dm = m[:, None] - m
-    f = np.divide(z[:, None] - z, dm, out=(-2.0 * z_active)[:, None] * z_active,
-                  where=dm != 0.0)
-    a1f = a1 * f
-    return float(np.vdot(a1f, a1)), float(np.vdot(a1f, a2)), float(np.vdot(a2 * f, a2))
-
-
-def _newton_step(
-    pt: _DualPoint, jac: tuple[float, float, float], l0: tuple[float, float]
-) -> list[float]:
-    """Ascent step on the concave dual from pt, whose Hessian is jac.
-
-    A multiplier with a slack budget that its own Newton step would take
-    below zero, as on a flat diagonal (every mode it touches at z = 1), goes
-    to zero.  A binding budget on a flat diagonal rises by the limit below.
-    The rest take the Newton step given those moves, scaled so that none
-    rises by more than its own value, or past l0 from zero: a near-flat
-    diagonal would overshoot the next mode to turn active.
-    """
-    j11, j12, j22 = jac
-    jd = (j11, j22)
-    flat = 1e-13 * max(abs(j11), abs(j12), abs(j22))
-    limit = [li if li > 0.0 else l0i for li, l0i in zip(pt.l, l0)]
-    bound = [ri <= 0.0 and li * ji >= ri for li, ri, ji in zip(pt.l, pt.r, jd)]
-    newton = [not bi and -ji > flat for bi, ji in zip(bound, jd)]
-    step = [-li if bi else lim for li, bi, lim in zip(pt.l, bound, limit)]
-    s1, s2 = (0.0 if nw else si for nw, si in zip(newton, step))
-    rhs = (-(pt.r[0] + (j11 * s1 + j12 * s2)), -(pt.r[1] + (j12 * s1 + j22 * s2)))
+    m, y, split = pt.m, np.minimum(pt.m, 0.5), p1 - pt.pos.start
+    g1, g2 = pt.v[:split].T @ pt.v[:split], pt.v[split:].T @ pt.v[split:]
+    dm, active = m[:, None] - m, m > 0.5
+    f = np.divide(y[:, None] * m - m[:, None] * y, dm,
+                  out=np.where(active[:, None] & active, -0.5, 0.0), where=dm != 0.0)
+    g1f = g1 * f
+    h11, h12, h22 = float(np.vdot(g1f, g1)), float(np.vdot(g1f, g2)), float(np.vdot(g2 * f, g2))
+    hd, g = (h11, h22), [li * ri for li, ri in zip(pt.l, pt.r)]
+    flat = 1e-13 * max(abs(h11), abs(h12), abs(h22))
+    bound = [ri <= 0.0 and hi >= gi for ri, hi, gi in zip(pt.r, hd, g)]
+    newton = [not bi and -hi > flat for bi, hi in zip(bound, hd)]
+    d1, d2 = (0.0 if nw else -1.0 if bi else 1.0 for nw, bi in zip(newton, bound))
+    rhs = (-(g[0] + (h11 * d1 + h12 * d2)), -(g[1] + (h12 * d1 + h22 * d2)))
     if all(newton):
-        det = j11 * j22 - j12 * j12
-        step = [(j22 * rhs[0] - j12 * rhs[1]) / det, (j11 * rhs[1] - j12 * rhs[0]) / det]
+        det = h11 * h22 - h12 * h12
+        delta = [(h22 * rhs[0] - h12 * rhs[1]) / det, (h11 * rhs[1] - h12 * rhs[0]) / det]
     else:
-        step = [hi / ji if nw else si for hi, ji, nw, si in zip(rhs, jd, newton, step)]
-    over = [lim / si for nw, si, lim in zip(newton, step, limit) if nw and si > lim]
-    if over:
-        t = min(over)
-        step = [si * t if nw else si for nw, si in zip(newton, step)]
-    return step
+        delta = [hi / hdi if nw else di for hi, hdi, nw, di in zip(rhs, hd, newton, (d1, d2))]
+    over = max([di for nw, di in zip(newton, delta) if nw], default=0.0)
+    if over > 1.0:
+        delta = [di / over if nw else di for nw, di in zip(newton, delta)]
+    return [(li or l0i) * di for li, l0i, di in zip(pt.l, l0, delta)]
 
 
 def _solve_dual(
@@ -363,29 +355,20 @@ def _solve_dual(
 ) -> tuple[np.ndarray, np.ndarray, tuple[float, float], float, int, SolveBranch]:
     """Maximize the concave dual g(l) by projected Newton ascent over l >= 0.
 
-    Starts from l0, which is 0 for a budget that covers its block trace (the
-    constraint is then implied by Sigma <= Q and its multiplier stays 0) and
-    the closed-form multiplier p_i / (2 d_i) otherwise, so a zero-rate or a
-    region-D instance stops at its first evaluation, which also sets the
-    branch: with no budget covered, M at l0 has the eigenvalues of
-    0.5 D^{-1/2} Q D^{-1/2}, so Q - D > REGION_TOL * D iff all exceed
-    (1 + REGION_TOL) / 2.  A multiplier that
-    :func:`_newton_step` changes by less than its own value moves by the
-    same step in its level w = 1 / (2 l), in which the traces are nearly
-    linear; the others move straight and are projected onto l >= 0.  Steps
-    are halved until g rises by the Armijo rule, up to round-off in g's terms.
-    Stops once each share l_i |r_i| of the duality gap g(l) - R(Sigma(l)) is
-    within gap_tol / 2 and each trace overshoots its budget d_i by at most
-    TRACE_SLACK_TOL * d_i; raises RuntimeError if _MAX_EVALUATIONS comes
-    first.  Returns (sigma, theta, l, rate, evaluations, branch); Theta =
-    Q^{-1/2} u diag(max(0, 1/2 - m)) u^T Q^{-1/2} is PSD and complementary
-    to Q - Sigma mode by mode.  Q^{1/2} and Q^{-1/2} come from the source's
-    cache, so each evaluation costs one eigh and O(n^2) bookkeeping.
+    Starts from l0: 0 for a budget that covers its block trace (Sigma <= Q
+    then implies it), else p_i / (2 d_i), so zero-rate and region-D instances
+    stop at the first evaluation, which also sets the branch as
+    :func:`in_region_d` does.  A multiplier that moves by less than its own
+    value moves in its level w = 1 / (2 l), in which the traces are nearly
+    linear; the others move straight, projected onto l >= 0.  Steps halve
+    until g rises by the Armijo rule, up to round-off in g's terms.  Stops
+    once each l_i |r_i| <= gap_tol / 2 and each trace is within
+    TRACE_SLACK_TOL * d_i above d_i; RuntimeError if _MAX_EVALUATIONS comes
+    first.  Returns (sigma, theta, l, rate, evaluations, branch).
     """
-    q_half, p1 = src.q_half, src.p1
-    budget = (d.d1, d.d2)
+    p1, p2, budget = src.p1, src.p2, (d.d1, d.d2)
     covered = tuple(di >= ti for di, ti in zip(budget, src.block_traces))
-    l0 = tuple(0.0 if c else p / (2.0 * di) for c, p, di in zip(covered, (p1, src.p2), budget))
+    l0 = tuple(0.0 if c else p / (2.0 * di) for c, p, di in zip(covered, (p1, p2), budget))
     slack = tuple(TRACE_SLACK_TOL * di for di in budget)
     half_gap = 0.5 * gap_tol
 
@@ -393,7 +376,7 @@ def _solve_dual(
         return all(ri <= si and li * abs(ri) <= half_gap
                    for li, ri, si in zip(pt.l, pt.r, slack))
 
-    pt, evaluations = _dual_point(q_half, p1, l0, budget), 1
+    pt, evaluations = _dual_point(src, l0, budget), 1
     if all(covered):
         branch = SolveBranch.ZERO_RATE
     elif not any(covered) and pt.m[0] > 0.5 * (1.0 + REGION_TOL):
@@ -401,12 +384,12 @@ def _solve_dual(
     else:
         branch = SolveBranch.INTERIOR_POINT
     while not done(pt) and evaluations < _MAX_EVALUATIONS:
-        step = _newton_step(pt, _hessian(pt, p1), l0)
+        step = _newton_step(pt, p1, l0)
         t = 1.0
         while True:
             l = tuple(li * li / (li - t * si) if abs(si) < li else max(li + t * si, 0.0)
                       for li, si in zip(pt.l, step))
-            trial, evaluations = _dual_point(q_half, p1, l, budget), evaluations + 1
+            trial, evaluations = _dual_point(src, l, budget), evaluations + 1
             rise = sum(ri * (tl - li) for ri, tl, li in zip(pt.r, trial.l, pt.l))
             armijo = 1e-4 * rise - 1e-13 * pt.scale
             if trial.value - pt.value >= armijo or done(trial) or evaluations >= _MAX_EVALUATIONS:
@@ -415,10 +398,33 @@ def _solve_dual(
         pt = trial
     if not done(pt):
         raise RuntimeError(f"dual solver did not converge within {evaluations} evaluations")
-    c = src.q_inv_half @ pt.u
-    theta = (c * np.maximum(0.5 - pt.m, 0.0)) @ c.T
-    sigma = (pt.b * pt.z) @ pt.b.T
-    return sym(sigma), sym(theta), pt.l, pt.rate, evaluations, branch
+    return (*_optimum(src, pt), pt.l, pt.rate, evaluations, branch)
+
+
+def _optimum(src: GaussianPairSource, pt: _DualPoint) -> tuple[np.ndarray, np.ndarray]:
+    """Sigma and Theta at pt, with s, m, v, c and z as in :func:`_dual_point`.
+
+    On pos, Sigma = diag(1/s) v diag(min(m, 1/2)) v^T diag(1/s) and Theta =
+    diag(s) v diag(max(0, 1/2 - m) / m) v^T diag(s), PSD and complementary to
+    Q - Sigma mode by mode.  A zero block adds Sigma_zero,pos =
+    c diag(z) v^T diag(1/s), Sigma_zero,zero = Q_zero,zero - c diag((1 - z) / m) c^T
+    and to Theta 0.5 Q^{-1} E (E^T Q^{-1} E)^{-1} E^T Q^{-1}, E = I[:, zero],
+    as 0.5 Y C^{-1} Y^T: C = Q_zero,zero - c diag(1/m) c^T, Y = E - diag(s) v diag(1/m) c^T.
+    """
+    q, pos, zero, s, m, v, c = src.q, pt.pos, pt.zero, pt.s, pt.m, pt.v, pt.c
+    y, ss = np.minimum(m, 0.5), s[:, None] * s
+    sigma, theta = np.empty_like(q), np.zeros_like(q)
+    sigma[pos, pos] = ((v * y) @ v.T) / ss
+    theta[pos, pos] = ((v * ((0.5 - y) / m)) @ v.T) * ss
+    if c is not None:
+        cz = c * (0.5 / np.maximum(m, 0.5))
+        sigma[zero, pos] = (cz @ v.T) / s
+        sigma[pos, zero] = sigma[zero, pos].T
+        sigma[zero, zero] = q[zero, zero] - ((c - cz) / m) @ c.T
+        e = np.eye(src.n)[:, zero]
+        e[pos] = -((s[:, None] * v) / m) @ c.T
+        theta += 0.5 * (e @ np.linalg.solve(q[zero, zero] - (c / m) @ c.T, e.T))
+    return sym(sigma), sym(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +442,11 @@ def solve(
 
     Every feasible instance is solved by the two-multiplier dual; gap_tol
     is the duality gap in nats at which its iteration stops (ValueError
-    unless finite and positive), and iterations counts its evaluations,
-    one eigh each (1 on the zero-rate and region-D instances).  The rate
-    is that of the returned Sigma, from the final dual point's
-    eigenvalues.  The branch labels the instance as the module docstring
-    describes; it does not select a computation.
+    unless finite and positive, and for a budget whose multiplier
+    p_i / (2 d_i) is not representable for Q).  iterations counts its
+    evaluations, one eigh each (1 on the zero-rate and region-D instances).
+    The rate is that of the returned Sigma, from the final dual point's
+    eigenvalues; the branch labels the instance as the module docstring says.
 
     A zero budget against a block with positive variance yields the
     Infeasible branch with an infinite rate: every admissible error

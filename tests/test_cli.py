@@ -128,6 +128,21 @@ class TestSolveCommand:
         assert obj["branch"] == "ClosedFormInteriorD"
         assert obj["kkt"]["stationarity_residual"] <= 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("budgets", [("1e-308", "1e-308"), ("5e-324", "5e-324"),
+                                         ("5e-324", "1")])
+    def test_unrepresentable_multiplier_exits_2_with_one_line(
+        self, example_source_file, capsys, budgets
+    ):
+        # the start multiplier p / (2 d) or the matrix it scales overflows
+        code, out, err = run_cli(
+            capsys, "solve", example_source_file, "--d1", budgets[0], "--d2", budgets[1]
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "not representable" in err and "budget d1" in err
+
     def test_failed_allocation_exits_1(self, example_source_file, capsys):
         # 1e15 samples of 4 doubles is 28 PiB, which numpy refuses outright,
         # so nothing is allocated

@@ -276,7 +276,7 @@ _BUDGETS = [DistortionPair(1.65, 1.85), DistortionPair(0.4, 0.5), DistortionPair
 class TestSourceCache:
     def test_cached_arrays_read_only(self):
         src = validate_source(EXAMPLE_Q, 2, 2)
-        arrays = [*src.q_eigh, src.q_half, src.q_inv_half, *src.block_eigenvalues]
+        arrays = [*src.q_eigh, *src.block_eigenvalues]
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -284,9 +284,6 @@ class TestSourceCache:
         # the eigh handed over by validate_source is that of the stored q
         w, u = src.q_eigh
         np.testing.assert_allclose((u * w) @ u.T, src.q, rtol=0, atol=1e-14 * src.q_norm)
-        np.testing.assert_allclose(src.q_half @ src.q_half, src.q, rtol=0,
-                                   atol=1e-14 * src.q_norm)
-        np.testing.assert_allclose(src.q_inv_half @ src.q_half, np.eye(4), rtol=0, atol=1e-14)
 
     def test_warm_source_solves_like_a_fresh_one(self):
         warm = validate_source(EXAMPLE_Q, 2, 2)
@@ -302,8 +299,8 @@ class TestSourceCache:
         arrays = [a for value in vars(copy).values()
                   for a in (value if isinstance(value, tuple) else (value,))
                   if isinstance(a, np.ndarray)]
-        # q, both halves of q_eigh and of block_eigenvalues, q_half, q_inv_half
-        assert len(arrays) == 7
+        # q, both halves of q_eigh and of block_eigenvalues
+        assert len(arrays) == 5
         assert not any(a.flags.writeable for a in arrays)
         for d in _BUDGETS:
             _assert_same_report(solve(copy, d), solve(warm, d))

@@ -181,9 +181,8 @@ class TestSolveEdges:
         report = solve(example_source, d)
         assert report.branch is SolveBranch.ZERO_RATE
         assert report.rate_nats == 0.0
-        # Sigma = Q^{1/2} Q^{1/2}, so Q up to a few ulps of ||Q||_2
-        ulp = np.finfo(float).eps * example_source.q_norm
-        assert np.abs(report.sigma.sigma - example_source.q).max() <= 4.0 * ulp
+        # at l = 0 no block enters K, and Sigma is Q itself
+        assert np.array_equal(report.sigma.sigma, example_source.q)
         assert report.certificate.max_residual <= 1e-9
         assert report.iterations == 1  # the dual starts at its optimum l = 0
 
@@ -224,6 +223,31 @@ class TestSolveEdges:
             report = solve(example_source, d)
             assert report.rate_nats >= max(report.gray_bound_nats, 0.0) - oracle_tol(report)
             assert (report.branch is SolveBranch.ZERO_RATE) == (report.rate_nats == 0.0)
+
+
+class TestExtremeBudgetRatios:
+    """Budgets whose closed-form multipliers p_i / (2 d_i) differ by up to
+    1e15: each block's scale is read off K, not off Q."""
+
+    @pytest.mark.parametrize("budgets", [(1e-8, 0.1), (1e-7, 1.0), (1.0, 1e-8), (1e-15, 1.0),
+                                         (2e-7, 1.0), (1.0, 1e-7), (1e-305, 1e-305)])
+    def test_closed_form_in_one_evaluation(self, example_source, budgets):
+        d = DistortionPair(*budgets)
+        report = solve(example_source, d)
+        assert report.branch is SolveBranch.CLOSED_FORM_INTERIOR_D
+        assert report.iterations == 1
+        assert in_region_d(example_source, d)
+        assert report.rate_nats == pytest.approx(report.gray_bound_nats, rel=1e-9, abs=1e-9)
+
+    def test_interior_point_certifies(self, example_source):
+        d = DistortionPair(1e-8, 3.0)
+        report = solve(example_source, d)
+        assert report.branch is SolveBranch.INTERIOR_POINT
+        assert not in_region_d(example_source, d)
+        report.sigma.validate(example_source, d)
+        assert report.certificate.max_residual <= 1e-7
+        assert report.certificate.dual_feasible
+        assert report.rate_nats >= report.gray_bound_nats - oracle_tol(report)
 
 
 class TestKktResiduals:
@@ -523,6 +547,52 @@ class TestInvariances:
             rotated = solve(validate_source(0.5 * (q_rot + q_rot.T), p1, p2), d)
             assert rotated.rate_nats == pytest.approx(base, rel=1e-9)
 
+    @pytest.mark.parametrize("block", [1, 2])
+    @pytest.mark.parametrize("c", [1e-4, 1e-2, 1e2, 1e4])
+    def test_block_scaling(self, c, block):
+        # X_i -> c X_i maps Q to S Q S and d_i to c^2 d_i, with S = c I on
+        # block i and I on the other: R is unchanged, Sigma goes to S Sigma S
+        # and the multiplier of block i to lambda_i / c^2
+        for _, q, p1, p2, d in self._instances():
+            sv = np.ones(p1 + p2)
+            sv[slice(0, p1) if block == 1 else slice(p1, None)] = c
+            f = (c * c, 1.0) if block == 1 else (1.0, c * c)
+            base = solve(validate_source(q, p1, p2), d)
+            scaled = solve(validate_source(q * np.outer(sv, sv), p1, p2),
+                           DistortionPair(f[0] * d.d1, f[1] * d.d2))
+            assert scaled.rate_nats == pytest.approx(base.rate_nats, rel=1e-9)
+            np.testing.assert_allclose(scaled.sigma.sigma / np.outer(sv, sv), base.sigma.sigma,
+                                       rtol=1e-9, atol=1e-9 * np.abs(base.sigma.sigma).max())
+            for lam, lam_base, fi in zip(
+                (scaled.certificate.lambda1, scaled.certificate.lambda2),
+                (base.certificate.lambda1, base.certificate.lambda2), f,
+            ):
+                assert lam == pytest.approx(lam_base / fi, rel=1e-9)
+
+    def test_block_scaled_random_sources_solve(self):
+        # 60 seeded sources Q = A A^T + 0.1 I with block 1 scaled by c: every
+        # instance validate_source accepts solves, to the unscaled rate
+        rng = np.random.default_rng(2021)
+        solved = 0
+        for _ in range(60):
+            p1, p2 = (int(k) for k in rng.integers(1, 5, size=2))
+            a = rng.standard_normal((p1 + p2, p1 + p2))
+            q = a @ a.T + 0.1 * np.eye(p1 + p2)
+            f1, f2 = rng.uniform(0.05, 0.9, size=2)
+            d = DistortionPair(f1 * np.trace(q[:p1, :p1]), f2 * np.trace(q[p1:, p1:]))
+            base = solve(validate_source(q, p1, p2), d).rate_nats
+            for c in (1e-4, 1e-3, 1e-2, 1e2, 1e3, 1e4):
+                sv = np.r_[np.full(p1, c), np.ones(p2)]
+                try:
+                    src = validate_source(q * np.outer(sv, sv), p1, p2)
+                except SourceValidationError:
+                    continue
+                report = solve(src, DistortionPair(c * c * d.d1, d.d2))
+                assert report.rate_nats == pytest.approx(base, rel=1e-9)
+                assert report.iterations <= STRESS_MAX_EVALUATIONS
+                solved += 1
+        assert solved >= 350
+
     def test_block_swap(self):
         for _, q, p1, p2, d in self._instances():
             base = solve(validate_source(q, p1, p2), d).rate_nats
@@ -590,7 +660,8 @@ class TestEvaluationCap:
 class TestFactorCounts:
     """Exact counts of the factorizations a solve makes, which timing noise
     cannot hide: one eigh per dual evaluation, and Q, Q11 and Q22 factored
-    only while the source's cache fills."""
+    only while the source's cache fills, Q and Block-diag(Q11, Q22) in one
+    stacked Cholesky call."""
 
     ROUTINES = ("eigh", "eigvalsh", "cholesky", "solve")
 
@@ -608,6 +679,14 @@ class TestFactorCounts:
         return any(a.shape == block.shape and np.array_equal(a, block)
                    for name in calls for a in calls[name])
 
+    @staticmethod
+    def _stacked(calls, src) -> list:
+        blocks = np.zeros_like(src.q)
+        blocks[: src.p1, : src.p1], blocks[src.p1 :, src.p1 :] = src.q11, src.q22
+        stack = np.stack((src.q, blocks))
+        return [a for a in calls["cholesky"]
+                if a.shape == stack.shape and np.array_equal(a, stack)]
+
     def test_solve_factors_each_source_once(self, monkeypatch):
         src = validate_source(EXAMPLE_Q, 2, 2)
         calls = self._count(monkeypatch)
@@ -616,7 +695,10 @@ class TestFactorCounts:
         # evaluations are the only eigh; the Gray bound fills the rest
         assert len(calls["eigh"]) == first.iterations
         assert not calls["solve"]
-        assert all(self._factored(calls, b) for b in (src.q, src.q11, src.q22))
+        # the log-dets in one stacked call, then sigma in the certificate
+        assert len(self._stacked(calls, src)) == 1
+        assert len(calls["cholesky"]) == 2
+        assert all(self._factored(calls, b) for b in (src.q11, src.q22))
         calls.clear()
         second = solve(src, DistortionPair(2.5, 1.2))
         assert second.branch is SolveBranch.INTERIOR_POINT
@@ -625,6 +707,7 @@ class TestFactorCounts:
         # PSD test in the certificate; the label costs none
         assert len(calls["eigvalsh"]) == 3
         assert not calls["solve"]
+        assert not self._stacked(calls, src) and len(calls["cholesky"]) == 1
         assert not any(self._factored(calls, b) for b in (src.q, src.q11, src.q22))
 
     def test_sampling_a_warm_source_factors_nothing(self, monkeypatch):
