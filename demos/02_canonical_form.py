@@ -10,7 +10,6 @@ import numpy as np
 
 from jointrdf import (
     DistortionPair,
-    canonical_form_of_covariance,
     cvf_objective,
     det_identity_residual,
     mutual_information,
@@ -51,6 +50,6 @@ print(f"mutual information: direct {mi_direct:.12f}, canonical {mi_canonical:.12
 
 # the canonical objective reproduces the rate at a solver optimum
 report = solve(src, DistortionPair(1.65, 1.85))
-err_form = canonical_form_of_covariance(report.sigma.sigma, 2, 2)
+err_form = to_canonical_form(validate_source(report.sigma.sigma, 2, 2))
 print(f"\nrate at optimum    : {rate_of(src, report.sigma):.12f} nats")
 print(f"canonical objective: {cvf_objective(form, err_form):.12f} nats")

@@ -10,7 +10,6 @@ additive-lower-bound equality on the closed-form region, KKT certificates).
 from .canonical import (
     CanonicalForm,
     CanonicalPartition,
-    canonical_form_of_covariance,
     cvf_objective,
     det_identity_residual,
     to_canonical_form,
@@ -74,7 +73,6 @@ __all__ = [
     "SolveReport",
     "SourceValidationError",
     "TestChannelRealization",
-    "canonical_form_of_covariance",
     "check_cm_optimality",
     "check_distortion",
     "closed_form_candidate",

@@ -1,14 +1,15 @@
 """Canonical variable form of a two-block covariance.
 
 Two whitening transforms S1, S2 take the blocks to identity marginal
-covariance while the cross block becomes Block-diag(D4, 0): a diagonal D4 of
-canonical correlations strictly inside (0, 1), and zeros for uncorrelated
-coordinates.  No correlation reaches 1: whitening Q by Block-diag(Q11, Q22)
-gives eigenvalues 1 +- rho_k, and the smallest is at least
-lambda_min(Q) / ||Q||_2 > PSD_RTOL on every source validate_source accepts.
-The resulting determinant identities turn the joint rate objective into a
-product over scalar canonical quantities, which this module evaluates for
-verification against the direct determinant form.
+covariance while the cross block becomes D3 = Block-diag(D4, 0): a diagonal
+D4 of canonical correlations strictly inside (0, 1), and zeros for
+uncorrelated coordinates.  The transformed covariance is
+Q_cvf = (I, D3; D3^T, I).  No correlation reaches 1: whitening Q by
+Block-diag(Q11, Q22) gives eigenvalues 1 +- rho_k, and the smallest is at
+least lambda_min(Q) / ||Q||_2 > PSD_RTOL on every source validate_source
+accepts.  The resulting determinant identities turn the joint rate objective
+into a product over scalar canonical quantities, which this module evaluates
+for verification against the direct determinant form.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import readonly, sym
-from .model import GaussianPairSource, validate_source
+from ._linalg import readonly
+from .model import GaussianPairSource
 
 # Canonical correlations <= ZERO_CORR_TOL count as exactly 0: a block-diagonal
 # Q has them, and an exact-arithmetic index partition needs such a tolerance
@@ -52,8 +53,9 @@ class CanonicalForm:
     """Canonical variable form of a two-block covariance.
 
     s1 and s2 are the block transforms, d1_vals / d2_vals the descending
-    eigenvalues of the marginal blocks, d4_vals the canonical correlations in
-    (0, 1), and q_cvf the transformed covariance (I, D3; D3.T, I).
+    eigenvalues of the marginal blocks, and d4_vals the canonical
+    correlations in (0, 1), descending.  d3 is the transformed cross block
+    S1 Q12 S2^T = Block-diag(D4, 0).
     """
 
     p1: int
@@ -64,33 +66,20 @@ class CanonicalForm:
     d2_vals: np.ndarray
     d4_vals: np.ndarray
     partition: CanonicalPartition
-    q_cvf: np.ndarray
 
     @property
     def d3(self) -> np.ndarray:
-        return self.q_cvf[: self.p1, self.p1 :]
+        k = self.d4_vals.size
+        d3 = np.zeros((self.p1, self.p2))
+        d3[range(k), range(k)] = self.d4_vals
+        return d3
 
 
-def _column_signs(u: np.ndarray) -> np.ndarray:
-    """-1 for each column whose first significant entry is negative, else +1."""
-    mag = np.abs(u)
-    first = np.argmax(mag > _SIGN_REL_TOL * mag.max(axis=0), axis=0)
-    return np.where(u[first, np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
-
-
-def _fix_column_signs(u: np.ndarray) -> np.ndarray:
-    """Flip columns so the first significant entry of each is positive."""
-    # The copy is C-ordered; u * signs would keep the column-major layout of
-    # eigh's reordered vectors and change the last bits of later products.
-    out = u.copy()
-    out *= _column_signs(u)
-    return out
-
-
-def _descending_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w, u = np.linalg.eigh(sym(block))
-    order = np.argsort(w)[::-1]
-    return w[order], _fix_column_signs(u[:, order])
+def _row_signs(a: np.ndarray) -> np.ndarray:
+    """Column of -1 for each row whose first significant entry is negative, else +1."""
+    mag = np.abs(a)
+    first = np.argmax(mag > _SIGN_REL_TOL * mag.max(axis=1, keepdims=True), axis=1, keepdims=True)
+    return np.where(np.take_along_axis(a, first, axis=1) < 0.0, -1.0, 1.0)
 
 
 def to_canonical_form(src: GaussianPairSource) -> CanonicalForm:
@@ -98,54 +87,35 @@ def to_canonical_form(src: GaussianPairSource) -> CanonicalForm:
 
     Steps: eigendecompose each marginal block, whiten the cross block,
     singular-value decompose it, and classify each singular value as
-    interior or 0 using ZERO_CORR_TOL.  Signs of the decomposition factors
-    are normalized so the transforms are deterministic.
+    interior or 0 using ZERO_CORR_TOL.  Signs are fixed once, on the
+    transforms: each row of S1, and each unpaired row of S2, leads with a
+    positive entry (the first above _SIGN_REL_TOL times the row's largest
+    magnitude); each paired row of S2 takes the sign of its S1 row.
     """
     p1, p2 = src.p1, src.p2
-    d1_vals, u1 = _descending_eigh(src.q11)
-    d2_vals, u2 = _descending_eigh(src.q22)
-    t1 = (u1 / np.sqrt(d1_vals)).T
-    t2 = (u2 / np.sqrt(d2_vals)).T
-    c = t1 @ src.q12 @ t2.T
-    u3, svals, v4t = np.linalg.svd(c, full_matrices=True)
-    u4 = v4t.T
-    # Flip (u3, u4) column pairs together to keep the product unchanged,
-    # then the unpaired columns of either on their own.
+    w1, u1 = np.linalg.eigh(src.q11)
+    w2, u2 = np.linalg.eigh(src.q22)
+    t1 = u1.T / np.sqrt(w1)[:, None]
+    t2 = u2.T / np.sqrt(w2)[:, None]
+    u3, svals, v4t = np.linalg.svd(t1 @ src.q12 @ t2.T)
+    s1, s2 = u3.T @ t1, v4t @ t2
     k = min(p1, p2)
-    signs = _column_signs(u3[:, :k])
-    u3[:, :k] *= signs
-    u4[:, :k] *= signs
-    u3[:, k:] *= _column_signs(u3[:, k:])
-    u4[:, k:] *= _column_signs(u4[:, k:])
+    signs = _row_signs(s1)
+    s1 *= signs
+    s2[:k] *= signs[:k]
+    s2[k:] *= _row_signs(s2[k:])
 
     n_mid = int(np.count_nonzero(svals > ZERO_CORR_TOL))
-    part = CanonicalPartition(p12=n_mid, p13=p1 - n_mid, p22=n_mid, p23=p2 - n_mid)
-    d4_vals = svals[:n_mid].copy()
-
-    d3 = np.zeros((p1, p2))
-    d3[:n_mid, :n_mid] = np.diag(d4_vals)
-    q_cvf = np.block([[np.eye(p1), d3], [d3.T, np.eye(p2)]])
-
     return CanonicalForm(
         p1=p1,
         p2=p2,
-        s1=readonly(u3.T @ t1),
-        s2=readonly(u4.T @ t2),
-        d1_vals=readonly(d1_vals),
-        d2_vals=readonly(d2_vals),
-        d4_vals=readonly(d4_vals),
-        partition=part,
-        q_cvf=readonly(q_cvf),
+        s1=readonly(s1),
+        s2=readonly(s2),
+        d1_vals=readonly(w1[::-1]),
+        d2_vals=readonly(w2[::-1]),
+        d4_vals=readonly(svals[:n_mid]),
+        partition=CanonicalPartition(p12=n_mid, p13=p1 - n_mid, p22=n_mid, p23=p2 - n_mid),
     )
-
-
-def canonical_form_of_covariance(q: np.ndarray, p1: int, p2: int) -> CanonicalForm:
-    """Canonical form of a raw covariance matrix (validates it first).
-
-    Convenience used for error covariances, which share the block structure
-    of the source.
-    """
-    return to_canonical_form(validate_source(q, p1, p2))
 
 
 def log_det_cvf(form: CanonicalForm) -> float:

@@ -108,13 +108,13 @@ class ErrorCovariance:
 
 def check_psd_bounds(src: GaussianPairSource, s: np.ndarray) -> None:
     """Raise FeasibilityError unless sigma is n x n and 0 <= sigma <= Q, with
-    eigenvalues down to -PSD_RTOL * max(||sigma||_2, ||Q||_2) (resp.
-    -PSD_RTOL * ||Q||_2 for Q - sigma) accepted as round-off."""
+    eigenvalues of sigma and of Q - sigma down to -PSD_RTOL * ||Q||_2
+    accepted as round-off."""
     n = src.n
     if s.shape != (n, n):
         raise FeasibilityError(f"sigma must be {n}x{n}, got {s.shape}")
     w_s = np.linalg.eigvalsh(sym(s))
-    if w_s[0] < -PSD_RTOL * max(float(np.abs(w_s).max()), src.q_norm):
+    if w_s[0] < -PSD_RTOL * src.q_norm:
         raise FeasibilityError(f"sigma is not PSD: min eigenvalue {w_s[0]:.3e}")
     w_qs = np.linalg.eigvalsh(sym(src.q - s))
     if w_qs[0] < -PSD_RTOL * src.q_norm:
@@ -233,7 +233,7 @@ def kkt_residuals(
         float(np.sum(cert.theta * (s - src.q))),
     )
     w_theta = np.linalg.eigvalsh(sym(cert.theta))
-    theta_scale = float(np.abs(w_theta).max()) if w_theta.size else 0.0
+    theta_scale = float(np.abs(w_theta).max())
     dual_ok = (
         cert.lambda1 >= 0.0
         and cert.lambda2 >= 0.0
@@ -324,7 +324,9 @@ def _newton_step(pt: _DualPoint, p1: int, l0: tuple[float, float]) -> list[float
     A slack budget whose own Newton step crosses zero goes to zero; a binding
     one on a flat diagonal (its modes all at z = 1, or l_i = 0) rises by one
     unit.  The rest take the Newton step given those moves, shrunk to rise by
-    at most one unit: a near-flat diagonal would overshoot the next mode.
+    at most one unit: a near-flat diagonal would overshoot the next mode.  A
+    full unit doubles l_i, but a rise of delta < 1 goes through the level map
+    of :func:`_solve_dual`, which multiplies l_i by 1 / (1 - t delta).
     """
     m, y, split = pt.m, np.minimum(pt.m, 0.5), p1 - pt.pos.start
     g1, g2 = pt.v[:split].T @ pt.v[:split], pt.v[split:].T @ pt.v[split:]

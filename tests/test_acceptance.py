@@ -16,7 +16,6 @@ import pytest
 from jointrdf import (
     DistortionPair,
     SolveBranch,
-    canonical_form_of_covariance,
     check_cm_optimality,
     check_distortion,
     conditional_mean_map,
@@ -175,7 +174,7 @@ def test_criterion_7_canonical_form_identity():
                 float(rng.uniform(0.15, 1.1)) * float(np.trace(src.q22)),
             )
             report = solve(src, d)
-            err_form = canonical_form_of_covariance(report.sigma.sigma, p1, p2)
+            err_form = to_canonical_form(validate_source(report.sigma.sigma, p1, p2))
             direct = rate_of(src, report.sigma)
             assert abs(cvf_objective(form, err_form) - direct) <= 1e-8
 

@@ -6,7 +6,6 @@ import pytest
 from jointrdf import (
     DistortionPair,
     SourceValidationError,
-    canonical_form_of_covariance,
     cvf_objective,
     det_identity_residual,
     mutual_information,
@@ -15,6 +14,7 @@ from jointrdf import (
     to_canonical_form,
     validate_source,
 )
+from jointrdf.canonical import _SIGN_REL_TOL
 from helpers import random_feasible_sigma, random_pd_pair, scalar_pair_rate
 
 
@@ -90,7 +90,54 @@ class TestToCanonicalForm:
 
     def test_singular_marginal_rejected(self):
         with pytest.raises(SourceValidationError, match="not positive definite"):
-            canonical_form_of_covariance(np.diag([1.0, 0.0, 1.0]), 2, 1)
+            to_canonical_form(validate_source(np.diag([1.0, 0.0, 1.0]), 2, 1))
+
+
+def _assert_leading_entries_positive(rows):
+    for row in rows:
+        cut = _SIGN_REL_TOL * np.abs(row).max()
+        assert next(x for x in row if abs(x) > cut) > 0.0
+
+
+class TestSignRule:
+    """Each row of S1 leads with a positive entry, each paired row of S2
+    makes its canonical correlation positive, and the unpaired rows of S2
+    lead with a positive entry too."""
+
+    @staticmethod
+    def _source_with_correlations(rng, p1, p2, rho):
+        l1 = rng.standard_normal((p1, p1)) + 3.0 * np.eye(p1)
+        l2 = rng.standard_normal((p2, p2)) + 3.0 * np.eye(p2)
+        core = np.zeros((p1, p2))
+        core[range(rho.size), range(rho.size)] = rho
+        q12 = l1 @ core @ l2.T
+        q = np.block([[l1 @ l1.T, q12], [q12.T, l2 @ l2.T]])
+        return validate_source(q, p1, p2)
+
+    def _check(self, src):
+        form = to_canonical_form(src)
+        _check_invariants(src, form)
+        k = min(src.p1, src.p2)
+        cross = form.s1 @ src.q12 @ form.s2.T
+        np.testing.assert_allclose(np.diag(cross)[: form.d4_vals.size], form.d4_vals,
+                                   rtol=0, atol=1e-12)
+        _assert_leading_entries_positive(form.s1)
+        _assert_leading_entries_positive(form.s2[k:])
+        return form
+
+    def test_example_source(self, example_source):
+        self._check(example_source)
+
+    @pytest.mark.parametrize("p1, p2", [(2, 4), (3, 3), (4, 2)])
+    @pytest.mark.parametrize("planted_zero", [False, True])
+    def test_block_shapes(self, p1, p2, planted_zero):
+        rng = np.random.default_rng(100 * p1 + 10 * p2 + planted_zero)
+        for _ in range(10):
+            rho = np.sort(rng.uniform(0.1, 0.9, size=min(p1, p2)))[::-1]
+            if planted_zero:
+                rho[-1] = 0.0
+            form = self._check(self._source_with_correlations(rng, p1, p2, rho))
+            assert form.partition.p12 == np.count_nonzero(rho)
 
 
 class TestDeterminantIdentity:
@@ -110,7 +157,7 @@ class TestCvfObjective:
         # objective collapses to 0.5 * ln(1 / alpha^(p1+p2)).
         src_form = to_canonical_form(example_source)
         for alpha in (0.25, 0.5, 0.9):
-            err_form = canonical_form_of_covariance(alpha * example_source.q, 2, 2)
+            err_form = to_canonical_form(validate_source(alpha * example_source.q, 2, 2))
             expected = 0.5 * np.log(1.0 / alpha**4)
             assert cvf_objective(src_form, err_form) == pytest.approx(expected, abs=1e-10)
 
@@ -123,7 +170,7 @@ class TestCvfObjective:
             src_form = to_canonical_form(src)
             for _ in range(100):
                 sigma = random_feasible_sigma(rng, src.q)
-                err_form = canonical_form_of_covariance(sigma, p1, p2)
+                err_form = to_canonical_form(validate_source(sigma, p1, p2))
                 direct = rate_of(src, sigma)
                 assert cvf_objective(src_form, err_form) == pytest.approx(direct, abs=1e-8)
 
@@ -131,7 +178,7 @@ class TestCvfObjective:
         src_form = to_canonical_form(example_source)
         for d in (case1, case2):
             report = solve(example_source, d)
-            err_form = canonical_form_of_covariance(report.sigma.sigma, 2, 2)
+            err_form = to_canonical_form(validate_source(report.sigma.sigma, 2, 2))
             assert cvf_objective(src_form, err_form) == pytest.approx(
                 report.rate_nats, abs=1e-8
             )
@@ -147,7 +194,7 @@ class TestCvfObjective:
         form = to_canonical_form(src)
         assert form.partition.as_tuple() == (1, 0, 1, 0)
         sigma = 0.5 * np.eye(2)
-        err_form = canonical_form_of_covariance(sigma, 1, 1)
+        err_form = to_canonical_form(validate_source(sigma, 1, 1))
         assert cvf_objective(form, err_form) == pytest.approx(rate_of(src, sigma), abs=1e-6)
 
     def test_near_degenerate_error_covariance_matches_rate(self, example_source):
@@ -157,7 +204,7 @@ class TestCvfObjective:
         sigma = np.zeros((4, 4))
         sigma[np.ix_([0, 2], [0, 2])] = block
         sigma[1, 1] = sigma[3, 3] = 1.0
-        err_form = canonical_form_of_covariance(sigma, 2, 2)
+        err_form = to_canonical_form(validate_source(sigma, 2, 2))
         assert err_form.partition.as_tuple() == (1, 1, 1, 1)
         assert cvf_objective(src_form, err_form) == pytest.approx(
             rate_of(example_source, sigma), abs=1e-6
@@ -167,7 +214,7 @@ class TestCvfObjective:
         d = DistortionPair(7.0, 6.0)
         report = solve(example_source, d)
         src_form = to_canonical_form(example_source)
-        err_form = canonical_form_of_covariance(report.sigma.sigma, 2, 2)
+        err_form = to_canonical_form(validate_source(report.sigma.sigma, 2, 2))
         assert cvf_objective(src_form, err_form) == pytest.approx(0.0, abs=1e-12)
 
 
