@@ -179,32 +179,30 @@ def mutual_information(src: GaussianPairSource) -> float:
     return max(0.5 * (ld11 + ld22 - ld), 0.0)
 
 
-def _water_fill(mu: np.ndarray, delta: float) -> float:
-    """Rate-distortion function of one Gaussian block by reverse water-filling.
+def _water_level(mu: list[float], delta: float) -> tuple[float, int, float]:
+    """(theta, k, below) with sum_j min(theta, mu_j) = delta > 0 for the ascending,
+    non-empty mu: theta = (delta - below) / (len(mu) - k), below = sum_{j<k} mu_j,
+    at the first k with theta <= mu_k, else the last k, which is the level in
+    exact arithmetic and above max(mu) once delta >= sum(mu)."""
+    below = 0.0
+    for k, mu_k in enumerate(mu):
+        theta = (delta - below) / (len(mu) - k)
+        if theta <= mu_k or k == len(mu) - 1:
+            return theta, k, below
+        below += mu_k
 
-    The ascending eigenvalues mu_j >= 0 of the block share a water level
-    theta with sum_j min(theta, mu_j) = delta >= 0; the rate is
-    sum_j 0.5*ln(max(mu_j/theta, 1)).  Returns 0 when delta >= sum(mu) and
-    +inf when delta == 0 with a nonzero spectrum.  The water level comes in
-    closed form: theta = (delta - sum_{j<k} mu_j) / (m - k) at the first k
-    with theta <= mu_k (m modes).
-    """
+
+def _water_fill(mu: np.ndarray, delta: float) -> float:
+    """Rate-distortion function of one Gaussian block by reverse water-filling:
+    sum_j 0.5*ln(max(mu_j/theta, 1)) over the ascending eigenvalues mu_j >= 0,
+    at the level theta of :func:`_water_level`.  Returns 0 when delta >= sum(mu)
+    and +inf when delta == 0 with a nonzero spectrum."""
     mu = mu.tolist()
     if delta >= sum(mu):
         return 0.0
     if delta == 0.0:
         return math.inf
-    # With mu ascending, a level between mu_{k-1} and mu_k fills the k lowest
-    # modes and leaves m - k at theta; the first such candidate within mu_k
-    # is the level.  The last candidate always is in exact arithmetic, but
-    # may miss by rounding when delta is within round-off of the trace; the
-    # loop then ends on it all the same.
-    below = 0.0
-    for k, mu_k in enumerate(mu):
-        theta = (delta - below) / (len(mu) - k)
-        if theta <= mu_k:
-            break
-        below += mu_k
+    theta, k, below = _water_level(mu, delta)
     # in logs: at a subnormal delta, theta underflows to 0 or mu_j / theta overflows
     log_theta = math.log(delta - below) - math.log(len(mu) - k)
     return 0.5 * sum(math.log(mu_j) - log_theta for mu_j in mu if mu_j > theta)

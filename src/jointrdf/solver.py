@@ -11,8 +11,11 @@ Sigma = diag(s)^{-1} V diag(min(m, 1/2)) V^T diag(s)^{-1}, whose rate is
 0.5 sum ln(2 max(m, 1/2)); a zero multiplier drops its block from K.
 Scaling one block, Q -> S Q S with l -> S^{-2} l, leaves K unchanged, as it
 leaves R.  The concave dual g(l) has gradient (tr Sigma11 - d1,
-tr Sigma22 - d2) and is maximized by projected Newton ascent over l >= 0;
-each evaluation is one eigh and a few O(n^2) array operations.
+tr Sigma22 - d2).  K(t u) = t K(u), so one eigh of K(u) describes the whole
+ray l = t u, and g's maximum on it is scalar reverse water-filling of K(u)'s
+eigenvalues; only the ratio of the two multipliers is searched, by a bracketed
+one-dimensional search.  Each evaluation is one eigh and a few O(n^2) array
+operations.
 
 The branch labels the instance, read off the dual's first evaluation (see
 :func:`_solve_dual`); it selects no computation:
@@ -49,6 +52,7 @@ from .model import (
     PSD_RTOL,
     DistortionPair,
     GaussianPairSource,
+    _water_level,
     gray_lower_bound,
 )
 
@@ -184,12 +188,14 @@ def in_region_d(src: GaussianPairSource, d: DistortionPair) -> bool:
 
     The label :func:`solve` reads off its first dual evaluation, at
     l_i = p_i / (2 d_i): K = 0.5 D^{-1/2} Q D^{-1/2} has its eigenvalues above
-    (1 + REGION_TOL) / 2.  Zero budgets are excluded outright: D is singular.
+    (1 + REGION_TOL) / 2.  A budget that is zero (D is singular) or at least
+    its block trace is excluded before any eigh: Q - D > 0 implies
+    tr Q_ii > d_i.
     """
-    if d.d1 <= 0.0 or d.d2 <= 0.0:
+    if not all(0.0 < di < ti for di, ti in zip((d.d1, d.d2), src.block_traces)):
         return False
     l0 = (src.p1 / (2.0 * d.d1), src.p2 / (2.0 * d.d2))
-    return bool(_dual_point(src, l0, (d.d1, d.d2)).m[0] > 0.5 * (1.0 + REGION_TOL))
+    return bool(_dual_point(src, l0, (d.d1, d.d2)).mu[0] > 0.5 * (1.0 + REGION_TOL))
 
 
 def rate_of(src: GaussianPairSource, sigma) -> float:
@@ -251,119 +257,90 @@ def kkt_residuals(
 # two-multiplier dual (block reverse water-filling)
 # ---------------------------------------------------------------------------
 
-# Cap on the dual evaluations of one solve, line-search trials included.
+# Cap on the dual evaluations of one solve.
 _MAX_EVALUATIONS = 100
 
 
 class _DualPoint(NamedTuple):
-    """Lagrangian minimizer at multipliers l = (l1, l2), in modal form."""
+    """Maximizer of the dual on the ray l = t u, in modal form."""
 
     l: tuple[float, float]
     pos: slice
     zero: slice
     s: np.ndarray
+    mu: np.ndarray
     m: np.ndarray
     v: np.ndarray
     c: np.ndarray | None
     r: tuple[float, float]
     rate: float
-    value: float
-    scale: float
 
 
 def _dual_point(
-    src: GaussianPairSource, l: tuple[float, float], budget: tuple[float, float]
+    src: GaussianPairSource, u: tuple[float, float], budget: tuple[float, float]
 ) -> _DualPoint:
-    """Spectral reverse water-filling at l = (l1, l2), from one eigh.
+    """Maximizer of the concave dual g on the ray l = t u, t >= 0, from one eigh.
 
-    On pos, the coordinates with l > 0, (m, v) = eigh(K), K = Q_pos,pos *
-    outer(s, s), s = sqrt(l), read from the triangle of the larger multiplier:
-    only so does eigh keep the small m of a graded K to high relative
-    accuracy.  Sigma's diagonal there is ((v * v) @ min(m, 1/2)) / l; a zero
-    block has trace tr Q_ii - sum(c^2 (1 - z) / m), z = min(1, 1/(2 m)) and
-    c = Q_zero,pos diag(s) v.  r = (tr Sigma11 - d1, tr Sigma22 - d2) is the
-    gradient of g(l) = rate + l . r, rate = 0.5 sum ln(2 max(m, 1/2)); scale
-    sums the magnitudes of g's terms.  ValueError unless max(l) ||Q||_2, which
-    bounds every entry of K, is finite.
+    On pos, the coordinates with u > 0, (mu, v) = eigh(K(u)), K(u) = Q_pos,pos *
+    outer(sqrt(u), sqrt(u)), read from the triangle of the larger multiplier:
+    only so does eigh keep the small mu of a graded K to high relative accuracy.
+    K(t u) = t K(u), so the ray has m = t mu, and u . r = sum(min(mu, w)) - u . d
+    with w = 1 / (2 t): g peaks at the water level w of
+    :func:`jointrdf.model._water_level`, where l . r = 0 and g equals the rate.
+    Sigma's diagonal there is ((v * v) @ min(m, 1/2)) / l; a zero block has
+    trace tr Q_ii - sum(c^2 (1 - z) / m), z = min(1, 1/(2 m)) and
+    c = Q_zero,pos diag(s) v, s = sqrt(l).  r = (tr Sigma11 - d1, tr Sigma22 - d2)
+    is the gradient of g(l) = rate + l . r, rate = 0.5 sum ln(2 max(m, 1/2)).
+    u = 0 gives l = 0.  ValueError unless max(u) ||Q||_2, which bounds every
+    entry of K(u), is finite.
     """
-    (l1, l2), (d1, d2) = l, budget
+    (u1, u2), (d1, d2) = u, budget
     q, p1, n = src.q, src.p1, src.n
-    lo, hi = (0 if l1 > 0.0 else p1), (n if l2 > 0.0 else p1)
+    lo, hi = (0 if u1 > 0.0 else p1), (n if u2 > 0.0 else p1)
     pos = slice(lo, hi)
     # the rest is one slice too, all of Q when both multipliers are zero
     zero = slice(0, n) if lo == hi else slice(hi, n) if lo == 0 else slice(0, lo)
-    if not math.isfinite(max(l) * src.q_norm):
-        i = 2 if l2 > l1 else 1
+    if not math.isfinite(max(u) * src.q_norm):
+        i = 2 if u2 > u1 else 1
         raise ValueError(f"budget d{i} = {budget[i - 1]!r} is too small for this Q: "
                          f"its multiplier p{i} / (2 d{i}) is not representable")
-    lp = np.array([l1] * p1 + [l2] * (n - p1))[pos]
-    s = np.sqrt(lp)
-    m, v = np.linalg.eigh(q[pos, pos] * (s[:, None] * s), UPLO="L" if l1 >= l2 else "U")
-    top = np.maximum(m, 0.5)
+    up = np.array([u1] * p1 + [u2] * (n - p1))[pos]
+    su = np.sqrt(up)
+    mu, v = np.linalg.eigh(q[pos, pos] * (su[:, None] * su), UPLO="L" if u1 >= u2 else "U")
+    t = 0.5 / _water_level(mu.tolist(), u1 * d1 + u2 * d2)[0] if lo < hi else 0.0
+    l, lp, m = (t * u1, t * u2), t * up, t * mu
+    s, top = np.sqrt(lp), np.maximum(m, 0.5)
     diag = (((v * v) @ np.minimum(m, 0.5)) / lp).tolist()
-    t, c = (sum(diag[: p1 - lo]), sum(diag[p1 - lo :])), None
+    tr, c = (sum(diag[: p1 - lo]), sum(diag[p1 - lo :])), None
     if zero.start < zero.stop:
         c = (q[zero, pos] * s) @ v
         removed = float(np.vdot(c * ((top - 0.5) / top**2), c))
-        t = tuple(ti if li > 0.0 else tq - removed for ti, li, tq in zip(t, l, src.block_traces))
+        tr = tuple(ti if ui > 0.0 else tq - removed for ti, ui, tq in zip(tr, u, src.block_traces))
     rate = 0.5 * sum(np.log(2.0 * top).tolist())
-    r = (t[0] - d1, t[1] - d2)
-    value = rate + (l1 * r[0] + l2 * r[1])
-    scale = rate + (l1 * (t[0] + d1) + l2 * (t[1] + d2))
-    return _DualPoint(l, pos, zero, s, m, v, c, r, rate, value, scale)
-
-
-def _newton_step(pt: _DualPoint, p1: int, l0: tuple[float, float]) -> list[float]:
-    """Ascent step on the concave dual from pt, on h = diag(l) J diag(l).
-
-    By Daleckii-Krein, h_ij = sum(F * G_i * G_j): G_i = v_i^T v_i over block
-    i's rows of v (none if l_i = 0), F = m_a m_b (z_a - z_b) / (m_a - m_b),
-    exactly -1/2 between active modes (m > 1/2) and 0 between inactive ones.
-    Multipliers move in units of their own value, or of l0 from zero, and
-    every test reads h and (l1 r1, l2 r2), so scaling a block moves nothing.
-    A slack budget whose own Newton step crosses zero goes to zero; a binding
-    one on a flat diagonal (its modes all at z = 1, or l_i = 0) rises by one
-    unit.  The rest take the Newton step given those moves, shrunk to rise by
-    at most one unit: a near-flat diagonal would overshoot the next mode.  A
-    full unit doubles l_i, but a rise of delta < 1 goes through the level map
-    of :func:`_solve_dual`, which multiplies l_i by 1 / (1 - t delta).
-    """
-    m, y, split = pt.m, np.minimum(pt.m, 0.5), p1 - pt.pos.start
-    g1, g2 = pt.v[:split].T @ pt.v[:split], pt.v[split:].T @ pt.v[split:]
-    dm, active = m[:, None] - m, m > 0.5
-    f = np.divide(y[:, None] * m - m[:, None] * y, dm,
-                  out=np.where(active[:, None] & active, -0.5, 0.0), where=dm != 0.0)
-    g1f = g1 * f
-    h11, h12, h22 = float(np.vdot(g1f, g1)), float(np.vdot(g1f, g2)), float(np.vdot(g2 * f, g2))
-    hd, g = (h11, h22), [li * ri for li, ri in zip(pt.l, pt.r)]
-    flat = 1e-13 * max(abs(h11), abs(h12), abs(h22))
-    bound = [ri <= 0.0 and hi >= gi for ri, hi, gi in zip(pt.r, hd, g)]
-    newton = [not bi and -hi > flat for bi, hi in zip(bound, hd)]
-    d1, d2 = (0.0 if nw else -1.0 if bi else 1.0 for nw, bi in zip(newton, bound))
-    rhs = (-(g[0] + (h11 * d1 + h12 * d2)), -(g[1] + (h12 * d1 + h22 * d2)))
-    if all(newton):
-        det = h11 * h22 - h12 * h12
-        delta = [(h22 * rhs[0] - h12 * rhs[1]) / det, (h11 * rhs[1] - h12 * rhs[0]) / det]
-    else:
-        delta = [hi / hdi if nw else di for hi, hdi, nw, di in zip(rhs, hd, newton, (d1, d2))]
-    over = max([di for nw, di in zip(newton, delta) if nw], default=0.0)
-    if over > 1.0:
-        delta = [di / over if nw else di for nw, di in zip(newton, delta)]
-    return [(li or l0i) * di for li, l0i, di in zip(pt.l, l0, delta)]
+    return _DualPoint(l, pos, zero, s, mu, m, v, c, (tr[0] - d1, tr[1] - d2), rate)
 
 
 def _solve_dual(
     src: GaussianPairSource, d: DistortionPair, gap_tol: float
 ) -> tuple[np.ndarray, np.ndarray, tuple[float, float], float, int, SolveBranch]:
-    """Maximize the concave dual g(l) by projected Newton ascent over l >= 0.
+    """Maximize the concave dual g(l) over l >= 0, one ray at a time.
 
-    Starts from l0: 0 for a budget that covers its block trace (Sigma <= Q
-    then implies it), else p_i / (2 d_i), so zero-rate and region-D instances
-    stop at the first evaluation, which also sets the branch as
-    :func:`in_region_d` does.  A multiplier that moves by less than its own
-    value moves in its level w = 1 / (2 l), in which the traces are nearly
-    linear; the others move straight, projected onto l >= 0.  Steps halve
-    until g rises by the Armijo rule, up to round-off in g's terms.  Stops
+    l0 is 0 for a budget that covers its block trace (Sigma <= Q then implies
+    it), else p_i / (2 d_i).  Each evaluation maximizes g on the ray of
+    u(a) = 2 ((1 - a) l0_1, a l0_2), so only a in [0, 1] is searched.  Its
+    maximum phi(a) is quasi-concave (a superlevel set of phi holds the
+    directions of a convex superlevel set of g), and by the envelope theorem
+    its slope has the sign of r2, which f = r2 / d2 - r1 / d1 shares since
+    l . r = 0: f changes sign at most once, at the optimum.
+
+    The first evaluation, at a = 1/2, is l0: the optimum on zero-rate and
+    region-D instances and when one budget covers its trace (the other
+    multiplier is then exact by water-filling); it also sets the branch as
+    :func:`in_region_d` does.  The second trial scales each l_i by
+    tr Sigma_ii / d_i, exact where Sigma is diagonal.  Later trials take secant
+    steps on f; one that leaves the bracket of evaluated signs goes to its
+    unevaluated end, a = 0 or 1, an exact zero multiplier, or else falls back to
+    false position, and to bisection if the step before fell back too.  Stops
     once each l_i |r_i| <= gap_tol / 2 and each trace is within
     TRACE_SLACK_TOL * d_i above d_i; RuntimeError if _MAX_EVALUATIONS comes
     first.  Returns (sigma, theta, l, rate, evaluations, branch).
@@ -378,26 +355,36 @@ def _solve_dual(
         return all(ri <= si and li * abs(ri) <= half_gap
                    for li, ri, si in zip(pt.l, pt.r, slack))
 
-    pt, evaluations = _dual_point(src, l0, budget), 1
+    def at(a: float) -> tuple[_DualPoint, float]:
+        pt = _dual_point(src, (2.0 * (1.0 - a) * l0[0], 2.0 * a * l0[1]), budget)
+        return pt, pt.r[1] / d.d2 - pt.r[0] / d.d1
+
+    (pt, f), a, evaluations = at(0.5), 0.5, 1
     if all(covered):
         branch = SolveBranch.ZERO_RATE
-    elif not any(covered) and pt.m[0] > 0.5 * (1.0 + REGION_TOL):
+    elif not any(covered) and pt.mu[0] > 0.5 * (1.0 + REGION_TOL):
         branch = SolveBranch.CLOSED_FORM_INTERIOR_D
     else:
         branch = SolveBranch.INTERIOR_POINT
-    while not done(pt) and evaluations < _MAX_EVALUATIONS:
-        step = _newton_step(pt, p1, l0)
-        t = 1.0
-        while True:
-            l = tuple(li * li / (li - t * si) if abs(si) < li else max(li + t * si, 0.0)
-                      for li, si in zip(pt.l, step))
-            trial, evaluations = _dual_point(src, l, budget), evaluations + 1
-            rise = sum(ri * (tl - li) for ri, tl, li in zip(pt.r, trial.l, pt.l))
-            armijo = 1e-4 * rise - 1e-13 * pt.scale
-            if trial.value - pt.value >= armijo or done(trial) or evaluations >= _MAX_EVALUATIONS:
-                break
-            t *= 0.5
-        pt = trial
+    # the bracket's ends (a, f), f None while unevaluated; f > 0 below the optimum
+    lo, hi, prev, fell_back = [0.0, None], [1.0, None], None, False
+    while not any(covered) and not done(pt) and evaluations < _MAX_EVALUATIONS:
+        (lo if f > 0.0 else hi)[:] = a, f
+        if prev is None:
+            g1, g2 = (1.0 + ri / di for ri, di in zip(pt.r, budget))
+            step = g2 / (g1 + g2)
+        else:
+            step = a - f * (a - prev[0]) / (f - prev[1]) if f != prev[1] else math.nan
+        inside = lo[0] < step < hi[0]
+        if not inside and (hi[1] is None or lo[1] is None):
+            step = 1.0 if hi[1] is None else 0.0
+        elif not inside:
+            # false position alone can creep along one end
+            fp = lo[0] - lo[1] * (hi[0] - lo[0]) / (hi[1] - lo[1])
+            step = fp if not fell_back and lo[0] < fp < hi[0] else 0.5 * (lo[0] + hi[0])
+        fell_back = not inside and not fell_back
+        prev, a = (a, f), step
+        (pt, f), evaluations = at(a), evaluations + 1
     if not done(pt):
         raise RuntimeError(f"dual solver did not converge within {evaluations} evaluations")
     return (*_optimum(src, pt), pt.l, pt.rate, evaluations, branch)

@@ -71,7 +71,7 @@ class TestSolveCommand:
         assert abs(bits - nats / math.log(2.0)) <= 1e-12
 
     @pytest.mark.parametrize(
-        "flags, evaluations, gap_bound", [((), 4, 1e-9), (("--tol-gap", "1e-2"), 3, 1e-2)]
+        "flags, evaluations, gap_bound", [((), 5, 1e-9), (("--tol-gap", "1e-2"), 5, 1e-2)]
     )
     def test_tol_gap_reaches_dual_stopping_rule(
         self, example_source_file, capsys, flags, evaluations, gap_bound

@@ -609,7 +609,8 @@ STRESS_MAX_EVALUATIONS = 16
 
 
 class TestDualStress:
-    def test_forced_solves_certify(self):
+    @staticmethod
+    def _forced_draws():
         # n from 2 to 14, Q scaled over eight decades, budgets from 0.05 to
         # 1.3 of each block trace (above it, the dual optimum is l = 0)
         rng = np.random.default_rng(12001200)
@@ -623,16 +624,10 @@ class TestDualStress:
                 float(rng.uniform(0.05, 1.3)) * float(np.trace(q[:p1, :p1])),
                 float(rng.uniform(0.05, 1.3)) * float(np.trace(q[p1:, p1:])),
             )
-            report = solve(src, d)
-            report.sigma.validate(src, d)
-            assert report.certificate.stationarity_residual <= 1e-12
-            assert report.certificate.dual_feasible
-            assert report.iterations <= STRESS_MAX_EVALUATIONS
+            yield src, d
 
-    def test_large_scale_traces_stay_within_budget(self):
-        # at ||Q|| ~ 1e6 and above, round-off in assembling Sigma is large in
-        # absolute terms: it must not push a converged trace over its
-        # budget's relative slack, nor stall the iteration
+    @staticmethod
+    def _large_scale_draws():
         rng = np.random.default_rng(10**6)
         for k in range(200):
             n = int(rng.integers(2, 13))
@@ -644,14 +639,83 @@ class TestDualStress:
                 float(rng.uniform(0.05, 0.9)) * float(np.trace(q[:p1, :p1])),
                 float(rng.uniform(0.05, 0.9)) * float(np.trace(q[p1:, p1:])),
             )
+            yield src, d
+
+    def test_forced_solves_certify(self):
+        for src, d in self._forced_draws():
+            report = solve(src, d)
+            report.sigma.validate(src, d)
+            assert report.certificate.stationarity_residual <= 1e-12
+            assert report.certificate.dual_feasible
+            assert report.iterations <= STRESS_MAX_EVALUATIONS
+
+    def test_large_scale_traces_stay_within_budget(self):
+        # at ||Q|| ~ 1e6 and above, round-off in assembling Sigma is large in
+        # absolute terms: it must not push a converged trace over its
+        # budget's relative slack, nor stall the iteration
+        for src, d in self._large_scale_draws():
             report = solve(src, d)
             report.sigma.validate(src, d)
             assert report.iterations <= STRESS_MAX_EVALUATIONS
 
 
+class TestFirstOrderExactness:
+    """Every dual point has l . r = 0, so the rate a solve reports, R(d + r),
+    is R(d) to second order in the trace residual r: the default gap_tol
+    gives the rate of gap_tol=1e-14."""
+
+    @staticmethod
+    def _assert_exact(instances):
+        for src, d in instances:
+            tight = solve(src, d, gap_tol=1e-14)
+            assert abs(solve(src, d).rate_nats - tight.rate_nats) <= 1e-12
+
+    def test_sweep_grid(self, example_source):
+        self._assert_exact((example_source, DistortionPair(float(a), float(b)))
+                           for a in np.linspace(0.1, 7.5, 20) for b in np.linspace(0.1, 7.0, 20))
+
+    def test_stress_draws(self):
+        self._assert_exact(TestDualStress._forced_draws())
+        self._assert_exact(TestDualStress._large_scale_draws())
+
+
+class TestIllConditionedSpectra:
+    """conditioned_pd sources with p1 = p2 = 2 and condition numbers up to
+    9e9, near the positive-definite cutoff: every solve certifies within the
+    stress budget of evaluations."""
+
+    @staticmethod
+    def _certify(src, d):
+        report = solve(src, d)
+        report.sigma.validate(src, d)
+        w = src.q_eigh[0]
+        cert = report.certificate
+        assert cert.dual_feasible
+        assert cert.stationarity_residual <= max(1e-7, float(w[-1] / w[0]) * np.finfo(float).eps)
+        assert report.iterations <= STRESS_MAX_EVALUATIONS
+        return report
+
+    @pytest.mark.parametrize("frac", [0.6, 0.9])
+    @pytest.mark.parametrize("cond", [1e6, 1e8, 9e9])
+    def test_seeds_certify(self, cond, frac):
+        for seed in range(300):
+            src = validate_source(conditioned_pd(np.random.default_rng(seed), 4, cond), 2, 2)
+            t1, t2 = src.block_traces
+            self._certify(src, DistortionPair(frac * t1, frac * t2))
+
+    def test_one_active_mode(self):
+        # spectrum 1, 4.8e-4, 2.3e-7, 1.1e-10 at budgets of 0.6 of each trace,
+        # with at most one mode active away from the optimum; a grid search
+        # over l finds the dual value 0.2556009 near (2.0, 0.10), a lower
+        # bound on R
+        src = validate_source(conditioned_pd(np.random.default_rng(23), 4, 9e9), 2, 2)
+        report = self._certify(src, DistortionPair(0.23171741673103285, 0.3685711719219503))
+        assert report.rate_nats >= 0.2556009
+
+
 class TestEvaluationCap:
     def test_capped_solve_raises(self, example_source, case2, monkeypatch):
-        # case2 needs 4 evaluations
+        # case2 needs 5 evaluations
         monkeypatch.setattr(solver, "_MAX_EVALUATIONS", 2)
         with pytest.raises(RuntimeError, match="2 evaluations"):
             solve(example_source, case2)
@@ -709,6 +773,16 @@ class TestFactorCounts:
         assert not calls["solve"]
         assert not self._stacked(calls, src) and len(calls["cholesky"]) == 1
         assert not any(self._factored(calls, b) for b in (src.q, src.q11, src.q22))
+
+    def test_region_test_of_a_covered_budget_factors_nothing(self, monkeypatch):
+        # Q - D > 0 implies tr Q_ii > d_i, so a budget at or above its block
+        # trace is outside the region before any eigh
+        src = validate_source(EXAMPLE_Q, 2, 2)
+        t1, t2 = src.block_traces
+        calls = self._count(monkeypatch)
+        for d in (DistortionPair(t1, 0.5), DistortionPair(0.4, 2.0 * t2), DistortionPair(7.0, 6.0)):
+            assert not in_region_d(src, d)
+        assert not any(calls.values())
 
     def test_sampling_a_warm_source_factors_nothing(self, monkeypatch):
         src = validate_source(EXAMPLE_Q, 2, 2)
