@@ -7,9 +7,10 @@ validation, and emit the canonical variable form.  Sources are JSON documents
 
 Exit codes: 0 success, 2 invalid input (or an unwritable -o path), 3
 infeasible (zero budget against positive variance), 4 structural check
-failure, 5 statistical check failure, 1 internal failure (a dual solve that
-reaches its evaluation cap, a sweep point whose solve misbehaves, or an
-allocation that fails, such as a sample count too large for memory).  A reader
+failure, 5 statistical check failure, 1 internal failure (a dual solve whose
+ratio bracket collapses or that reaches its evaluation cap, a sweep point
+whose solve misbehaves, or an allocation that fails, such as a sample count
+too large for memory).  A reader
 that closes the output pipe early (e.g. `| head`) does not change the exit
 code.
 """
@@ -36,7 +37,7 @@ from .model import (
     SourceValidationError,
     load_source,
 )
-from .solver import GAP_TOL, FeasibilityError, SolveBranch, SolveReport, solve
+from .solver import FeasibilityError, SolveBranch, SolveReport, solve
 
 LN2 = math.log(2.0)
 
@@ -115,7 +116,7 @@ def _solve(
 ) -> tuple[DistortionPair, SolveReport]:
     """Solve at (args.d1, args.d2), raising _Infeasible on the Infeasible branch."""
     d = DistortionPair(args.d1, args.d2)
-    report = solve(src, d, gap_tol=args.tol_gap)
+    report = solve(src, d)
     if report.branch is SolveBranch.INFEASIBLE:
         raise _Infeasible
     return d, report
@@ -177,9 +178,9 @@ def _parse_grid(text: str) -> tuple[np.ndarray, np.ndarray]:
     return axes[0], axes[1]
 
 
-def _sweep_point(src: GaussianPairSource, gap_tol: float, d1: float, d2: float) -> dict:
+def _sweep_point(src: GaussianPairSource, d1: float, d2: float) -> dict:
     d = DistortionPair(d1, d2)
-    return _row(d, solve(src, d, gap_tol=gap_tol))
+    return _row(d, solve(src, d))
 
 
 def _check_sweep_monotone(
@@ -206,7 +207,7 @@ def _cmd_sweep(src: GaussianPairSource, args: argparse.Namespace) -> int:
         return 2
     points = [(float(a), float(b)) for a in d1_axis for b in d2_axis]
     d1s, d2s = zip(*points)
-    point = functools.partial(_sweep_point, src, args.tol_gap)
+    point = functools.partial(_sweep_point, src)
     rows: list[dict] = []
     try:
         if args.jobs > 1:
@@ -216,7 +217,7 @@ def _cmd_sweep(src: GaussianPairSource, args: argparse.Namespace) -> int:
         else:
             for row in map(point, d1s, d2s):
                 rows.append(row)
-    except ValueError:  # invalid input such as a bad --tol-gap: main exits 2, as for solve
+    except ValueError:  # an unrepresentable budget multiplier: main exits 2, as for solve
         raise
     except Exception as exc:  # results arrive in order, so len(rows) names the point
         at = points[min(len(rows), len(points) - 1)]
@@ -368,8 +369,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
 
 def _add_solve_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--unit", choices=("nats", "bits"), default="nats")
-    sp.add_argument("--tol-gap", type=float, default=GAP_TOL,
-                    help="duality-gap tolerance in nats of the dual solver (default 1e-9)")
 
 
 def _add_distortions(sp: argparse.ArgumentParser) -> None:

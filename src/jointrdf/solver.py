@@ -29,12 +29,12 @@ The branch labels the instance, read off the dual's first evaluation (see
 * InteriorPoint otherwise.
 
 Every solve carries a certificate (lambda1, lambda2, Theta), exact by
-construction, whose residuals :func:`kkt_residuals` recomputes.  gap_tol of
-:func:`solve` (default GAP_TOL), the duality gap in nats at which the dual
-iteration stops, is the only tolerance a caller sets.  REGION_TOL, the margin
-of the region test (Q - D > REGION_TOL * D), TRACE_SLACK_TOL, the trace
-overshoot accepted relative to each budget, and model.PSD_RTOL are fixed and
-scale with the problem.
+construction, whose residuals :func:`kkt_residuals` recomputes.  A caller
+sets no tolerance: GAP_TOL, the duality gap in nats at which the dual
+iteration stops, REGION_TOL, the margin of the region test
+(Q - D > REGION_TOL * D), TRACE_SLACK_TOL, the trace overshoot accepted
+relative to each budget, and model.PSD_RTOL are fixed and scale with the
+problem.
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ def kkt_residuals(
     order documented on KktCertificate.  Theta counts as PSD down to
     -PSD_RTOL times its largest eigenvalue magnitude.
     """
-    s = sym(_as_matrix(sigma))
+    s = sym(sigma.sigma)
     try:
         chol_inv = np.linalg.inv(np.linalg.cholesky(s))
     except np.linalg.LinAlgError as exc:
@@ -321,7 +321,7 @@ def _dual_point(
 
 
 def _solve_dual(
-    src: GaussianPairSource, d: DistortionPair, gap_tol: float
+    src: GaussianPairSource, d: DistortionPair
 ) -> tuple[np.ndarray, np.ndarray, tuple[float, float], float, int, SolveBranch]:
     """Maximize the concave dual g(l) over l >= 0, one ray at a time.
 
@@ -341,15 +341,17 @@ def _solve_dual(
     steps on f; one that leaves the bracket of evaluated signs goes to its
     unevaluated end, a = 0 or 1, an exact zero multiplier, or else falls back to
     false position, and to bisection if the step before fell back too.  Stops
-    once each l_i |r_i| <= gap_tol / 2 and each trace is within
-    TRACE_SLACK_TOL * d_i above d_i; RuntimeError if _MAX_EVALUATIONS comes
-    first.  Returns (sigma, theta, l, rate, evaluations, branch).
+    once each l_i |r_i| <= GAP_TOL / 2 and each trace is within
+    TRACE_SLACK_TOL * d_i above d_i; RuntimeError if the bracket collapses
+    first (both ends evaluated and no float strictly between them, so every
+    later step would repeat an end) or if _MAX_EVALUATIONS does.  Returns
+    (sigma, theta, l, rate, evaluations, branch).
     """
     p1, p2, budget = src.p1, src.p2, (d.d1, d.d2)
     covered = tuple(di >= ti for di, ti in zip(budget, src.block_traces))
     l0 = tuple(0.0 if c else p / (2.0 * di) for c, p, di in zip(covered, (p1, p2), budget))
     slack = tuple(TRACE_SLACK_TOL * di for di in budget)
-    half_gap = 0.5 * gap_tol
+    half_gap = 0.5 * GAP_TOL
 
     def done(pt: _DualPoint) -> bool:
         return all(ri <= si and li * abs(ri) <= half_gap
@@ -368,8 +370,12 @@ def _solve_dual(
         branch = SolveBranch.INTERIOR_POINT
     # the bracket's ends (a, f), f None while unevaluated; f > 0 below the optimum
     lo, hi, prev, fell_back = [0.0, None], [1.0, None], None, False
+    collapsed = False
     while not any(covered) and not done(pt) and evaluations < _MAX_EVALUATIONS:
         (lo if f > 0.0 else hi)[:] = a, f
+        collapsed = None not in (lo[1], hi[1]) and not lo[0] < 0.5 * (lo[0] + hi[0]) < hi[0]
+        if collapsed:
+            break
         if prev is None:
             g1, g2 = (1.0 + ri / di for ri, di in zip(pt.r, budget))
             step = g2 / (g1 + g2)
@@ -386,7 +392,8 @@ def _solve_dual(
         prev, a = (a, f), step
         (pt, f), evaluations = at(a), evaluations + 1
     if not done(pt):
-        raise RuntimeError(f"dual solver did not converge within {evaluations} evaluations")
+        how = "its ratio bracket collapsed after" if collapsed else "it reached its cap of"
+        raise RuntimeError(f"dual solver did not converge: {how} {evaluations} evaluations")
     return (*_optimum(src, pt), pt.l, pt.rate, evaluations, branch)
 
 
@@ -421,18 +428,13 @@ def _optimum(src: GaussianPairSource, pt: _DualPoint) -> tuple[np.ndarray, np.nd
 # ---------------------------------------------------------------------------
 
 
-def solve(
-    src: GaussianPairSource,
-    d: DistortionPair,
-    *,
-    gap_tol: float = GAP_TOL,
-) -> SolveReport:
+def solve(src: GaussianPairSource, d: DistortionPair) -> SolveReport:
     """Compute the joint rate-distortion value and its optimal error covariance.
 
-    Every feasible instance is solved by the two-multiplier dual; gap_tol
-    is the duality gap in nats at which its iteration stops (ValueError
-    unless finite and positive, and for a budget whose multiplier
-    p_i / (2 d_i) is not representable for Q).  iterations counts its
+    Every feasible instance is solved by the two-multiplier dual, whose
+    iteration stops at a duality gap of GAP_TOL nats (ValueError for a budget
+    whose multiplier p_i / (2 d_i) is not representable for Q; RuntimeError
+    if the iteration fails, see :func:`_solve_dual`).  iterations counts its
     evaluations, one eigh each (1 on the zero-rate and region-D instances).
     The rate is that of the returned Sigma, from the final dual point's
     eigenvalues; the branch labels the instance as the module docstring says.
@@ -442,16 +444,13 @@ def solve(
     covariance is then singular.
     """
     start = time.perf_counter()
-    if not 0.0 < gap_tol < math.inf:
-        raise ValueError(f"gap_tol must be finite and positive, got {gap_tol!r}")
-
     if d.d1 <= 0.0 or d.d2 <= 0.0:
         sigma = ErrorCovariance(p1=src.p1, p2=src.p2, sigma=readonly(np.zeros((src.n, src.n))))
         return SolveReport(math.inf, sigma, None, SolveBranch.INFEASIBLE, math.inf, 0,
                            time.perf_counter() - start)
 
     gray = gray_lower_bound(src, d)
-    s, theta, lam, rate, iterations, branch = _solve_dual(src, d, gap_tol)
+    s, theta, lam, rate, iterations, branch = _solve_dual(src, d)
     sigma = ErrorCovariance(p1=src.p1, p2=src.p2, sigma=readonly(s))
     sigma.validate(src, d)
     blank = KktCertificate(*lam, readonly(theta), 0.0, (0.0,) * 4, True)

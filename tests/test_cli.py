@@ -70,24 +70,19 @@ class TestSolveCommand:
         bits = json.loads(out_bits)["rate"]
         assert abs(bits - nats / math.log(2.0)) <= 1e-12
 
-    @pytest.mark.parametrize(
-        "flags, evaluations, gap_bound", [((), 5, 1e-9), (("--tol-gap", "1e-2"), 5, 1e-2)]
-    )
-    def test_tol_gap_reaches_dual_stopping_rule(
-        self, example_source_file, capsys, flags, evaluations, gap_bound
-    ):
+    def test_reaches_dual_stopping_rule(self, example_source_file, capsys):
         code, out, _ = run_cli(
-            capsys, "solve", example_source_file, "--d1", "1.65", "--d2", "1.85", *flags
+            capsys, "solve", example_source_file, "--d1", "1.65", "--d2", "1.85"
         )
         assert code == 0
         obj = json.loads(out)
         assert obj["branch"] == "InteriorPoint"
-        assert obj["iterations"] == evaluations
+        assert obj["iterations"] == 5
         sigma = np.array(obj["sigma"])
         gap = abs(obj["kkt"]["lambda1"] * (np.trace(sigma[:2, :2]) - 1.65)) + abs(
             obj["kkt"]["lambda2"] * (np.trace(sigma[2:, 2:]) - 1.85)
         )
-        assert gap <= gap_bound
+        assert gap <= solver.GAP_TOL
 
     def test_zero_budget_exits_3(self, example_source_file, capsys):
         code, _, err = run_cli(
@@ -163,12 +158,13 @@ class TestSolveCommand:
         ("verify", ("--d1", "1.65", "--d2", "1.85", "--samples", "1000", "--seed", "1")),
     ])
     def test_bad_tol_gap_exits_2(self, example_source_file, capsys, command, extra, tol):
-        code, out, err = run_cli(
-            capsys, command, example_source_file, *extra, "--tol-gap", tol,
-        )
-        assert code == 2
+        # a solve takes no tolerance, so every --tol-gap is refused
+        with pytest.raises(SystemExit) as exc:
+            main([command, example_source_file, *extra, "--tol-gap", tol])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
         assert out == ""
-        assert "invalid input" in err and "gap_tol" in err
+        assert "unrecognized arguments: --tol-gap" in err
 
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -435,7 +431,7 @@ class TestCanonicalCommand:
         code, _, err = run_cli(capsys, "canonical", str(doc))
         assert code == 2
 
-    @pytest.mark.parametrize("flag", [("--tol-gap", "5"), ("--unit", "bits")])
+    @pytest.mark.parametrize("flag", [("--unit", "bits"), ("--d1", "1")])
     def test_solver_flags_rejected(self, example_source_file, capsys, flag):
         # canonical never solves, so it refuses the solver's flags
         with pytest.raises(SystemExit) as exc:

@@ -1,8 +1,8 @@
-"""gap_tol is the one tolerance a caller sets, and the CLI has no hidden flag.
+"""A caller sets no tolerance, and the CLI has no hidden flag.
 
-Every other tolerance is a fixed module constant.  These tests fail as soon
-as a public function, a public method or a CLI option grows a second
-tolerance, or an option is hidden from --help.
+Every tolerance is a fixed module constant.  These tests fail as soon as a
+public function, a public method or a CLI option grows a tolerance, or an
+option is hidden from --help.
 """
 
 import argparse
@@ -22,7 +22,7 @@ def _public_callables():
                     yield f"{name}.{attr}", member
 
 
-def test_gap_tol_is_the_only_library_tolerance():
+def test_no_library_callable_takes_a_tolerance():
     found = []
     for name, obj in _public_callables():
         try:
@@ -30,7 +30,7 @@ def test_gap_tol_is_the_only_library_tolerance():
         except (TypeError, ValueError):  # builtins such as exception classes
             continue
         found += [(name, p) for p in params if "tol" in p]
-    assert found == [("solve", "gap_tol")]
+    assert found == []
 
 
 def _commands():
@@ -39,14 +39,12 @@ def _commands():
     return parser, sub.choices
 
 
-def test_tol_gap_is_the_only_cli_tolerance():
+def test_no_cli_option_takes_a_tolerance():
     _, commands = _commands()
     assert set(commands) == {"solve", "sweep", "realize", "verify", "canonical"}
-    tol_options = {}
-    for command, sp in commands.items():
-        for opt in (o for a in sp._actions for o in a.option_strings if "tol" in o):
-            tol_options.setdefault(opt, set()).add(command)
-    assert tol_options == {"--tol-gap": {"solve", "sweep", "realize", "verify"}}
+    tol_options = [(command, o) for command, sp in commands.items()
+                   for a in sp._actions for o in a.option_strings if "tol" in o]
+    assert tol_options == []
 
 
 def test_no_cli_option_is_hidden():

@@ -161,11 +161,12 @@ class TestSolveCase2:
         assert max(abs(r) for r in cert.slackness_residuals) <= 1e-7
         assert cert.dual_feasible
 
-    def test_tighter_gap_agrees(self, example_source, case2):
+    def test_tighter_gap_agrees(self, example_source, case2, monkeypatch):
         # decreasing the gap tolerance 10x moves the final iterate by little
         # and keeps the certificate valid
         base = solve(example_source, case2)
-        tight = solve(example_source, case2, gap_tol=1e-10)
+        monkeypatch.setattr(solver, "GAP_TOL", 1e-10)
+        tight = solve(example_source, case2)
         assert abs(base.rate_nats - tight.rate_nats) <= 1e-8
         assert np.linalg.norm(base.sigma.sigma - tight.sigma.sigma) <= 1e-6
         assert tight.certificate.stationarity_residual <= 1e-7
@@ -208,7 +209,8 @@ class TestSolveEdges:
 
     @pytest.mark.parametrize("gap_tol", [0.0, -1.0, math.nan, math.inf])
     def test_bad_gap_tol_rejected(self, example_source, case2, gap_tol):
-        with pytest.raises(ValueError, match="gap_tol"):
+        # a solve takes no tolerance: every gap_tol is refused
+        with pytest.raises(TypeError, match="gap_tol"):
             solve(example_source, case2, gap_tol=gap_tol)
 
     def test_non_pd_source_rejected(self):
@@ -661,22 +663,24 @@ class TestDualStress:
 
 class TestFirstOrderExactness:
     """Every dual point has l . r = 0, so the rate a solve reports, R(d + r),
-    is R(d) to second order in the trace residual r: the default gap_tol
-    gives the rate of gap_tol=1e-14."""
+    is R(d) to second order in the trace residual r: GAP_TOL gives the rate
+    of a gap of 1e-14 nats."""
 
     @staticmethod
-    def _assert_exact(instances):
-        for src, d in instances:
-            tight = solve(src, d, gap_tol=1e-14)
-            assert abs(solve(src, d).rate_nats - tight.rate_nats) <= 1e-12
+    def _assert_exact(instances, monkeypatch):
+        rates = [solve(src, d).rate_nats for src, d in instances]
+        monkeypatch.setattr(solver, "GAP_TOL", 1e-14)
+        for (src, d), rate in zip(instances, rates):
+            assert abs(rate - solve(src, d).rate_nats) <= 1e-12
 
-    def test_sweep_grid(self, example_source):
-        self._assert_exact((example_source, DistortionPair(float(a), float(b)))
-                           for a in np.linspace(0.1, 7.5, 20) for b in np.linspace(0.1, 7.0, 20))
+    def test_sweep_grid(self, example_source, monkeypatch):
+        grid = [(example_source, DistortionPair(float(a), float(b)))
+                for a in np.linspace(0.1, 7.5, 20) for b in np.linspace(0.1, 7.0, 20)]
+        self._assert_exact(grid, monkeypatch)
 
-    def test_stress_draws(self):
-        self._assert_exact(TestDualStress._forced_draws())
-        self._assert_exact(TestDualStress._large_scale_draws())
+    def test_stress_draws(self, monkeypatch):
+        draws = [*TestDualStress._forced_draws(), *TestDualStress._large_scale_draws()]
+        self._assert_exact(draws, monkeypatch)
 
 
 class TestIllConditionedSpectra:
@@ -719,6 +723,21 @@ class TestEvaluationCap:
         monkeypatch.setattr(solver, "_MAX_EVALUATIONS", 2)
         with pytest.raises(RuntimeError, match="2 evaluations"):
             solve(example_source, case2)
+
+    def test_collapsed_bracket_raises_early(self, monkeypatch):
+        # at cond 8e8 the bracket of the multiplier ratio shrinks to two
+        # adjacent floats without converging; every later step would repeat
+        # an end until the cap of 100 evaluations
+        q = np.array([[0.5089492057154662, -0.499919904688279],
+                      [-0.499919904688279, 0.4910507955339446]])
+        src = validate_source(q, 1, 1)
+        calls = []
+        evaluate = solver._dual_point
+        monkeypatch.setattr(solver, "_dual_point",
+                            lambda *args: calls.append(args) or evaluate(*args))
+        with pytest.raises(RuntimeError, match="bracket collapsed"):
+            solve(src, DistortionPair(1.786117143006813e-09, 8.976018049634388e-10))
+        assert len(calls) <= 40
 
 
 class TestFactorCounts:
