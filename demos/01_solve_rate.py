@@ -8,7 +8,7 @@ boundary and require the interior-point branch.
 
 import numpy as np
 
-from jointrdf import DistortionPair, gray_lower_bound, solve, validate_source
+from jointrdf import DistortionPair, SolveBranch, gray_lower_bound, solve, validate_source
 
 Q = np.array(
     [
@@ -30,7 +30,8 @@ for budgets in [(0.4, 0.5), (1.65, 1.85)]:
     print(f"  rate          : {report.rate_nats:.6f} nats "
           f"({report.rate_nats / np.log(2):.6f} bits)")
     print(f"  lower bound   : {gray_lower_bound(src, d):.6f} nats "
-          f"(tight iff inside region: {report.in_region_d})")
+          f"(tight iff inside region: "
+          f"{report.branch is SolveBranch.CLOSED_FORM_INTERIOR_D})")
     print(f"  trace(sigma11): {np.trace(report.sigma.sigma11):.6f}")
     print(f"  trace(sigma22): {np.trace(report.sigma.sigma22):.6f}")
     with np.printoptions(precision=4, suppress=True):

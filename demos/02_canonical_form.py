@@ -30,7 +30,7 @@ Q = np.array(
 src = validate_source(Q, 2, 2)
 form = to_canonical_form(src)
 
-print("index partition (p12, p13, p22, p23):", form.partition.as_tuple())
+print("index partition (p12, p13, p22, p23):", form.partition)
 print("canonical correlations:", form.d4_vals)
 print("marginal eigenvalues   :", form.d1_vals, form.d2_vals)
 

@@ -16,6 +16,7 @@ from jointrdf import (
     push_channel,
     realize,
     sample_source,
+    sim,
     solve,
     validate_source,
 )
@@ -39,7 +40,7 @@ batch = sample_source(src, n, seed=101)
 batch = push_channel(batch, channel, seed=102)
 
 dist = check_distortion(batch, d)
-print(f"samples: {n} (generator {dist.generator})")
+print(f"samples: {n} (generator {sim.GENERATOR})")
 print(f"empirical distortions: {dist.empirical_d1:.5f}, {dist.empirical_d2:.5f} "
       f"vs budgets {d.d1}, {d.d2} -> {'pass' if dist.passed else 'FAIL'}")
 

@@ -9,7 +9,6 @@ additive-lower-bound equality on the closed-form region, KKT certificates).
 
 from .canonical import (
     CanonicalForm,
-    CanonicalPartition,
     cvf_objective,
     det_identity_residual,
     to_canonical_form,
@@ -48,7 +47,6 @@ from .solver import (
     KktCertificate,
     SolveBranch,
     SolveReport,
-    closed_form_candidate,
     in_region_d,
     kkt_residuals,
     rate_of,
@@ -59,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CanonicalForm",
-    "CanonicalPartition",
     "CmOptimalityReport",
     "Condition1Report",
     "DistortionPair",
@@ -75,7 +72,6 @@ __all__ = [
     "TestChannelRealization",
     "check_cm_optimality",
     "check_distortion",
-    "closed_form_candidate",
     "conditional_mean_map",
     "cvf_objective",
     "det_identity_residual",

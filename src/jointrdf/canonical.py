@@ -31,24 +31,6 @@ _SIGN_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class CanonicalPartition:
-    """Index counts (p12, p13, p22, p23) of the canonical split.
-
-    p12 = p22 counts the canonical correlations in (0, 1), and p13 / p23 the
-    uncorrelated remainder of each block.  The paper's unit class (p11 = p21,
-    correlations equal to 1) is empty for every positive-definite source.
-    """
-
-    p12: int
-    p13: int
-    p22: int
-    p23: int
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.p12, self.p13, self.p22, self.p23)
-
-
-@dataclass(frozen=True)
 class CanonicalForm:
     """Canonical variable form of a two-block covariance.
 
@@ -65,7 +47,15 @@ class CanonicalForm:
     d1_vals: np.ndarray
     d2_vals: np.ndarray
     d4_vals: np.ndarray
-    partition: CanonicalPartition
+
+    @property
+    def partition(self) -> tuple[int, int, int, int]:
+        """Index counts (p12, p13, p22, p23): p12 = p22 canonical correlations
+        in (0, 1), p13 / p23 uncorrelated coordinates of each block.  The
+        paper's unit class (correlations equal to 1) is empty for every
+        positive-definite source."""
+        k = self.d4_vals.size
+        return (k, self.p1 - k, k, self.p2 - k)
 
     @property
     def d3(self) -> np.ndarray:
@@ -105,7 +95,6 @@ def to_canonical_form(src: GaussianPairSource) -> CanonicalForm:
     s2[:k] *= signs[:k]
     s2[k:] *= _row_signs(s2[k:])
 
-    n_mid = int(np.count_nonzero(svals > ZERO_CORR_TOL))
     return CanonicalForm(
         p1=p1,
         p2=p2,
@@ -113,8 +102,7 @@ def to_canonical_form(src: GaussianPairSource) -> CanonicalForm:
         s2=readonly(s2),
         d1_vals=readonly(w1[::-1]),
         d2_vals=readonly(w2[::-1]),
-        d4_vals=readonly(svals[:n_mid]),
-        partition=CanonicalPartition(p12=n_mid, p13=p1 - n_mid, p22=n_mid, p23=p2 - n_mid),
+        d4_vals=readonly(svals[svals > ZERO_CORR_TOL]),
     )
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import dataclasses
 import functools
 import json
 import math
@@ -40,6 +39,10 @@ from .model import (
 from .solver import FeasibilityError, SolveBranch, SolveReport, solve
 
 LN2 = math.log(2.0)
+
+# A sweep rate may rise by this many nats into the next grid point before
+# the surface counts as non-monotone.
+MONOTONE_TOL = 1e-8
 
 # Below this many samples the three-sigma distortion allowance exceeds 50%,
 # so the statistical checks carry no information and are skipped.
@@ -93,7 +96,6 @@ def _solve_dict(report: SolveReport, d: DistortionPair, unit: str) -> dict:
         "unit": unit,
         "rate": report.rate_nats * scale,
         "branch": report.branch.value,
-        "in_region_d": report.in_region_d,
         "gray_bound": report.gray_bound_nats * scale,
         "sigma": report.sigma.sigma.tolist(),
         "kkt": _kkt_dict(report),
@@ -125,7 +127,7 @@ def _solve(
 def _row(d: DistortionPair, report: SolveReport) -> dict:
     """One CSV or sweep-JSON row, rates in nats."""
     return {"d1": d.d1, "d2": d.d2, "rate": report.rate_nats, "branch": report.branch.value,
-            "gray_bound": report.gray_bound_nats, "in_region_d": report.in_region_d}
+            "gray_bound": report.gray_bound_nats}
 
 
 def _scaled(row: dict, scale: float) -> dict:
@@ -133,8 +135,6 @@ def _scaled(row: dict, scale: float) -> dict:
 
 
 def _cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
     return value if isinstance(value, str) else _fmt(value)
 
 
@@ -183,11 +183,9 @@ def _sweep_point(src: GaussianPairSource, d1: float, d2: float) -> dict:
     return _row(d, solve(src, d))
 
 
-def _check_sweep_monotone(
-    d1_axis: np.ndarray, d2_axis: np.ndarray, rates: np.ndarray, tol: float = 1e-8
-) -> None:
+def _check_sweep_monotone(d1_axis: np.ndarray, d2_axis: np.ndarray, rates: np.ndarray) -> None:
     for axis in (0, 1):
-        bad = np.argwhere(np.diff(rates, axis=axis) > tol)
+        bad = np.argwhere(np.diff(rates, axis=axis) > MONOTONE_TOL)
         if bad.size:
             # the rise is into the next point along this axis
             i, j = (int(k) + (a == axis) for a, k in enumerate(bad[0]))
@@ -262,7 +260,6 @@ def _cmd_realize(src: GaussianPairSource, args: argparse.Namespace) -> int:
         "checks": {
             "condition1_deviation": c1.deviation,
             "condition1_rank": c1.rank,
-            "full_rank": c1.full_rank,
             "reproduction_error": rep_err,
             "tolerance": real.CHECK_TOL,
             "passed": passed,
@@ -350,7 +347,7 @@ def _cmd_canonical(src: GaussianPairSource, args: argparse.Namespace) -> int:
         "d1_vals": form.d1_vals.tolist(),
         "d2_vals": form.d2_vals.tolist(),
         "d4_vals": form.d4_vals.tolist(),
-        "partition": dataclasses.asdict(form.partition),
+        "partition": dict(zip(("p12", "p13", "p22", "p23"), form.partition)),
         "det_identity_residual": canon.det_identity_residual(src, form),
     }
     _emit(json.dumps(obj, indent=2), args.out)

@@ -84,7 +84,6 @@ class Condition1Report:
     deviation: float
     passed: bool
     rank: int
-    full_rank: bool
 
 
 def realize(src: GaussianPairSource, sigma) -> TestChannelRealization:
@@ -116,7 +115,6 @@ def verify_condition1(r: TestChannelRealization) -> Condition1Report:
         deviation=deviation,
         passed=bool(deviation <= CHECK_TOL),
         rank=r.xhat_cov.rank,
-        full_rank=bool(r.xhat_cov.rank == r.n),
     )
 
 

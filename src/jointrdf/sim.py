@@ -3,8 +3,8 @@
 Draws source samples, pushes them through a test-channel realization, and
 compares empirical block distortions, residual statistics, and estimator
 mean-squared errors against their analytic values.  Randomness comes from the
-counter-based Philox bit generator, which is seedable and splittable; the
-generator identity is recorded on every report so runs are self-describing.
+counter-based Philox bit generator, which is seedable and splittable; its
+name is GENERATOR, which the CLI's verify output records.
 All pass/fail thresholds are statistical (concentration-based), never exact.
 
 Every check reads one streamed statistic.  Sampling and the channel push
@@ -60,7 +60,6 @@ class DistortionReport:
     bound_d1: float
     bound_d2: float
     passed: bool
-    generator: str = GENERATOR
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,6 @@ class CmOptimalityReport:
     base_mse: tuple[float, float]
     margins: tuple[tuple[tuple[float, float], tuple[float, float]], ...]
     passed: bool
-    generator: str = GENERATOR
 
 
 # Rows per chunk of sampling and the channel push: a chunk's temporaries stay

@@ -137,16 +137,16 @@ class KktCertificate:
     lambda2 I) + Theta||_F relative to ||0.5 Sigma^{-1}||_F, so 1.0 for zero
     multipliers.  dual_feasible means lambda1, lambda2 >= 0 and Theta PSD to
     within PSD_RTOL of its own norm.  slackness_residuals holds, in order:
-    lambda1*(tr sigma11 - d1), lambda2*(tr sigma22 - d2), tr(V sigma) which
-    is identically zero since the optimal sigma is strictly positive
-    definite, and tr(Theta (sigma - Q)).
+    lambda1*(tr sigma11 - d1), lambda2*(tr sigma22 - d2) and
+    tr(Theta (sigma - Q)).  The optimal sigma is strictly positive definite,
+    so the constraint sigma >= 0 carries no multiplier.
     """
 
     lambda1: float
     lambda2: float
     theta: np.ndarray
     stationarity_residual: float
-    slackness_residuals: tuple[float, float, float, float]
+    slackness_residuals: tuple[float, float, float]
     dual_feasible: bool
 
     @property
@@ -172,30 +172,17 @@ class SolveReport:
         return self.branch is SolveBranch.CLOSED_FORM_INTERIOR_D
 
 
-def closed_form_candidate(src: GaussianPairSource, d: DistortionPair) -> ErrorCovariance:
-    """Equal split of each budget over its block diagonal, zero cross block.
-
-    Makes no feasibility claim; pair with :func:`in_region_d`.
-    """
-    diag = np.concatenate(
-        [np.full(src.p1, d.d1 / src.p1), np.full(src.p2, d.d2 / src.p2)]
-    )
-    return ErrorCovariance(p1=src.p1, p2=src.p2, sigma=readonly(np.diag(diag)))
-
-
 def in_region_d(src: GaussianPairSource, d: DistortionPair) -> bool:
-    """True iff Q - D > REGION_TOL * D for the closed-form candidate D.
+    """True iff Q - D > REGION_TOL * D for D = Block-diag((d1/p1) I, (d2/p2) I).
 
-    The label :func:`solve` reads off its first dual evaluation, at
-    l_i = p_i / (2 d_i): K = 0.5 D^{-1/2} Q D^{-1/2} has its eigenvalues above
-    (1 + REGION_TOL) / 2.  A budget that is zero (D is singular) or at least
-    its block trace is excluded before any eigh: Q - D > 0 implies
-    tr Q_ii > d_i.
+    :func:`_in_region` at the start point l_i = p_i / (2 d_i), the test that
+    labels a solve.  A budget that is zero (D is singular) or at least its
+    block trace is excluded before any eigh: Q - D > 0 implies tr Q_ii > d_i.
     """
-    if not all(0.0 < di < ti for di, ti in zip((d.d1, d.d2), src.block_traces)):
+    budget = (d.d1, d.d2)
+    if not all(0.0 < di < ti for di, ti in zip(budget, src.block_traces)):
         return False
-    l0 = (src.p1 / (2.0 * d.d1), src.p2 / (2.0 * d.d2))
-    return bool(_dual_point(src, l0, (d.d1, d.d2)).mu[0] > 0.5 * (1.0 + REGION_TOL))
+    return _in_region(_dual_point(src, (src.p1 / (2.0 * d.d1), src.p2 / (2.0 * d.d2)), budget))
 
 
 def rate_of(src: GaussianPairSource, sigma) -> float:
@@ -218,7 +205,7 @@ def kkt_residuals(
     Stationarity is the Frobenius norm of
     -0.5 * Sigma^{-1} + Block-diag(lambda1 I, lambda2 I) + Theta divided by
     that of 0.5 * Sigma^{-1}, both over its largest entry first so that a tiny
-    Sigma cannot overflow them; the four slackness residuals follow the field
+    Sigma cannot overflow them; the three slackness residuals follow the field
     order documented on KktCertificate.  Theta counts as PSD down to
     -PSD_RTOL times its largest eigenvalue magnitude.
     """
@@ -235,7 +222,6 @@ def kkt_residuals(
     slack = (
         cert.lambda1 * (float(np.trace(sigma.sigma11)) - d.d1),
         cert.lambda2 * (float(np.trace(sigma.sigma22)) - d.d2),
-        0.0,
         float(np.sum(cert.theta * (s - src.q))),
     )
     w_theta = np.linalg.eigvalsh(sym(cert.theta))
@@ -320,6 +306,13 @@ def _dual_point(
     return _DualPoint(l, pos, zero, s, mu, m, v, c, (tr[0] - d1, tr[1] - d2), rate)
 
 
+def _in_region(first: _DualPoint) -> bool:
+    """Region D at the dual's first point, l0: no budget covers its trace (no
+    multiplier is zero, so c is None) and K(l0) = 0.5 D^{-1/2} Q D^{-1/2} has
+    every eigenvalue above (1 + REGION_TOL) / 2, i.e. Q - D > REGION_TOL * D."""
+    return first.c is None and bool(first.mu[0] > 0.5 * (1.0 + REGION_TOL))
+
+
 def _solve_dual(
     src: GaussianPairSource, d: DistortionPair
 ) -> tuple[np.ndarray, np.ndarray, tuple[float, float], float, int, SolveBranch]:
@@ -335,8 +328,8 @@ def _solve_dual(
 
     The first evaluation, at a = 1/2, is l0: the optimum on zero-rate and
     region-D instances and when one budget covers its trace (the other
-    multiplier is then exact by water-filling); it also sets the branch as
-    :func:`in_region_d` does.  The second trial scales each l_i by
+    multiplier is then exact by water-filling); it also sets the branch, by
+    :func:`_in_region` on region D.  The second trial scales each l_i by
     tr Sigma_ii / d_i, exact where Sigma is diagonal.  Later trials take secant
     steps on f; one that leaves the bracket of evaluated signs goes to its
     unevaluated end, a = 0 or 1, an exact zero multiplier, or else falls back to
@@ -347,9 +340,9 @@ def _solve_dual(
     later step would repeat an end) or if _MAX_EVALUATIONS does.  Returns
     (sigma, theta, l, rate, evaluations, branch).
     """
-    p1, p2, budget = src.p1, src.p2, (d.d1, d.d2)
-    covered = tuple(di >= ti for di, ti in zip(budget, src.block_traces))
-    l0 = tuple(0.0 if c else p / (2.0 * di) for c, p, di in zip(covered, (p1, p2), budget))
+    budget = (d.d1, d.d2)
+    l0 = tuple(0.0 if di >= ti else p / (2.0 * di)
+               for p, di, ti in zip((src.p1, src.p2), budget, src.block_traces))
     slack = tuple(TRACE_SLACK_TOL * di for di in budget)
     half_gap = 0.5 * GAP_TOL
 
@@ -362,16 +355,16 @@ def _solve_dual(
         return pt, pt.r[1] / d.d2 - pt.r[0] / d.d1
 
     (pt, f), a, evaluations = at(0.5), 0.5, 1
-    if all(covered):
+    if l0 == (0.0, 0.0):
         branch = SolveBranch.ZERO_RATE
-    elif not any(covered) and pt.mu[0] > 0.5 * (1.0 + REGION_TOL):
+    elif _in_region(pt):
         branch = SolveBranch.CLOSED_FORM_INTERIOR_D
     else:
         branch = SolveBranch.INTERIOR_POINT
     # the bracket's ends (a, f), f None while unevaluated; f > 0 below the optimum
     lo, hi, prev, fell_back = [0.0, None], [1.0, None], None, False
     collapsed = False
-    while not any(covered) and not done(pt) and evaluations < _MAX_EVALUATIONS:
+    while 0.0 not in l0 and not done(pt) and evaluations < _MAX_EVALUATIONS:
         (lo if f > 0.0 else hi)[:] = a, f
         collapsed = None not in (lo[1], hi[1]) and not lo[0] < 0.5 * (lo[0] + hi[0]) < hi[0]
         if collapsed:
@@ -453,7 +446,7 @@ def solve(src: GaussianPairSource, d: DistortionPair) -> SolveReport:
     s, theta, lam, rate, iterations, branch = _solve_dual(src, d)
     sigma = ErrorCovariance(p1=src.p1, p2=src.p2, sigma=readonly(s))
     sigma.validate(src, d)
-    blank = KktCertificate(*lam, readonly(theta), 0.0, (0.0,) * 4, True)
+    blank = KktCertificate(*lam, readonly(theta), 0.0, (0.0,) * 3, True)
     cert = kkt_residuals(src, d, sigma, blank)
     wall = time.perf_counter() - start
     return SolveReport(rate, sigma, cert, branch, gray, iterations, wall)

@@ -211,7 +211,7 @@ def test_criterion_9_surface_properties(example_source_file, tmp_path):
         )
         assert code == 0
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == "d1,d2,rate,branch,gray_bound,in_region_d"
+        assert lines[0] == "d1,d2,rate,branch,gray_bound"
         rows = [line.split(",") for line in lines[1:]]
         assert len(rows) == 400
         rates = np.array([float(r[2]) for r in rows]).reshape(20, 20)

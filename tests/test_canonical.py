@@ -33,7 +33,7 @@ class TestToCanonicalForm:
         src = validate_source(np.eye(5), 3, 2)
         form = to_canonical_form(src)
         assert form.d4_vals.size == 0
-        assert form.partition.as_tuple() == (0, 3, 0, 2)
+        assert form.partition == (0, 3, 0, 2)
         np.testing.assert_allclose(form.s1 @ form.s1.T, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(form.s2 @ form.s2.T, np.eye(2), atol=1e-12)
 
@@ -46,7 +46,7 @@ class TestToCanonicalForm:
 
     def test_example_matrix_partition_and_invariants(self, example_source):
         form = to_canonical_form(example_source)
-        assert form.partition.as_tuple() == (2, 0, 2, 0)
+        assert form.partition == (2, 0, 2, 0)
         assert np.all(form.d4_vals > 0.0) and np.all(form.d4_vals < 1.0)
         _check_invariants(example_source, form)
         mi = -0.5 * float(np.sum(np.log1p(-form.d4_vals**2)))
@@ -60,10 +60,10 @@ class TestToCanonicalForm:
             src = validate_source(random_pd_pair(rng, p1, p2), p1, p2)
             form = to_canonical_form(src)
             _check_invariants(src, form)
-            part = form.partition
-            assert part.p12 == part.p22 == form.d4_vals.size
-            assert part.p12 + part.p13 == p1
-            assert part.p22 + part.p23 == p2
+            p12, p13, p22, p23 = form.partition
+            assert p12 == p22 == form.d4_vals.size
+            assert p12 + p13 == p1
+            assert p22 + p23 == p2
 
     def test_descending_order(self):
         rng = np.random.default_rng(14)
@@ -137,7 +137,7 @@ class TestSignRule:
             if planted_zero:
                 rho[-1] = 0.0
             form = self._check(self._source_with_correlations(rng, p1, p2, rho))
-            assert form.partition.p12 == np.count_nonzero(rho)
+            assert form.partition[0] == np.count_nonzero(rho)
 
 
 class TestDeterminantIdentity:
@@ -192,7 +192,7 @@ class TestCvfObjective:
         q = np.array([[1.0, 1.0 - eps], [1.0 - eps, 1.0]])
         src = validate_source(q, 1, 1)
         form = to_canonical_form(src)
-        assert form.partition.as_tuple() == (1, 0, 1, 0)
+        assert form.partition == (1, 0, 1, 0)
         sigma = 0.5 * np.eye(2)
         err_form = to_canonical_form(validate_source(sigma, 1, 1))
         assert cvf_objective(form, err_form) == pytest.approx(rate_of(src, sigma), abs=1e-6)
@@ -205,7 +205,7 @@ class TestCvfObjective:
         sigma[np.ix_([0, 2], [0, 2])] = block
         sigma[1, 1] = sigma[3, 3] = 1.0
         err_form = to_canonical_form(validate_source(sigma, 2, 2))
-        assert err_form.partition.as_tuple() == (1, 1, 1, 1)
+        assert err_form.partition == (1, 1, 1, 1)
         assert cvf_objective(src_form, err_form) == pytest.approx(
             rate_of(example_source, sigma), abs=1e-6
         )

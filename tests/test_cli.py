@@ -34,8 +34,9 @@ class TestSolveCommand:
         )
         assert code == 0
         obj = json.loads(out)
+        assert obj.keys() == {"d1", "d2", "unit", "rate", "branch", "gray_bound", "sigma",
+                              "kkt", "iterations", "wall_time_s"}
         assert obj["branch"] == "ClosedFormInteriorD"
-        assert obj["in_region_d"] is True
         np.testing.assert_allclose(
             np.array(obj["sigma"]), np.diag([0.2, 0.2, 0.25, 0.25]), atol=1e-12
         )
@@ -48,6 +49,7 @@ class TestSolveCommand:
         obj = json.loads(out)
         assert obj["branch"] == "InteriorPoint"
         assert obj["kkt"]["stationarity_residual"] <= 1e-7
+        assert len(obj["kkt"]["slackness_residuals"]) == 3
 
     def test_sigma_payload_roundtrips_bit_exact(self, example_source, example_source_file, capsys):
         code, out, _ = run_cli(
@@ -229,11 +231,11 @@ class TestSolveCommand:
         )
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "d1,d2,rate,branch,gray_bound,in_region_d"
+        assert lines[0] == "d1,d2,rate,branch,gray_bound"
         assert len(lines) == 2
         fields = lines[1].split(",")
+        assert len(fields) == 5
         assert fields[3] == "ClosedFormInteriorD"
-        assert fields[5] == "true"
 
 
 class TestSweepCommand:
@@ -243,7 +245,7 @@ class TestSweepCommand:
         )
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "d1,d2,rate,branch,gray_bound,in_region_d"
+        assert lines[0] == "d1,d2,rate,branch,gray_bound"
         rows = [line.split(",") for line in lines[1:]]
         assert len(rows) == 16
         keys = [(float(r[0]), float(r[1])) for r in rows]
@@ -318,7 +320,7 @@ class TestSweepCommand:
         assert code == 0
         rows = json.loads(out)
         assert len(rows) == 4
-        assert {"d1", "d2", "rate", "branch", "gray_bound", "in_region_d"} <= rows[0].keys()
+        assert all(row.keys() == {"d1", "d2", "rate", "branch", "gray_bound"} for row in rows)
 
 
 class TestRealizeCommand:
@@ -334,8 +336,9 @@ class TestRealizeCommand:
         assert obj["checks"]["condition1_deviation"] <= 1e-8
         assert obj["checks"]["reproduction_error"] <= 1e-8
         assert obj["checks"]["tolerance"] == 1e-8
+        assert obj["checks"].keys() == {"condition1_deviation", "condition1_rank",
+                                        "reproduction_error", "tolerance", "passed"}
         assert obj["checks"]["condition1_rank"] == rank
-        assert obj["checks"]["full_rank"] is (rank == 4)
         h = np.array(obj["H"])
         assert h.shape == (4, 4)
 
@@ -380,6 +383,8 @@ class TestVerifyCommand:
         )
         assert code == 0
         obj = json.loads(out)
+        assert obj.keys() == {"samples", "seed", "generator", "distortion", "cm_optimality",
+                              "passed", "solve"}
         assert obj["passed"] is True
         assert obj["generator"] == "philox4x64"
         assert obj["distortion"]["passed"] is True
@@ -392,6 +397,8 @@ class TestVerifyCommand:
         )
         assert code == 0
         obj = json.loads(out)
+        assert obj.keys() == {"samples", "seed", "generator", "warning", "minimum_samples",
+                              "checks_skipped"}
         assert obj["warning"] == "insufficient samples"
         assert obj["checks_skipped"] is True
 
@@ -411,6 +418,8 @@ class TestCanonicalCommand:
         code, out, _ = run_cli(capsys, "canonical", example_source_file)
         assert code == 0
         obj = json.loads(out)
+        assert obj.keys() == {"p1", "p2", "S1", "S2", "d1_vals", "d2_vals", "d4_vals",
+                              "partition", "det_identity_residual"}
         assert obj["partition"] == {"p12": 2, "p13": 0, "p22": 2, "p23": 0}
         assert len(obj["d4_vals"]) == 2
         assert all(0.0 < v < 1.0 for v in obj["d4_vals"])

@@ -6,7 +6,6 @@ from jointrdf import (
     ErrorCovariance,
     FeasibilityError,
     SourceValidationError,
-    closed_form_candidate,
     conditional_mean_map,
     implied_error_covariance,
     rate_of,
@@ -17,6 +16,7 @@ from jointrdf import (
 )
 from jointrdf import TestChannelRealization as ChannelRealization  # avoid pytest collection
 from helpers import (
+    budget_diagonal,
     conditioned_pd,
     gaussian_mi_of_channel,
     random_feasible_sigma,
@@ -36,12 +36,12 @@ class TestRealize:
         np.testing.assert_allclose(r.qv, np.zeros((4, 4)), atol=1e-12)
 
     def test_case1_explicit_gain(self, example_source, case1):
-        sigma = closed_form_candidate(example_source, case1)
+        sigma = budget_diagonal(example_source, case1)
         r = realize(example_source, sigma)
         expected_h = np.eye(4) - sigma.sigma @ np.linalg.inv(example_source.q)
         np.testing.assert_allclose(r.h, expected_h, atol=1e-10)
         check = verify_condition1(r)
-        assert check.passed and check.full_rank
+        assert check.passed and check.rank == 4
         np.testing.assert_allclose(
             implied_error_covariance(r), sigma.sigma, atol=1e-8
         )
@@ -77,7 +77,7 @@ class TestVerifyCondition1:
     def test_zero_error_realization_exact(self, example_source):
         r = realize(example_source, np.zeros((4, 4)))
         check = verify_condition1(r)
-        assert check.passed and check.full_rank
+        assert check.passed and check.rank == 4
         assert check.deviation <= 1e-12
 
     def test_case2_degenerate_path_passes(self, example_source, case2):
@@ -85,8 +85,7 @@ class TestVerifyCondition1:
         r = realize(example_source, report.sigma)
         check = verify_condition1(r)
         assert check.passed
-        assert not check.full_rank  # Q - sigma touches the PSD boundary
-        assert check.rank == 3
+        assert check.rank == 3  # Q - sigma touches the PSD boundary
 
     def test_perturbed_gain_detected(self, example_source, case1):
         report = solve(example_source, case1)

@@ -12,7 +12,6 @@ from jointrdf import (
     KktCertificate,
     SolveBranch,
     SourceValidationError,
-    closed_form_candidate,
     gray_lower_bound,
     in_region_d,
     kkt_residuals,
@@ -24,6 +23,7 @@ from jointrdf import (
 from jointrdf import solver
 from conftest import CASE1_RATE, CASE2_BUDGETS, CASE2_SIGMA_3SF, EXAMPLE_Q
 from helpers import (
+    budget_diagonal,
     conditioned_pd,
     oracle_tol,
     random_pd_pair,
@@ -33,18 +33,25 @@ from helpers import (
 
 
 class TestClosedFormCandidate:
+    """On the closed-form region the solve returns D, each budget split
+    evenly over its block with a zero cross block."""
+
     def test_example_budgets_split_evenly(self, example_source, case1):
-        cand = closed_form_candidate(example_source, case1)
-        np.testing.assert_allclose(cand.sigma, np.diag([0.2, 0.2, 0.25, 0.25]), atol=0)
+        report = solve(example_source, case1)
+        assert report.branch is SolveBranch.CLOSED_FORM_INTERIOR_D
+        np.testing.assert_allclose(report.sigma.sigma, np.diag([0.2, 0.2, 0.25, 0.25]),
+                                   rtol=0, atol=1e-14)
 
     def test_scalar_fill(self):
         src = validate_source(np.array([[2.0, 0.1], [0.1, 3.0]]), 1, 1)
-        cand = closed_form_candidate(src, DistortionPair(1.0, 1.0))
-        np.testing.assert_allclose(cand.sigma, np.eye(2), atol=0)
+        report = solve(src, DistortionPair(1.0, 1.0))
+        assert report.branch is SolveBranch.CLOSED_FORM_INTERIOR_D
+        np.testing.assert_allclose(report.sigma.sigma, np.eye(2), rtol=0, atol=1e-14)
 
     def test_zero_budget_gives_zero_matrix(self, example_source):
-        cand = closed_form_candidate(example_source, DistortionPair(0.0, 0.0))
-        assert np.all(cand.sigma == 0.0)
+        report = solve(example_source, DistortionPair(0.0, 0.0))
+        assert report.branch is SolveBranch.INFEASIBLE
+        assert np.all(report.sigma.sigma == 0.0)
 
 
 class TestInRegionD:
@@ -254,13 +261,13 @@ class TestExtremeBudgetRatios:
 
 class TestKktResiduals:
     def test_closed_form_multipliers_stationary(self, example_source, case1):
-        sigma = closed_form_candidate(example_source, case1)
+        sigma = budget_diagonal(example_source, case1)
         cert = KktCertificate(
             lambda1=2 / (2 * 0.4),
             lambda2=2 / (2 * 0.5),
             theta=np.zeros((4, 4)),
             stationarity_residual=0.0,
-            slackness_residuals=(0.0, 0.0, 0.0, 0.0),
+            slackness_residuals=(0.0, 0.0, 0.0),
             dual_feasible=True,
         )
         out = kkt_residuals(example_source, case1, sigma, cert)
@@ -275,7 +282,7 @@ class TestKktResiduals:
             lambda2=0.0,
             theta=np.zeros((4, 4)),
             stationarity_residual=0.0,
-            slackness_residuals=(0.0, 0.0, 0.0, 0.0),
+            slackness_residuals=(0.0, 0.0, 0.0),
             dual_feasible=True,
         )
         out = kkt_residuals(example_source, case1, sigma, cert)
@@ -328,14 +335,14 @@ class TestKktResiduals:
 
     def test_singular_sigma_rejected(self, example_source, case1):
         sigma = ErrorCovariance(2, 2, np.zeros((4, 4)))
-        cert = KktCertificate(0.0, 0.0, np.zeros((4, 4)), 0.0, (0.0,) * 4, True)
+        cert = KktCertificate(0.0, 0.0, np.zeros((4, 4)), 0.0, (0.0,) * 3, True)
         with pytest.raises(FeasibilityError):
             kkt_residuals(example_source, case1, sigma, cert)
 
 
 class TestErrorCovarianceValidation:
     def test_feasible_passes(self, example_source, case1):
-        closed_form_candidate(example_source, case1).validate(example_source, case1)
+        budget_diagonal(example_source, case1).validate(example_source, case1)
 
     def test_trace_violation_rejected(self, example_source, case1):
         sigma = ErrorCovariance(2, 2, np.diag([0.3, 0.3, 0.25, 0.25]))
@@ -347,7 +354,7 @@ class TestErrorCovarianceValidation:
     def test_trace_slack_is_relative_to_budget(self, case1, c, delta, rejected):
         src = validate_source(c * EXAMPLE_Q, 2, 2)
         d = DistortionPair(c * case1.d1, c * case1.d2)
-        s = np.array(closed_form_candidate(src, d).sigma)
+        s = budget_diagonal(src, d).sigma
         s[:2, :2] *= 1.0 + delta
         sigma = ErrorCovariance(2, 2, s)
         if rejected:
@@ -443,7 +450,7 @@ class TestSolverProperties:
             )
             assert in_region_d(src, d)
             report = solve(src, d)
-            closed = closed_form_candidate(src, d)
+            closed = budget_diagonal(src, d)
             assert report.branch is SolveBranch.CLOSED_FORM_INTERIOR_D
             assert abs(report.rate_nats - rate_of(src, closed)) <= 1e-12
             err = np.abs(report.sigma.sigma - closed.sigma).max()
