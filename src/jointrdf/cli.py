@@ -1,24 +1,39 @@
 """Command-line front end.
 
-Subcommands: solve a single instance, sweep a distortion grid to CSV,
-synthesize and structurally verify a channel realization, run Monte-Carlo
-validation, and emit the canonical variable form.  Sources are JSON documents
+Subcommands: solve a single instance (JSON), sweep a distortion grid to CSV
+or JSON (a one-point grid gives the CSV row of a single solve), synthesize
+and structurally verify a channel realization, run Monte-Carlo validation,
+and emit the canonical variable form.  Sources are JSON documents
 {"p1": int, "p2": int, "Q": [[...]]} with Q row-major.
 
-Exit codes: 0 success, 2 invalid input (or an unwritable -o path), 3
-infeasible (zero budget against positive variance), 4 structural check
-failure, 5 statistical check failure, 1 internal failure (a dual solve whose
-ratio bracket collapses or that reaches its evaluation cap, a sweep point
-whose solve misbehaves, or an allocation that fails, such as a sample count
-too large for memory).  A reader
-that closes the output pipe early (e.g. `| head`) does not change the exit
-code.
+Handlers raise; only :func:`main` writes a failure to stderr, as one line,
+and picks the exit code (argparse prints its own usage error and exits 2).
+Exit codes, each with its stderr prefix:
+
+- 0 success;
+- 1 internal failure: a dual solve whose ratio bracket collapses or that
+  reaches its evaluation cap, or an allocation that fails, such as a sample
+  count too large for memory (``internal failure:``); a sweep point whose
+  solve fails (``sweep failed at grid point``) or a sweep whose rates rise
+  (``sweep rates are not non-increasing``);
+- 2 invalid input: an unreadable or invalid source (``invalid source:``),
+  a bad option value, grid or unrepresentable budget (``invalid input:``)
+  or an unwritable -o path (``invalid output path:``);
+- 3 infeasible, a zero budget against positive variance (``infeasible:``);
+- 4 structural check failure (``structural failure:``);
+- 5 statistical check failure (``statistical check failed``).
+
+Exits 4 and 5 print their JSON document first, unless realize refuses the
+error covariance outright.  A reader that closes the output pipe early
+(e.g. `| head`) does not change the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -50,12 +65,26 @@ def _min_samples(src: GaussianPairSource) -> int:
     return 72 * max(src.p1, src.p2)
 
 
+class _Exit(Exception):
+    """Ends a command: main prints the message on one stderr line and exits
+    with the code.  Both are in args, so the exception pickles across a pool."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(code, message)
+        self.code, self.message = code, message
+
+
 def _unit_scale(unit: str) -> float:
     return 1.0 / LN2 if unit == "bits" else 1.0
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
+
+
+def _json(obj) -> str:
+    """Indented JSON; numpy arrays and scalars become lists and numbers."""
+    return json.dumps(obj, indent=2, default=lambda x: x.tolist())
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -74,20 +103,6 @@ def _emit(text: str, out: str | None) -> None:
             os.close(devnull)
 
 
-def _kkt_dict(report: SolveReport) -> dict | None:
-    cert = report.certificate
-    if cert is None:
-        return None
-    return {
-        "lambda1": cert.lambda1,
-        "lambda2": cert.lambda2,
-        "theta": cert.theta.tolist(),
-        "stationarity_residual": cert.stationarity_residual,
-        "slackness_residuals": list(cert.slackness_residuals),
-        "dual_feasible": cert.dual_feasible,
-    }
-
-
 def _solve_dict(report: SolveReport, d: DistortionPair, unit: str) -> dict:
     scale = _unit_scale(unit)
     return {
@@ -97,8 +112,8 @@ def _solve_dict(report: SolveReport, d: DistortionPair, unit: str) -> dict:
         "rate": report.rate_nats * scale,
         "branch": report.branch.value,
         "gray_bound": report.gray_bound_nats * scale,
-        "sigma": report.sigma.sigma.tolist(),
-        "kkt": _kkt_dict(report),
+        "sigma": report.sigma.sigma,
+        "kkt": dataclasses.asdict(report.certificate),
         "iterations": report.iterations,
         "wall_time_s": report.wall_time,
     }
@@ -109,25 +124,26 @@ def _solve_dict(report: SolveReport, d: DistortionPair, unit: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-class _Infeasible(Exception):
-    """A zero budget against positive variance; main exits 3."""
-
-
 def _solve(
     src: GaussianPairSource, args: argparse.Namespace
 ) -> tuple[DistortionPair, SolveReport]:
-    """Solve at (args.d1, args.d2), raising _Infeasible on the Infeasible branch."""
+    """Solve at (args.d1, args.d2); the Infeasible branch exits 3."""
     d = DistortionPair(args.d1, args.d2)
     report = solve(src, d)
     if report.branch is SolveBranch.INFEASIBLE:
-        raise _Infeasible
+        raise _Exit(3, "infeasible: rate is infinite (zero distortion budget against "
+                       "positive source variance)")
     return d, report
 
 
-def _row(d: DistortionPair, report: SolveReport) -> dict:
-    """One CSV or sweep-JSON row, rates in nats."""
-    return {"d1": d.d1, "d2": d.d2, "rate": report.rate_nats, "branch": report.branch.value,
-            "gray_bound": report.gray_bound_nats}
+def _cmd_solve(src: GaussianPairSource, args: argparse.Namespace) -> None:
+    d, report = _solve(src, args)
+    _emit(_json(_solve_dict(report, d, args.unit)), args.out)
+
+
+# ---------------------------------------------------------------------------
+# sweep
+# ---------------------------------------------------------------------------
 
 
 def _scaled(row: dict, scale: float) -> dict:
@@ -142,20 +158,6 @@ def _csv(rows: list[dict], scale: float) -> str:
     lines = [",".join(rows[0])]
     lines += [",".join(map(_cell, _scaled(r, scale).values())) for r in rows]
     return "\n".join(lines)
-
-
-def _cmd_solve(src: GaussianPairSource, args: argparse.Namespace) -> int:
-    d, report = _solve(src, args)
-    if args.output == "csv":
-        _emit(_csv([_row(d, report)], _unit_scale(args.unit)), args.out)
-    else:
-        _emit(json.dumps(_solve_dict(report, d, args.unit), indent=2), args.out)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# sweep
-# ---------------------------------------------------------------------------
 
 
 def _parse_grid(text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -179,8 +181,14 @@ def _parse_grid(text: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sweep_point(src: GaussianPairSource, d1: float, d2: float) -> dict:
+    """One CSV or sweep-JSON row, rates in nats; a failed solve names the point."""
     d = DistortionPair(d1, d2)
-    return _row(d, solve(src, d))
+    try:
+        report = solve(src, d)
+    except (RuntimeError, MemoryError) as exc:
+        raise _Exit(1, f"sweep failed at grid point (d1={d1:.6g}, d2={d2:.6g}): {exc}") from exc
+    return {"d1": d1, "d2": d2, "rate": report.rate_nats, "branch": report.branch.value,
+            "gray_bound": report.gray_bound_nats}
 
 
 def _check_sweep_monotone(d1_axis: np.ndarray, d2_axis: np.ndarray, rates: np.ndarray) -> None:
@@ -189,53 +197,26 @@ def _check_sweep_monotone(d1_axis: np.ndarray, d2_axis: np.ndarray, rates: np.nd
         if bad.size:
             # the rise is into the next point along this axis
             i, j = (int(k) + (a == axis) for a, k in enumerate(bad[0]))
-            raise RuntimeError(
-                f"sweep rates are not non-increasing near (d1={d1_axis[i]:.6g}, "
-                f"d2={d2_axis[j]:.6g})"
-            )
+            raise _Exit(1, f"sweep rates are not non-increasing near "
+                           f"(d1={d1_axis[i]:.6g}, d2={d2_axis[j]:.6g})")
 
 
-def _cmd_sweep(src: GaussianPairSource, args: argparse.Namespace) -> int:
+def _cmd_sweep(src: GaussianPairSource, args: argparse.Namespace) -> None:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    try:
-        d1_axis, d2_axis = _parse_grid(args.grid)
-    except ValueError as exc:
-        print(f"invalid grid: {exc}", file=sys.stderr)
-        return 2
-    points = [(float(a), float(b)) for a in d1_axis for b in d2_axis]
-    d1s, d2s = zip(*points)
+    d1_axis, d2_axis = _parse_grid(args.grid)
+    d1s, d2s = zip(*((float(a), float(b)) for a in d1_axis for b in d2_axis))
     point = functools.partial(_sweep_point, src)
-    rows: list[dict] = []
-    try:
-        if args.jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                for row in pool.map(point, d1s, d2s):
-                    rows.append(row)
-        else:
-            for row in map(point, d1s, d2s):
-                rows.append(row)
-    except ValueError:  # an unrepresentable budget multiplier: main exits 2, as for solve
-        raise
-    except Exception as exc:  # results arrive in order, so len(rows) names the point
-        at = points[min(len(rows), len(points) - 1)]
-        print(f"sweep failed at grid point (d1={at[0]:.6g}, d2={at[1]:.6g}): {exc}",
-              file=sys.stderr)
-        return 1
-
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) if args.jobs > 1
+          else contextlib.nullcontext()) as pool:
+        rows = list((pool.map if pool else map)(point, d1s, d2s))
     rates = np.array([row["rate"] for row in rows]).reshape(len(d1_axis), len(d2_axis))
-    try:
-        _check_sweep_monotone(d1_axis, d2_axis, rates)
-    except RuntimeError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-
+    _check_sweep_monotone(d1_axis, d2_axis, rates)
     scale = _unit_scale(args.unit)
     if args.output == "json":
-        _emit(json.dumps([_scaled(r, scale) for r in rows], indent=2), args.out)
+        _emit(_json([_scaled(r, scale) for r in rows]), args.out)
     else:
         _emit(_csv(rows, scale), args.out)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -243,20 +224,19 @@ def _cmd_sweep(src: GaussianPairSource, args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_realize(src: GaussianPairSource, args: argparse.Namespace) -> int:
+def _cmd_realize(src: GaussianPairSource, args: argparse.Namespace) -> None:
     d, report = _solve(src, args)
     try:
         r = real.realize(src, report.sigma)
     except FeasibilityError as exc:
-        print(f"structural failure: realization rejected: {exc}", file=sys.stderr)
-        return 4
+        raise _Exit(4, f"structural failure: realization rejected: {exc}") from exc
     c1 = real.verify_condition1(r)
     implied = real.implied_error_covariance(r)
     rep_err = float(np.linalg.norm(implied - report.sigma.sigma, "fro")) / src.q_norm
     passed = c1.passed and rep_err <= real.CHECK_TOL
     obj = {
-        "H": r.h.tolist(),
-        "Qv": r.qv.tolist(),
+        "H": r.h,
+        "Qv": r.qv,
         "checks": {
             "condition1_deviation": c1.deviation,
             "condition1_rank": c1.rank,
@@ -266,11 +246,9 @@ def _cmd_realize(src: GaussianPairSource, args: argparse.Namespace) -> int:
         },
         "solve": _solve_dict(report, d, args.unit),
     }
-    _emit(json.dumps(obj, indent=2), args.out)
+    _emit(_json(obj), args.out)
     if not passed:
-        print("structural failure: realization checks exceeded tolerance", file=sys.stderr)
-        return 4
-    return 0
+        raise _Exit(4, "structural failure: realization checks exceeded tolerance")
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +256,7 @@ def _cmd_realize(src: GaussianPairSource, args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_verify(src: GaussianPairSource, args: argparse.Namespace) -> int:
+def _cmd_verify(src: GaussianPairSource, args: argparse.Namespace) -> None:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     d, report = _solve(src, args)
@@ -292,8 +270,8 @@ def _cmd_verify(src: GaussianPairSource, args: argparse.Namespace) -> int:
             "minimum_samples": n_min,
             "checks_skipped": True,
         }
-        _emit(json.dumps(obj, indent=2), args.out)
-        return 0
+        _emit(_json(obj), args.out)
+        return
     seeds = np.random.SeedSequence(args.seed).generate_state(3, np.uint64)
     r = real.realize(src, report.sigma)
     batch = sim.sample_source(src, args.samples, int(seeds[0]))
@@ -308,28 +286,18 @@ def _cmd_verify(src: GaussianPairSource, args: argparse.Namespace) -> int:
         "samples": args.samples,
         "seed": args.seed,
         "generator": sim.GENERATOR,
-        "distortion": {
-            "empirical_d1": dist.empirical_d1,
-            "empirical_d2": dist.empirical_d2,
-            "bound_d1": dist.bound_d1,
-            "bound_d2": dist.bound_d2,
-            "passed": dist.passed,
-        },
+        "distortion": dataclasses.asdict(dist),
         "cm_optimality": {
-            "base_mse": list(cm.base_mse),
-            "margins": [
-                {"margin": list(mm), "slack": list(ss)} for mm, ss in cm.margins
-            ],
+            "base_mse": cm.base_mse,
+            "margins": [{"margin": mm, "slack": ss} for mm, ss in cm.margins],
             "passed": cm.passed,
         },
         "passed": passed,
         "solve": _solve_dict(report, d, args.unit),
     }
-    _emit(json.dumps(obj, indent=2), args.out)
+    _emit(_json(obj), args.out)
     if not passed:
-        print("statistical check failed", file=sys.stderr)
-        return 5
-    return 0
+        raise _Exit(5, "statistical check failed")
 
 
 # ---------------------------------------------------------------------------
@@ -337,21 +305,20 @@ def _cmd_verify(src: GaussianPairSource, args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_canonical(src: GaussianPairSource, args: argparse.Namespace) -> int:
+def _cmd_canonical(src: GaussianPairSource, args: argparse.Namespace) -> None:
     form = canon.to_canonical_form(src)
     obj = {
         "p1": form.p1,
         "p2": form.p2,
-        "S1": form.s1.tolist(),
-        "S2": form.s2.tolist(),
-        "d1_vals": form.d1_vals.tolist(),
-        "d2_vals": form.d2_vals.tolist(),
-        "d4_vals": form.d4_vals.tolist(),
+        "S1": form.s1,
+        "S2": form.s2,
+        "d1_vals": form.d1_vals,
+        "d2_vals": form.d2_vals,
+        "d4_vals": form.d4_vals,
         "partition": dict(zip(("p12", "p13", "p22", "p23"), form.partition)),
         "det_identity_residual": canon.det_identity_residual(src, form),
     }
-    _emit(json.dumps(obj, indent=2), args.out)
-    return 0
+    _emit(_json(obj), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     _add_solve_options(sp)
     _add_distortions(sp)
-    sp.add_argument("--output", choices=("json", "csv"), default="json")
     sp.set_defaults(handler=_cmd_solve)
 
     sp = sub.add_parser("sweep", help="solve a distortion grid and emit surface data")
@@ -417,31 +383,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load(path: str) -> GaussianPairSource:
+    try:
+        return load_source(path)
+    except (OSError, SourceValidationError) as exc:
+        raise _Exit(2, f"invalid source: {exc}") from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        src = load_source(args.source)
-    except (OSError, SourceValidationError) as exc:
-        print(f"invalid source: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.handler(src, args)
-    except _Infeasible:
-        print(
-            "infeasible: rate is infinite (zero distortion budget against "
-            "positive source variance)",
-            file=sys.stderr,
-        )
-        return 3
+        args.handler(_load(args.source), args)
+        return 0
+    except _Exit as exc:
+        code, message = exc.code, exc.message
     except ValueError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # the source was read above; what is left is writing the output
-        print(f"invalid output path: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, f"invalid input: {exc}"
+    except OSError as exc:  # the source is read by _load; what is left is writing the output
+        code, message = 2, f"invalid output path: {exc}"
     except (RuntimeError, MemoryError) as exc:
-        print(f"internal failure: {exc}", file=sys.stderr)
-        return 1
+        code, message = 1, f"internal failure: {exc}"
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

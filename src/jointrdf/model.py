@@ -11,15 +11,15 @@ Two fixed relative tolerances govern validation: SYMMETRY_RTOL for the
 asymmetry of the input and PSD_RTOL for its eigenvalues.  A source is
 positive definite by construction: validate_source refuses any Q whose
 smallest eigenvalue is not above PSD_RTOL * ||Q||_2, so nothing downstream
-checks definiteness again.  The source stores ||Q||_2, and every tolerance
-on the spectrum of Q, here and in the solver and realization, is taken
+checks definiteness again.  The source stores eigh(Q), which validate_source
+computes anyway; ||Q||_2 is its largest eigenvalue, and every tolerance on
+the spectrum of Q, here and in the solver and realization, is taken
 relative to that one value.
 
 A source also caches, read-only and from Q alone on first use, what the bound
-and the solver need: eigh(Q) (handed over by validate_source, which computes
-it anyway), the log-dets of Q11, Q22 and Q, the block traces and the block
-eigenvalues.  After the first call on a source, the Gray bound and the
-mutual information factor nothing.
+and the solver need: the log-dets of Q11, Q22 and Q, the block traces and
+the block eigenvalues.  After the first call on a source, the Gray bound
+and the mutual information factor nothing.
 
 All rates are in nats.  Display conversion to bits lives in the CLI.
 """
@@ -49,8 +49,10 @@ class GaussianPairSource:
 
     Construct through :func:`validate_source`, which guarantees q > 0.  The
     stored matrix is symmetrized and marked read-only; block views q11, q12,
-    q22 index directly into it.  q_norm is ||q||_2, the scale against which
-    every PSD tolerance on q is measured.
+    q22 index directly into it.  q_eigh is eigh(q), read-only: ascending
+    eigenvalues and orthonormal eigenvectors.  q_norm, its largest
+    eigenvalue, is ||q||_2, the scale against which every PSD tolerance on
+    q is measured.
 
     The cached properties below are functions of q alone, computed once on
     first use and read-only, so a solve stays a pure function of (q, d).
@@ -59,7 +61,7 @@ class GaussianPairSource:
     p1: int
     p2: int
     q: np.ndarray
-    q_norm: float
+    q_eigh: tuple[np.ndarray, np.ndarray]
 
     def __setstate__(self, state: dict) -> None:
         # pickle does not keep numpy's writeable flag, so an unpickled source
@@ -75,6 +77,10 @@ class GaussianPairSource:
         return self.p1 + self.p2
 
     @property
+    def q_norm(self) -> float:
+        return float(self.q_eigh[0][-1])
+
+    @property
     def q11(self) -> np.ndarray:
         return self.q[: self.p1, : self.p1]
 
@@ -85,12 +91,6 @@ class GaussianPairSource:
     @property
     def q22(self) -> np.ndarray:
         return self.q[self.p1 :, self.p1 :]
-
-    @cached_property
-    def q_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """eigh(q): ascending eigenvalues and orthonormal eigenvectors."""
-        w, u = np.linalg.eigh(self.q)
-        return readonly(w), readonly(u)
 
     @cached_property
     def log_dets(self) -> tuple[float, float, float]:
@@ -135,8 +135,8 @@ def validate_source(raw_matrix: np.ndarray, p1: int, p2: int) -> GaussianPairSou
     Checks, in order: dimensions match (p1 + p2) square; entries finite;
     relative asymmetry within SYMMETRY_RTOL (then symmetrized); minimum
     eigenvalue above PSD_RTOL * ||q||_2.  Raises SourceValidationError on
-    the first that fails, so every source is positive definite.  ||q||_2
-    and eigh(q) are stored on the result.
+    the first that fails, so every source is positive definite.  eigh(q)
+    is stored on the result.
     """
     if p1 < 1 or p2 < 1:
         raise SourceValidationError(f"block dimensions must be positive, got p1={p1}, p2={p2}")
@@ -163,10 +163,7 @@ def validate_source(raw_matrix: np.ndarray, p1: int, p2: int) -> GaussianPairSou
             f"covariance is not positive definite: min eigenvalue {w[0]:.3e} "
             f"is not above {PSD_RTOL:.0e} * ||Q||_2 = {cutoff:.3e}"
         )
-    src = GaussianPairSource(p1=p1, p2=p2, q=readonly(q), q_norm=float(w[-1]))
-    # the eigh of the stored q, so the cache need not repeat it
-    vars(src)["q_eigh"] = (readonly(w), readonly(u))
-    return src
+    return GaussianPairSource(p1=p1, p2=p2, q=readonly(q), q_eigh=(readonly(w), readonly(u)))
 
 
 def mutual_information(src: GaussianPairSource) -> float:

@@ -82,10 +82,6 @@ class ErrorCovariance:
     sigma: np.ndarray
 
     @property
-    def n(self) -> int:
-        return self.p1 + self.p2
-
-    @property
     def sigma11(self) -> np.ndarray:
         return self.sigma[: self.p1, : self.p1]
 

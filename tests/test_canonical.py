@@ -210,6 +210,12 @@ class TestCvfObjective:
             rate_of(example_source, sigma), abs=1e-6
         )
 
+    def test_mismatched_block_sizes_rejected(self, example_source):
+        src_form = to_canonical_form(example_source)
+        err_form = to_canonical_form(validate_source(0.5 * example_source.q, 1, 3))
+        with pytest.raises(ValueError, match="mismatched block sizes"):
+            cvf_objective(src_form, err_form)
+
     def test_zero_rate_optimum_gives_zero(self, example_source):
         d = DistortionPair(7.0, 6.0)
         report = solve(example_source, d)

@@ -1,12 +1,15 @@
+import dataclasses
 import json
 import math
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jointrdf import realization, solve, solver, DistortionPair
+from jointrdf import cli, realization, solve, solver, DistortionPair
 from jointrdf.cli import main
 from jointrdf.model import PSD_RTOL, SourceValidationError, parse_source
 from conftest import EXAMPLE_Q
@@ -18,12 +21,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def _tamper_realize(monkeypatch):
-    """Make the CLI realize its channel from (1 - 1e-3) Sigma instead of the
-    solver's Sigma, so the reproduction check fails."""
+def _assert_one_line(err):
+    """A failure prints exactly one line on stderr and no traceback."""
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def _tamper_realize(monkeypatch, factor=1.0 - 1e-3):
+    """Make the CLI realize its channel from factor * Sigma instead of the
+    solver's Sigma; the default fails the reproduction check."""
     honest = realization.realize
     monkeypatch.setattr(
-        realization, "realize", lambda src, sigma: honest(src, (1.0 - 1e-3) * sigma.sigma)
+        realization, "realize", lambda src, sigma: honest(src, factor * sigma.sigma)
     )
 
 
@@ -225,9 +234,9 @@ class TestSolveCommand:
         assert code == 2
 
     def test_csv_output_single_row(self, example_source_file, capsys):
+        # the CSV row of a single solve comes from a one-point sweep
         code, out, _ = run_cli(
-            capsys, "solve", example_source_file, "--d1", "0.4", "--d2", "0.5",
-            "--output", "csv",
+            capsys, "sweep", example_source_file, "--grid", "0.4:0.4:1,0.5:0.5:1"
         )
         assert code == 0
         lines = out.strip().splitlines()
@@ -236,6 +245,14 @@ class TestSolveCommand:
         fields = lines[1].split(",")
         assert len(fields) == 5
         assert fields[3] == "ClosedFormInteriorD"
+
+    def test_csv_output_refused(self, example_source_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", example_source_file, "--d1", "0.4", "--d2", "0.5", "--output", "csv"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --output csv" in err
 
 
 class TestSweepCommand:
@@ -265,10 +282,11 @@ class TestSweepCommand:
         assert code == 0
         row = sweep_out.strip().splitlines()[1].split(",")
         code, solve_out, _ = run_cli(
-            capsys, "solve", example_source_file, "--d1", "0.4", "--d2", "0.5",
-            "--output", "csv",
+            capsys, "solve", example_source_file, "--d1", "0.4", "--d2", "0.5"
         )
-        assert row == solve_out.strip().splitlines()[1].split(",")
+        obj = json.loads(solve_out)
+        assert row == [f"{obj['d1']:.12g}", f"{obj['d2']:.12g}", f"{obj['rate']:.12g}",
+                       obj["branch"], f"{obj['gray_bound']:.12g}"]
 
     def test_values_use_12_significant_digits(self, example_source_file, capsys):
         _, out, _ = run_cli(
@@ -297,11 +315,13 @@ class TestSweepCommand:
         assert "invalid input" in err and "--jobs" in err
 
     def test_bad_grid_exits_2(self, example_source_file, capsys):
-        code, _, err = run_cli(
-            capsys, "sweep", example_source_file, "--grid", "0:3:5,1:2:2"
-        )
-        assert code == 2
-        assert "grid" in err
+        # a zero bound, one axis, and an axis without a step count
+        for grid in ("0:3:5,1:2:2", "1:2:2", "1:2,1:2:2"):
+            code, out, err = run_cli(capsys, "sweep", example_source_file, "--grid", grid)
+            assert code == 2
+            assert out == ""
+            _assert_one_line(err)
+            assert "grid" in err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -311,6 +331,46 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", example_source_file, "--grid", grid)
         assert code == 2
         assert len(err.splitlines()) == 1 and "grid" in err
+
+    def test_unrepresentable_budget_exits_2(self, example_source_file, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", example_source_file, "--grid", "1e-320:1e-320:1,1:1:1"
+        )
+        assert code == 2
+        assert out == ""
+        _assert_one_line(err)
+        assert err.startswith("invalid input:") and "not representable" in err
+
+    def test_failed_point_exits_1_and_names_it(self, example_source_file, monkeypatch, capsys):
+        honest = cli.solve
+
+        def failing(src, d):
+            if (d.d1, d.d2) == (2.0, 1.0):
+                raise RuntimeError("ratio bracket collapsed")
+            return honest(src, d)
+
+        monkeypatch.setattr(cli, "solve", failing)
+        code, out, err = run_cli(capsys, "sweep", example_source_file, "--grid", "1:2:2,1:2:2")
+        assert code == 1
+        assert out == ""
+        _assert_one_line(err)
+        assert err == "sweep failed at grid point (d1=2, d2=1): ratio bracket collapsed\n"
+
+    def test_rising_rate_exits_1(self, example_source_file, monkeypatch, capsys):
+        honest = cli.solve
+
+        def rising(src, d):
+            report = honest(src, d)
+            if (d.d1, d.d2) == (2.0, 2.0):  # raised one nat: the rate rises into (2, 2)
+                return dataclasses.replace(report, rate_nats=report.rate_nats + 1.0)
+            return report
+
+        monkeypatch.setattr(cli, "solve", rising)
+        code, out, err = run_cli(capsys, "sweep", example_source_file, "--grid", "1:2:2,1:2:2")
+        assert code == 1
+        assert out == ""
+        _assert_one_line(err)
+        assert err == "sweep rates are not non-increasing near (d1=2, d2=2)\n"
 
     def test_json_output(self, example_source_file, capsys):
         code, out, _ = run_cli(
@@ -369,10 +429,23 @@ class TestRealizeCommand:
             capsys, "realize", example_source_file, "--d1", "0.4", "--d2", "0.5"
         )
         assert code == 4
-        assert "structural failure" in err
+        _assert_one_line(err)
+        assert err == "structural failure: realization checks exceeded tolerance\n"
         obj = json.loads(out)
         assert obj["checks"]["passed"] is False
         assert obj["checks"]["reproduction_error"] > 1e-8
+
+    def test_rejected_realization_exits_4(self, example_source_file, monkeypatch, capsys):
+        # Q - (1 + 1e-3) Sigma has eigenvalue -5.2e-4, so realize refuses it
+        # and no document is printed
+        _tamper_realize(monkeypatch, 1.0 + 1e-3)
+        code, out, err = run_cli(
+            capsys, "realize", example_source_file, "--d1", "1.65", "--d2", "1.85"
+        )
+        assert code == 4
+        assert out == ""
+        _assert_one_line(err)
+        assert err.startswith("structural failure: realization rejected: Q - sigma is not PSD")
 
 
 class TestVerifyCommand:
@@ -411,6 +484,20 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert "invalid input" in err and "--samples" in err
+
+    def test_failed_distortion_check_exits_5(self, example_source_file, monkeypatch, capsys):
+        # a channel from 1.2 Sigma overshoots both budgets by 20%
+        _tamper_realize(monkeypatch, 1.2)
+        code, out, err = run_cli(
+            capsys, "verify", example_source_file, "--d1", "0.4", "--d2", "0.5",
+            "--samples", "100000", "--seed", "7",
+        )
+        assert code == 5
+        _assert_one_line(err)
+        assert err == "statistical check failed\n"
+        obj = json.loads(out)
+        assert obj["passed"] is False
+        assert obj["distortion"]["passed"] is False
 
 
 class TestCanonicalCommand:
@@ -566,3 +653,26 @@ class TestBrokenPipe:
             os.close(fd)
         assert code == expected
         assert "Traceback" not in capsys.readouterr().err
+
+
+class TestColdProcess:
+    """`python -m jointrdf.cli` in a fresh interpreter, through sys.exit(main())."""
+
+    @pytest.mark.parametrize("budgets, expected", [(("1.65", "1.85"), 0), (("0", "1"), 3)])
+    def test_module_entry_point(self, example_source_file, budgets, expected):
+        env = dict(os.environ)
+        src_dir = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "jointrdf.cli", "solve", example_source_file,
+             "--d1", budgets[0], "--d2", budgets[1]],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == expected
+        if expected == 0:
+            assert proc.stderr == ""
+            assert json.loads(proc.stdout)["branch"] == "InteriorPoint"
+        else:
+            assert proc.stdout == ""
+            _assert_one_line(proc.stderr)
+            assert proc.stderr.startswith("infeasible:")

@@ -46,6 +46,15 @@ class TestValidateSource:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(SourceValidationError, match="3x3"):
             validate_source(np.eye(4), 2, 1)
+        with pytest.raises(SourceValidationError, match="must be positive, got p1=0"):
+            validate_source(np.eye(4), 0, 4)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        q = np.eye(4)
+        q[1, 2] = q[2, 1] = bad
+        with pytest.raises(SourceValidationError, match="non-finite"):
+            validate_source(q, 2, 2)
 
     def test_negative_eigenvalue_rejected(self):
         q = np.diag([1.0, 1.0, -0.5, 1.0])

@@ -173,6 +173,14 @@ class TestCheckDistortion:
         with pytest.raises(ValueError, match="push_channel"):
             check_distortion(batch, DistortionPair(1.0, 1.0))
 
+    def test_mismatched_channel_rejected(self, example_source):
+        # a 1 + 1 channel cannot carry a batch of the 2 + 2 source
+        pair = validate_source(np.array([[1.0, 0.5], [0.5, 1.0]]), 1, 1)
+        r = realize(pair, 0.5 * np.eye(2))
+        batch = sample_source(example_source, 10, seed=1)
+        with pytest.raises(ValueError, match="dimension 4 does not match channel dimension 2"):
+            push_channel(batch, r, seed=2)
+
     def test_fails_below_attained_distortions(self, case1_run, case1):
         _, _, batch = case1_run
         rep = check_distortion(batch, DistortionPair(0.95 * case1.d1, 0.95 * case1.d2))

@@ -373,6 +373,11 @@ class TestErrorCovarianceValidation:
         with pytest.raises(FeasibilityError, match="not PSD"):
             sigma.validate(example_source, case1)
 
+    def test_wrong_shape_rejected(self, example_source, case1):
+        sigma = ErrorCovariance(2, 2, 0.1 * np.eye(3))
+        with pytest.raises(FeasibilityError, match=r"sigma must be 4x4, got \(3, 3\)"):
+            sigma.validate(example_source, case1)
+
 
 class TestScalarOracle:
     def test_agrees_with_bruteforce_grid(self):
