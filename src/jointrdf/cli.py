@@ -49,6 +49,7 @@ from .model import (
     DistortionPair,
     GaussianPairSource,
     SourceValidationError,
+    gray_lower_bound,
     load_source,
 )
 from .solver import FeasibilityError, SolveBranch, SolveReport, solve
@@ -103,7 +104,7 @@ def _emit(text: str, out: str | None) -> None:
             os.close(devnull)
 
 
-def _solve_dict(report: SolveReport, d: DistortionPair, unit: str) -> dict:
+def _solve_dict(src: GaussianPairSource, report: SolveReport, d: DistortionPair, unit: str) -> dict:
     scale = _unit_scale(unit)
     return {
         "d1": d.d1,
@@ -111,7 +112,7 @@ def _solve_dict(report: SolveReport, d: DistortionPair, unit: str) -> dict:
         "unit": unit,
         "rate": report.rate_nats * scale,
         "branch": report.branch.value,
-        "gray_bound": report.gray_bound_nats * scale,
+        "gray_bound": gray_lower_bound(src, d) * scale,
         "sigma": report.sigma.sigma,
         "kkt": dataclasses.asdict(report.certificate),
         "iterations": report.iterations,
@@ -138,7 +139,7 @@ def _solve(
 
 def _cmd_solve(src: GaussianPairSource, args: argparse.Namespace) -> None:
     d, report = _solve(src, args)
-    _emit(_json(_solve_dict(report, d, args.unit)), args.out)
+    _emit(_json(_solve_dict(src, report, d, args.unit)), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +189,7 @@ def _sweep_point(src: GaussianPairSource, d1: float, d2: float) -> dict:
     except (RuntimeError, MemoryError) as exc:
         raise _Exit(1, f"sweep failed at grid point (d1={d1:.6g}, d2={d2:.6g}): {exc}") from exc
     return {"d1": d1, "d2": d2, "rate": report.rate_nats, "branch": report.branch.value,
-            "gray_bound": report.gray_bound_nats}
+            "gray_bound": gray_lower_bound(src, d)}
 
 
 def _check_sweep_monotone(d1_axis: np.ndarray, d2_axis: np.ndarray, rates: np.ndarray) -> None:
@@ -224,12 +225,17 @@ def _cmd_sweep(src: GaussianPairSource, args: argparse.Namespace) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_realize(src: GaussianPairSource, args: argparse.Namespace) -> None:
-    d, report = _solve(src, args)
+def _realize(src: GaussianPairSource, report: SolveReport) -> real.TestChannelRealization:
+    """The channel of the solved Sigma; an error covariance realize refuses exits 4."""
     try:
-        r = real.realize(src, report.sigma)
+        return real.realize(src, report.sigma)
     except FeasibilityError as exc:
         raise _Exit(4, f"structural failure: realization rejected: {exc}") from exc
+
+
+def _cmd_realize(src: GaussianPairSource, args: argparse.Namespace) -> None:
+    d, report = _solve(src, args)
+    r = _realize(src, report)
     c1 = real.verify_condition1(r)
     implied = real.implied_error_covariance(r)
     rep_err = float(np.linalg.norm(implied - report.sigma.sigma, "fro")) / src.q_norm
@@ -244,7 +250,7 @@ def _cmd_realize(src: GaussianPairSource, args: argparse.Namespace) -> None:
             "tolerance": real.CHECK_TOL,
             "passed": passed,
         },
-        "solve": _solve_dict(report, d, args.unit),
+        "solve": _solve_dict(src, report, d, args.unit),
     }
     _emit(_json(obj), args.out)
     if not passed:
@@ -273,7 +279,7 @@ def _cmd_verify(src: GaussianPairSource, args: argparse.Namespace) -> None:
         _emit(_json(obj), args.out)
         return
     seeds = np.random.SeedSequence(args.seed).generate_state(3, np.uint64)
-    r = real.realize(src, report.sigma)
+    r = _realize(src, report)
     batch = sim.sample_source(src, args.samples, int(seeds[0]))
     batch = sim.push_channel(batch, r, int(seeds[1]))
     dist = sim.check_distortion(batch, d)
@@ -293,7 +299,7 @@ def _cmd_verify(src: GaussianPairSource, args: argparse.Namespace) -> None:
             "passed": cm.passed,
         },
         "passed": passed,
-        "solve": _solve_dict(report, d, args.unit),
+        "solve": _solve_dict(src, report, d, args.unit),
     }
     _emit(_json(obj), args.out)
     if not passed:

@@ -30,11 +30,12 @@ The branch labels the instance, read off the dual's first evaluation (see
 
 Every solve carries a certificate (lambda1, lambda2, Theta), exact by
 construction, whose residuals :func:`kkt_residuals` recomputes.  A caller
-sets no tolerance: GAP_TOL, the duality gap in nats at which the dual
-iteration stops, REGION_TOL, the margin of the region test
-(Q - D > REGION_TOL * D), TRACE_SLACK_TOL, the trace overshoot accepted
-relative to each budget, and model.PSD_RTOL are fixed and scale with the
-problem.
+sets no tolerance: REGION_TOL, the margin of the region test
+(Q - D > REGION_TOL * D), TRACE_SLACK_TOL, the trace residual relative to
+each budget at which the dual iteration stops, and model.PSD_RTOL are fixed
+and scale with the problem.  Every dual point has l . r = 0, so its rate is
+R(d + r), which is R(d) to second order in r: the trace rule alone fixes the
+rate.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .model import (
     DistortionPair,
     GaussianPairSource,
     _water_level,
-    gray_lower_bound,
 )
 
 
@@ -68,7 +68,6 @@ class SolveBranch(Enum):
     INFEASIBLE = "Infeasible"
 
 
-GAP_TOL = 1e-9
 REGION_TOL = 1e-9
 TRACE_SLACK_TOL = 1e-9
 
@@ -158,7 +157,6 @@ class SolveReport:
     sigma: ErrorCovariance
     certificate: KktCertificate | None
     branch: SolveBranch
-    gray_bound_nats: float
     iterations: int
     wall_time: float
 
@@ -328,10 +326,10 @@ def _solve_dual(
     :func:`_in_region` on region D.  The second trial scales each l_i by
     tr Sigma_ii / d_i, exact where Sigma is diagonal.  Later trials take secant
     steps on f; one that leaves the bracket of evaluated signs goes to its
-    unevaluated end, a = 0 or 1, an exact zero multiplier, or else falls back to
-    false position, and to bisection if the step before fell back too.  Stops
-    once each l_i |r_i| <= GAP_TOL / 2 and each trace is within
-    TRACE_SLACK_TOL * d_i above d_i; RuntimeError if the bracket collapses
+    unevaluated end, a = 0 or 1, an exact zero multiplier, or else bisects the
+    bracket.  Stops once no trace exceeds its budget d_i by more than
+    TRACE_SLACK_TOL * d_i and none falls short by more than that unless its
+    multiplier is exactly zero; RuntimeError if the bracket collapses
     first (both ends evaluated and no float strictly between them, so every
     later step would repeat an end) or if _MAX_EVALUATIONS does.  Returns
     (sigma, theta, l, rate, evaluations, branch).
@@ -340,11 +338,9 @@ def _solve_dual(
     l0 = tuple(0.0 if di >= ti else p / (2.0 * di)
                for p, di, ti in zip((src.p1, src.p2), budget, src.block_traces))
     slack = tuple(TRACE_SLACK_TOL * di for di in budget)
-    half_gap = 0.5 * GAP_TOL
 
     def done(pt: _DualPoint) -> bool:
-        return all(ri <= si and li * abs(ri) <= half_gap
-                   for li, ri, si in zip(pt.l, pt.r, slack))
+        return all(ri <= si and (li == 0.0 or -ri <= si) for li, ri, si in zip(pt.l, pt.r, slack))
 
     def at(a: float) -> tuple[_DualPoint, float]:
         pt = _dual_point(src, (2.0 * (1.0 - a) * l0[0], 2.0 * a * l0[1]), budget)
@@ -358,11 +354,11 @@ def _solve_dual(
     else:
         branch = SolveBranch.INTERIOR_POINT
     # the bracket's ends (a, f), f None while unevaluated; f > 0 below the optimum
-    lo, hi, prev, fell_back = [0.0, None], [1.0, None], None, False
-    collapsed = False
+    lo, hi, prev, collapsed = [0.0, None], [1.0, None], None, False
     while 0.0 not in l0 and not done(pt) and evaluations < _MAX_EVALUATIONS:
         (lo if f > 0.0 else hi)[:] = a, f
-        collapsed = None not in (lo[1], hi[1]) and not lo[0] < 0.5 * (lo[0] + hi[0]) < hi[0]
+        mid = 0.5 * (lo[0] + hi[0])
+        collapsed = None not in (lo[1], hi[1]) and not lo[0] < mid < hi[0]
         if collapsed:
             break
         if prev is None:
@@ -370,14 +366,8 @@ def _solve_dual(
             step = g2 / (g1 + g2)
         else:
             step = a - f * (a - prev[0]) / (f - prev[1]) if f != prev[1] else math.nan
-        inside = lo[0] < step < hi[0]
-        if not inside and (hi[1] is None or lo[1] is None):
-            step = 1.0 if hi[1] is None else 0.0
-        elif not inside:
-            # false position alone can creep along one end
-            fp = lo[0] - lo[1] * (hi[0] - lo[0]) / (hi[1] - lo[1])
-            step = fp if not fell_back and lo[0] < fp < hi[0] else 0.5 * (lo[0] + hi[0])
-        fell_back = not inside and not fell_back
+        if not lo[0] < step < hi[0]:
+            step = 1.0 if hi[1] is None else 0.0 if lo[1] is None else mid
         prev, a = (a, f), step
         (pt, f), evaluations = at(a), evaluations + 1
     if not done(pt):
@@ -420,13 +410,15 @@ def _optimum(src: GaussianPairSource, pt: _DualPoint) -> tuple[np.ndarray, np.nd
 def solve(src: GaussianPairSource, d: DistortionPair) -> SolveReport:
     """Compute the joint rate-distortion value and its optimal error covariance.
 
-    Every feasible instance is solved by the two-multiplier dual, whose
-    iteration stops at a duality gap of GAP_TOL nats (ValueError for a budget
-    whose multiplier p_i / (2 d_i) is not representable for Q; RuntimeError
-    if the iteration fails, see :func:`_solve_dual`).  iterations counts its
-    evaluations, one eigh each (1 on the zero-rate and region-D instances).
-    The rate is that of the returned Sigma, from the final dual point's
-    eigenvalues; the branch labels the instance as the module docstring says.
+    Every feasible instance is solved by the two-multiplier dual, which stops
+    once each trace is within TRACE_SLACK_TOL * d_i of its budget d_i, or
+    below it with a zero multiplier (ValueError for a budget whose multiplier
+    p_i / (2 d_i) is not representable for Q; RuntimeError if the iteration
+    fails, see :func:`_solve_dual`).  iterations counts its evaluations, one
+    eigh each (1 on the zero-rate and region-D instances).  The rate is that
+    of the returned Sigma, from the final dual point's eigenvalues; the
+    branch labels the instance as the module docstring says.  The additive
+    lower bound is :func:`jointrdf.model.gray_lower_bound`.
 
     A zero budget against a block with positive variance yields the
     Infeasible branch with an infinite rate: every admissible error
@@ -435,14 +427,13 @@ def solve(src: GaussianPairSource, d: DistortionPair) -> SolveReport:
     start = time.perf_counter()
     if d.d1 <= 0.0 or d.d2 <= 0.0:
         sigma = ErrorCovariance(p1=src.p1, p2=src.p2, sigma=readonly(np.zeros((src.n, src.n))))
-        return SolveReport(math.inf, sigma, None, SolveBranch.INFEASIBLE, math.inf, 0,
+        return SolveReport(math.inf, sigma, None, SolveBranch.INFEASIBLE, 0,
                            time.perf_counter() - start)
 
-    gray = gray_lower_bound(src, d)
     s, theta, lam, rate, iterations, branch = _solve_dual(src, d)
     sigma = ErrorCovariance(p1=src.p1, p2=src.p2, sigma=readonly(s))
     sigma.validate(src, d)
     blank = KktCertificate(*lam, readonly(theta), 0.0, (0.0,) * 3, True)
     cert = kkt_residuals(src, d, sigma, blank)
     wall = time.perf_counter() - start
-    return SolveReport(rate, sigma, cert, branch, gray, iterations, wall)
+    return SolveReport(rate, sigma, cert, branch, iterations, wall)

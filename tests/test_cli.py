@@ -89,11 +89,12 @@ class TestSolveCommand:
         obj = json.loads(out)
         assert obj["branch"] == "InteriorPoint"
         assert obj["iterations"] == 5
+        # both multipliers are positive, so both traces meet their budgets
+        # to TRACE_SLACK_TOL of the budget
         sigma = np.array(obj["sigma"])
-        gap = abs(obj["kkt"]["lambda1"] * (np.trace(sigma[:2, :2]) - 1.65)) + abs(
-            obj["kkt"]["lambda2"] * (np.trace(sigma[2:, 2:]) - 1.85)
-        )
-        assert gap <= solver.GAP_TOL
+        assert obj["kkt"]["lambda1"] > 0.0 and obj["kkt"]["lambda2"] > 0.0
+        for tr, di in ((np.trace(sigma[:2, :2]), 1.65), (np.trace(sigma[2:, 2:]), 1.85)):
+            assert abs(tr - di) <= solver.TRACE_SLACK_TOL * di
 
     def test_zero_budget_exits_3(self, example_source_file, capsys):
         code, _, err = run_cli(
@@ -449,6 +450,19 @@ class TestRealizeCommand:
 
 
 class TestVerifyCommand:
+    def test_rejected_realization_exits_4_like_realize(self, example_source_file, monkeypatch,
+                                                       capsys):
+        # the refusal that realize reports as a structural failure
+        _tamper_realize(monkeypatch, 1.0 + 1e-3)
+        code, out, err = run_cli(
+            capsys, "verify", example_source_file, "--d1", "1.65", "--d2", "1.85",
+            "--samples", "100000", "--seed", "7",
+        )
+        assert code == 4
+        assert out == ""
+        _assert_one_line(err)
+        assert err.startswith("structural failure: realization rejected: Q - sigma is not PSD")
+
     def test_moderate_sample_run_passes(self, example_source_file, capsys):
         code, out, _ = run_cli(
             capsys, "verify", example_source_file, "--d1", "0.4", "--d2", "0.5",

@@ -266,8 +266,8 @@ class TestGrayLowerBound:
 
 def _assert_same_report(a, b):
     """Every field of two solve reports but the wall time, bit for bit."""
-    assert (a.rate_nats, a.branch, a.in_region_d, a.gray_bound_nats, a.iterations) == (
-        b.rate_nats, b.branch, b.in_region_d, b.gray_bound_nats, b.iterations
+    assert (a.rate_nats, a.branch, a.in_region_d, a.iterations) == (
+        b.rate_nats, b.branch, b.in_region_d, b.iterations
     )
     assert np.array_equal(a.sigma.sigma, b.sigma.sigma)
     ca, cb = a.certificate, b.certificate
@@ -304,6 +304,7 @@ class TestSourceCache:
     def test_pickled_warm_source_gives_identical_reports(self):
         warm = validate_source(EXAMPLE_Q, 2, 2)
         solve(warm, _BUDGETS[0])
+        gray_lower_bound(warm, _BUDGETS[0])  # the Gray bound fills block_eigenvalues
         copy = pickle.loads(pickle.dumps(warm))
         arrays = [a for value in vars(copy).values()
                   for a in (value if isinstance(value, tuple) else (value,))

@@ -1,15 +1,21 @@
 """A caller sets no tolerance, and the CLI has no hidden flag.
 
-Every tolerance is a fixed module constant.  These tests fail as soon as a
-public function, a public method or a CLI option grows a tolerance, or an
-option is hidden from --help.
+Every tolerance is a fixed module constant, and README lists each one.
+These tests fail as soon as a public function, a public method or a CLI
+option grows a tolerance, an option is hidden from --help, or a module
+gains or loses a *_TOL or *_RTOL constant that README does not name.
 """
 
 import argparse
+import ast
 import inspect
+import re
+from pathlib import Path
 
 import jointrdf
 from jointrdf.cli import _build_parser
+
+_TOL_NAME = re.compile(r"_?[A-Z][A-Z_]*_R?TOL")
 
 
 def _public_callables():
@@ -53,3 +59,20 @@ def test_no_cli_option_is_hidden():
     actions += [(command, a) for command, sp in commands.items() for a in sp._actions]
     hidden = [(c, a.option_strings) for c, a in actions if a.help is argparse.SUPPRESS]
     assert hidden == []
+
+
+def _module_tolerances() -> set[str]:
+    """module.NAME for every *_TOL and *_RTOL assigned at a module's top level."""
+    found = set()
+    for path in Path(jointrdf.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            found |= {f"{path.stem}.{t.id}" for t in targets
+                      if isinstance(t, ast.Name) and _TOL_NAME.fullmatch(t.id)}
+    return found
+
+
+def test_readme_lists_every_tolerance():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = set(re.findall(rf"`(\w+\.{_TOL_NAME.pattern})`", readme))
+    assert _module_tolerances() == listed

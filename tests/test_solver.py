@@ -132,7 +132,7 @@ class TestSolveCase1:
             report.sigma.sigma, np.diag([0.2, 0.2, 0.25, 0.25]), atol=1e-12
         )
         assert report.rate_nats == pytest.approx(CASE1_RATE, abs=1e-10)
-        assert abs(report.rate_nats - report.gray_bound_nats) <= 1e-6
+        assert abs(report.rate_nats - gray_lower_bound(example_source, case1)) <= 1e-6
         # the dual starts at the closed-form multipliers, optimal on region D
         assert report.iterations == 1
 
@@ -169,10 +169,10 @@ class TestSolveCase2:
         assert cert.dual_feasible
 
     def test_tighter_gap_agrees(self, example_source, case2, monkeypatch):
-        # decreasing the gap tolerance 10x moves the final iterate by little
+        # decreasing the trace slack 10x moves the final iterate by little
         # and keeps the certificate valid
         base = solve(example_source, case2)
-        monkeypatch.setattr(solver, "GAP_TOL", 1e-10)
+        monkeypatch.setattr(solver, "TRACE_SLACK_TOL", 1e-10)
         tight = solve(example_source, case2)
         assert abs(base.rate_nats - tight.rate_nats) <= 1e-8
         assert np.linalg.norm(base.sigma.sigma - tight.sigma.sigma) <= 1e-6
@@ -180,7 +180,7 @@ class TestSolveCase2:
 
     def test_rate_dominates_gray_bound(self, example_source, case2):
         report = solve(example_source, case2)
-        assert report.rate_nats >= report.gray_bound_nats - oracle_tol(report)
+        assert report.rate_nats >= gray_lower_bound(example_source, case2) - oracle_tol(report)
 
 
 class TestSolveEdges:
@@ -230,7 +230,8 @@ class TestSolveEdges:
         for _ in range(8):
             d = DistortionPair(float(rng.uniform(0.05, 8.0)), float(rng.uniform(0.05, 8.0)))
             report = solve(example_source, d)
-            assert report.rate_nats >= max(report.gray_bound_nats, 0.0) - oracle_tol(report)
+            gray = gray_lower_bound(example_source, d)
+            assert report.rate_nats >= max(gray, 0.0) - oracle_tol(report)
             assert (report.branch is SolveBranch.ZERO_RATE) == (report.rate_nats == 0.0)
 
 
@@ -246,7 +247,8 @@ class TestExtremeBudgetRatios:
         assert report.branch is SolveBranch.CLOSED_FORM_INTERIOR_D
         assert report.iterations == 1
         assert in_region_d(example_source, d)
-        assert report.rate_nats == pytest.approx(report.gray_bound_nats, rel=1e-9, abs=1e-9)
+        gray = gray_lower_bound(example_source, d)
+        assert report.rate_nats == pytest.approx(gray, rel=1e-9, abs=1e-9)
 
     def test_interior_point_certifies(self, example_source):
         d = DistortionPair(1e-8, 3.0)
@@ -256,7 +258,7 @@ class TestExtremeBudgetRatios:
         report.sigma.validate(example_source, d)
         assert report.certificate.max_residual <= 1e-7
         assert report.certificate.dual_feasible
-        assert report.rate_nats >= report.gray_bound_nats - oracle_tol(report)
+        assert report.rate_nats >= gray_lower_bound(example_source, d) - oracle_tol(report)
 
 
 class TestKktResiduals:
@@ -675,24 +677,27 @@ class TestDualStress:
 
 class TestFirstOrderExactness:
     """Every dual point has l . r = 0, so the rate a solve reports, R(d + r),
-    is R(d) to second order in the trace residual r: GAP_TOL gives the rate
-    of a gap of 1e-14 nats."""
+    is R(d) to second order in the trace residual r: TRACE_SLACK_TOL gives
+    the rate of a trace slack of 1e-14.  The total evaluation counts are the
+    search's budgets on these instances."""
 
     @staticmethod
-    def _assert_exact(instances, monkeypatch):
-        rates = [solve(src, d).rate_nats for src, d in instances]
-        monkeypatch.setattr(solver, "GAP_TOL", 1e-14)
-        for (src, d), rate in zip(instances, rates):
-            assert abs(rate - solve(src, d).rate_nats) <= 1e-12
+    def _assert_exact(instances, monkeypatch) -> int:
+        """Total evaluations of the solves at the default slack."""
+        reports = [solve(src, d) for src, d in instances]
+        monkeypatch.setattr(solver, "TRACE_SLACK_TOL", 1e-14)
+        for (src, d), report in zip(instances, reports):
+            assert abs(report.rate_nats - solve(src, d).rate_nats) <= 1e-12
+        return sum(report.iterations for report in reports)
 
     def test_sweep_grid(self, example_source, monkeypatch):
         grid = [(example_source, DistortionPair(float(a), float(b)))
                 for a in np.linspace(0.1, 7.5, 20) for b in np.linspace(0.1, 7.0, 20)]
-        self._assert_exact(grid, monkeypatch)
+        assert self._assert_exact(grid, monkeypatch) <= 1663
 
     def test_stress_draws(self, monkeypatch):
         draws = [*TestDualStress._forced_draws(), *TestDualStress._large_scale_draws()]
-        self._assert_exact(draws, monkeypatch)
+        assert self._assert_exact(draws, monkeypatch) <= 2155
 
 
 class TestIllConditionedSpectra:
@@ -728,6 +733,13 @@ class TestIllConditionedSpectra:
         report = self._certify(src, DistortionPair(0.23171741673103285, 0.3685711719219503))
         assert report.rate_nats >= 0.2556009
 
+    def test_tiny_budgets_at_cond_8e8(self):
+        # cond 8e8 and budgets near 1e-9: certified in 10 evaluations
+        q = np.array([[0.5089492057154662, -0.499919904688279],
+                      [-0.499919904688279, 0.4910507955339446]])
+        self._certify(validate_source(q, 1, 1),
+                      DistortionPair(1.786117143006813e-09, 8.976018049634388e-10))
+
 
 class TestEvaluationCap:
     def test_capped_solve_raises(self, example_source, case2, monkeypatch):
@@ -737,18 +749,18 @@ class TestEvaluationCap:
             solve(example_source, case2)
 
     def test_collapsed_bracket_raises_early(self, monkeypatch):
-        # at cond 8e8 the bracket of the multiplier ratio shrinks to two
+        # at cond 5.4e9 the bracket of the multiplier ratio shrinks to two
         # adjacent floats without converging; every later step would repeat
         # an end until the cap of 100 evaluations
-        q = np.array([[0.5089492057154662, -0.499919904688279],
-                      [-0.499919904688279, 0.4910507955339446]])
+        q = np.array([[0.44773830563243994, -0.49726121425135356],
+                      [-0.49726121425135356, 0.5522616945542486]])
         src = validate_source(q, 1, 1)
         calls = []
         evaluate = solver._dual_point
         monkeypatch.setattr(solver, "_dual_point",
                             lambda *args: calls.append(args) or evaluate(*args))
         with pytest.raises(RuntimeError, match="bracket collapsed"):
-            solve(src, DistortionPair(1.786117143006813e-09, 8.976018049634388e-10))
+            solve(src, DistortionPair(4.09844911206477e-10, 1.1454285945594114e-10))
         assert len(calls) <= 40
 
 
@@ -785,25 +797,27 @@ class TestFactorCounts:
     def test_solve_factors_each_source_once(self, monkeypatch):
         src = validate_source(EXAMPLE_Q, 2, 2)
         calls = self._count(monkeypatch)
-        first = solve(src, DistortionPair(*CASE2_BUDGETS))
-        # validate_source hands its eigh(Q) to the cache, so the dual's
-        # evaluations are the only eigh; the Gray bound fills the rest
-        assert len(calls["eigh"]) == first.iterations
-        assert not calls["solve"]
-        # the log-dets in one stacked call, then sigma in the certificate
-        assert len(self._stacked(calls, src)) == 1
-        assert len(calls["cholesky"]) == 2
+        for d in (DistortionPair(*CASE2_BUDGETS), DistortionPair(2.5, 1.2)):
+            report = solve(src, d)
+            assert report.branch is SolveBranch.INTERIOR_POINT
+            # validate_source hands its eigh(Q) to the cache, so the dual's
+            # evaluations are the only eigh, cold or warm
+            assert len(calls["eigh"]) == report.iterations
+            # sigma >= 0 and Q - sigma >= 0 in the feasibility check and
+            # Theta's PSD test in the certificate; the label costs none
+            assert len(calls["eigvalsh"]) == 3
+            assert not calls["solve"]
+            # sigma in the certificate; neither Q nor a block of it
+            assert not self._stacked(calls, src) and len(calls["cholesky"]) == 1
+            assert not any(self._factored(calls, b) for b in (src.q, src.q11, src.q22))
+            calls.clear()
+        # the Gray bound fills the rest of the cache, once: the log-dets in
+        # one stacked call and the eigenvalues of Q11 and Q22
+        for _ in range(2):
+            gray_lower_bound(src, DistortionPair(*CASE2_BUDGETS))
+        assert len(self._stacked(calls, src)) == 1 and len(calls["cholesky"]) == 1
+        assert len(calls["eigvalsh"]) == 2
         assert all(self._factored(calls, b) for b in (src.q11, src.q22))
-        calls.clear()
-        second = solve(src, DistortionPair(2.5, 1.2))
-        assert second.branch is SolveBranch.INTERIOR_POINT
-        assert len(calls["eigh"]) == second.iterations
-        # sigma >= 0 and Q - sigma >= 0 in the feasibility check and Theta's
-        # PSD test in the certificate; the label costs none
-        assert len(calls["eigvalsh"]) == 3
-        assert not calls["solve"]
-        assert not self._stacked(calls, src) and len(calls["cholesky"]) == 1
-        assert not any(self._factored(calls, b) for b in (src.q, src.q11, src.q22))
 
     def test_region_test_of_a_covered_budget_factors_nothing(self, monkeypatch):
         # Q - D > 0 implies tr Q_ii > d_i, so a budget at or above its block
