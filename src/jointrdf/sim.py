@@ -8,32 +8,35 @@ name is GENERATOR, which the CLI's verify output records.
 All pass/fail thresholds are statistical (concentration-based), never exact.
 
 Every check reads one streamed statistic.  Sampling and the channel push
-draw their normals chunk by chunk from one Philox stream each (bit-identical
-to one large draw); the push forms each row chunk of z = [x, xhat] and adds
-its z^T z into the 2n x 2n second-moment matrix C = (1/N) sum z z^T.  X and
-Xhat are jointly Gaussian, so C holds everything the checks need: a block
-mean squared error is tr(A C) for a quadratic form z^T A z, and by Isserlis'
-theorem that form has variance 2 tr((A C)^2).  The batch holds x and C;
-xhat is never stored, so memory beyond x is O(chunk).
+split their rows into fixed blocks of _BLOCK_ROWS; block b draws its normals
+from Philox(seed).jumped(b), an independent stream, chunk by chunk.  The
+blocks run on one thread per CPU (numpy's normal draws and BLAS release the
+GIL), but the layout never depends on the thread count and per-block sums
+are added in block order, so x and C are bitwise the same on any number of
+cores.  The push draws only the noise w, accumulates the second moments
+S of [x, w], and returns C = T^T S T / N, the 2n x 2n second-moment matrix of
+z = [x, xhat] = [x, w] T.  X and Xhat are jointly Gaussian, so C holds
+everything the checks need: a block mean squared error is tr(A C) for a
+quadratic form z^T A z, and by Isserlis' theorem that form has variance
+2 tr((A C)^2).  The batch holds x and C; xhat is never stored, so memory
+beyond x is O(chunk) per thread.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+import os
+import threading
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import sqrt_factor
+from ._linalg import sqrt_factor, sym
 from .model import DistortionPair, GaussianPairSource
 from .realization import TestChannelRealization, conditional_mean_map
 
 GENERATOR = "philox4x64"
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
 
 
 @dataclass(frozen=True)
@@ -76,54 +79,120 @@ class CmOptimalityReport:
 
 
 # Rows per chunk of sampling and the channel push: a chunk's temporaries stay
-# small (about 0.6 MB at n = 4: the normals, their product and the chunk of
-# z), and the per-chunk Python overhead stays small against the arithmetic.
+# small (128 KiB of normals per thread at n = 4), and the per-chunk Python
+# overhead stays small against the arithmetic.
 _CHUNK_ROWS = 4096
+# Rows per block, the unit of work of one thread and of one Philox stream.
+# A batch of at most one block draws exactly what Philox(seed) draws.
+_BLOCK_ROWS = 16 * _CHUNK_ROWS
 
 
 def _row_chunks(rows: int) -> Iterator[slice]:
     return (slice(start, start + _CHUNK_ROWS) for start in range(0, rows, _CHUNK_ROWS))
 
 
+def _block_rng(seed: int, block: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(seed).jumped(block))
+
+
+def _cpu_count() -> int:
+    if hasattr(os, "sched_getaffinity"):  # not on every platform
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_blocks(rows: int, work: Callable[[int, slice], np.ndarray | None]) -> list:
+    """[work(b, rows of block b) for each block b], computed on one thread per
+    CPU, the caller's among them.  The first failure in any thread stops
+    every thread from taking another block and is raised here once all have
+    stopped."""
+    count = -(-rows // _BLOCK_ROWS)
+    results = [None] * count
+    failures: list[BaseException] = []
+    blocks = iter(range(count))
+    lock = threading.Lock()
+
+    def worker() -> None:
+        while not failures:
+            with lock:
+                b = next(blocks, None)
+            if b is None:
+                return
+            try:
+                results[b] = work(b, slice(b * _BLOCK_ROWS, (b + 1) * _BLOCK_ROWS))
+            except BaseException as exc:
+                failures.append(exc)
+
+    threads = []
+    try:
+        for _ in range(min(_cpu_count(), count) - 1):
+            thread = threading.Thread(target=worker)
+            thread.start()
+            threads.append(thread)
+        worker()
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
+    return results
+
+
 def sample_source(src: GaussianPairSource, n: int, seed: int) -> SampleBatch:
     """Draw n i.i.d. zero-mean Gaussian rows with covariance q.
 
     The covariance factor U diag(sqrt(w)) comes from the source's cached
-    eigendecomposition, whose eigenvalues are all positive.  Deterministic
-    for a fixed seed.
+    eigendecomposition, whose eigenvalues are all positive.  Block b of
+    _BLOCK_ROWS rows is _block_rng(seed, b)'s normals times that factor, so
+    x depends on the seed alone, not on the number of CPUs.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     w, u = src.q_eigh
     factor_t = (u * np.sqrt(w)).T
     x = np.empty((n, src.n))
-    rng = _rng(seed)
-    for rows in _row_chunks(n):
-        chunk = x[rows]
-        np.matmul(rng.standard_normal(chunk.shape), factor_t, out=chunk)
+
+    def draw(b: int, block: slice) -> None:
+        rng = _block_rng(seed, b)
+        out = x[block]
+        for rows in _row_chunks(out.shape[0]):
+            chunk = out[rows]
+            np.matmul(rng.standard_normal(chunk.shape), factor_t, out=chunk)
+
+    _map_blocks(n, draw)
     return SampleBatch(p1=src.p1, p2=src.p2, n=n, x=x)
 
 
 def push_channel(batch: SampleBatch, r: TestChannelRealization, seed: int) -> SampleBatch:
-    """Apply xhat = x H^T + v with v ~ N(0, qv) independent of x, one row
-    chunk at a time, and return the batch with the moments of [x, xhat]."""
+    """Apply xhat = x H^T + v with v ~ N(0, qv) independent of x, and return
+    the batch with the moments of [x, xhat].
+
+    v = w F^T for F F^T = qv and standard normals w, drawn per block like
+    sample_source's.  Each block sums the second moments S of [x, w], the
+    block sums are added in block order, and C = T^T S T / N with
+    T = [[I, H^T], [0, F^T]]: the same C on any number of CPUs.
+    """
     dim = batch.x.shape[1]
     if dim != r.n:
         raise ValueError(f"batch dimension {dim} does not match channel dimension {r.n}")
-    # A chunk of z is x [I, H^T] + w [0, F^T] for standard normals w and
-    # F F^T = qv: two products into contiguous rows, no strided copies.
-    x_to_z = np.hstack([np.eye(dim), r.h.T])
-    noise_to_z = np.hstack([np.zeros((dim, dim)), sqrt_factor(r.qv).T])
-    z = np.empty((min(batch.n, _CHUNK_ROWS), 2 * dim))
-    gram = np.zeros((2 * dim, 2 * dim))
-    rng = _rng(seed)
-    for rows in _row_chunks(batch.n):
-        x = batch.x[rows]
-        chunk = z[: x.shape[0]]
-        np.matmul(x, x_to_z, out=chunk)
-        chunk += rng.standard_normal(x.shape) @ noise_to_z
-        gram += chunk.T @ chunk
-    return replace(batch, moments=gram / batch.n)
+
+    def moments(b: int, block: slice) -> np.ndarray:
+        rng = _block_rng(seed, b)
+        s = np.zeros((2 * dim, 2 * dim))
+        x_block = batch.x[block]
+        noise = np.empty((min(_CHUNK_ROWS, x_block.shape[0]), dim))
+        for rows in _row_chunks(x_block.shape[0]):
+            x = x_block[rows]
+            w = rng.standard_normal(out=noise[: x.shape[0]])
+            s[:dim, :dim] += x.T @ x
+            s[:dim, dim:] += x.T @ w
+            s[dim:, dim:] += w.T @ w
+        s[dim:, :dim] = s[:dim, dim:].T
+        return s
+
+    s = sum(_map_blocks(batch.n, moments))
+    t = np.block([[np.eye(dim), r.h.T], [np.zeros((dim, dim)), sqrt_factor(r.qv).T]])
+    return replace(batch, moments=sym(t.T @ s @ t) / batch.n)
 
 
 def _moments(batch: SampleBatch) -> np.ndarray:

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from jointrdf import ErrorCovariance
+from jointrdf import ErrorCovariance, sim
 from jointrdf.solver import TRACE_SLACK_TOL
 
 # Nats that an oracle comparison allows beyond what the trace slack accounts
@@ -258,11 +258,17 @@ def unchunked_cm_optimality(x, xhat, p1: int, r, alternatives):
 
 
 def one_shot_batch(src, r, rows: int, seeds: tuple[int, int]):
-    """x and xhat each from a single whole-batch Philox draw: x = Z F^T with
-    F F^T = Q, then xhat = W G^T + x H^T with G G^T = Qv."""
+    """x and xhat each from one Philox draw per block of sim._BLOCK_ROWS rows,
+    block b from Philox(seed).jumped(b): x = Z F^T with F F^T = Q, then
+    xhat = W G^T + x H^T with G G^T = Qv."""
 
     def draw(seed):
-        return np.random.Generator(np.random.Philox(seed)).standard_normal((rows, src.n))
+        bits = np.random.Philox(seed)
+        return np.concatenate([
+            np.random.Generator(bits.jumped(b)).standard_normal(
+                (min(sim._BLOCK_ROWS, rows - start), src.n))
+            for b, start in enumerate(range(0, rows, sim._BLOCK_ROWS))
+        ])
 
     def factor(a):
         w, u = np.linalg.eigh(0.5 * (a + a.T))
@@ -272,3 +278,17 @@ def one_shot_batch(src, r, rows: int, seeds: tuple[int, int]):
     xhat = draw(seeds[1]) @ factor(r.qv).T
     xhat += x @ r.h.T
     return x, xhat
+
+
+def fail_blocks_after_first(monkeypatch) -> None:
+    """Make every Monte-Carlo block after block 0 raise MemoryError, with two
+    threads taking blocks."""
+    honest = sim._block_rng
+
+    def block_rng(seed, block):
+        if block > 0:
+            raise MemoryError(f"no memory for block {block}")
+        return honest(seed, block)
+
+    monkeypatch.setattr(sim, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(sim, "_block_rng", block_rng)

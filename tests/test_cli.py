@@ -4,15 +4,17 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jointrdf import cli, realization, solve, solver, DistortionPair
+from jointrdf import cli, realization, sim, solve, solver, DistortionPair
 from jointrdf.cli import main
 from jointrdf.model import PSD_RTOL, SourceValidationError, parse_source
 from conftest import EXAMPLE_Q
+from helpers import fail_blocks_after_first
 
 
 def run_cli(capsys, *argv):
@@ -462,6 +464,20 @@ class TestVerifyCommand:
         assert out == ""
         _assert_one_line(err)
         assert err.startswith("structural failure: realization rejected: Q - sigma is not PSD")
+
+    def test_failure_in_a_sampling_thread_exits_1(self, example_source_file, monkeypatch,
+                                                  capsys):
+        threads = threading.active_count()
+        fail_blocks_after_first(monkeypatch)
+        code, out, err = run_cli(
+            capsys, "verify", example_source_file, "--d1", "0.4", "--d2", "0.5",
+            "--samples", str(2 * sim._BLOCK_ROWS + 17), "--seed", "7",
+        )
+        assert code == 1
+        assert out == ""
+        _assert_one_line(err)
+        assert err.startswith("internal failure: no memory for block")
+        assert threading.active_count() == threads
 
     def test_moderate_sample_run_passes(self, example_source_file, capsys):
         code, out, _ = run_cli(

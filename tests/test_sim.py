@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -16,8 +18,10 @@ from jointrdf import (
     solve,
     validate_source,
 )
-from jointrdf.sim import _CHUNK_ROWS
+from jointrdf import sim
+from jointrdf.sim import _BLOCK_ROWS, _CHUNK_ROWS
 from helpers import (
+    fail_blocks_after_first,
     one_shot_batch,
     one_shot_moments,
     random_pd_pair,
@@ -122,10 +126,20 @@ class TestChunkedBatch:
             np.testing.assert_allclose(got, want, rtol=1e-13,
                                        atol=1e-13 * float(np.abs(want).max()))
 
-    def test_memory_is_one_array_plus_chunks(self, example_source, case2):
+    def test_matches_per_block_draw_across_blocks(self, example_source, case2):
+        rows = 2 * _BLOCK_ROWS + 17
+        r = realize(example_source, solve(example_source, case2).sigma)
+        batch = push_channel(sample_source(example_source, rows, seed=113), r, seed=114)
+        x, xhat = one_shot_batch(example_source, r, rows, (113, 114))
+        for got, want in ((batch.x, x), (batch.moments, one_shot_moments(x, xhat))):
+            np.testing.assert_allclose(got, want, rtol=1e-13,
+                                       atol=1e-13 * float(np.abs(want).max()))
+
+    def test_memory_is_one_array_plus_chunks(self, example_source, case2, monkeypatch):
         # tracemalloc sees numpy's data buffers.  The batch holds x and the
-        # 8x8 moments; everything else is per-chunk temporaries of the push,
-        # about 0.6 MB at n = 4.
+        # 8x8 moments; everything else is per-chunk temporaries, about
+        # 0.27 MB at n = 4 with two threads (128 KiB of normals per thread).
+        monkeypatch.setattr(sim, "_cpu_count", lambda: 2)
         r = realize(example_source, solve(example_source, case2).sigma)
         alternatives = [0.9 * np.eye(4), 1.1 * np.eye(4), np.ones((4, 4))]
 
@@ -144,6 +158,41 @@ class TestChunkedBatch:
         finally:
             tracemalloc.stop()
         assert peak < x_bytes + 2**20
+
+
+class TestThreadedBlocks:
+    ROWS = 2 * _BLOCK_ROWS + 17
+
+    def test_same_batch_on_any_worker_count(self, example_source, case2, monkeypatch):
+        # neither the block layout nor the order of the block sums may depend
+        # on how the threads share the blocks; a short switch interval makes
+        # them interleave often
+        r = realize(example_source, solve(example_source, case2).sigma)
+        batches = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(sim, "_cpu_count", lambda: workers)
+                batches.append(push_channel(sample_source(example_source, self.ROWS, seed=131),
+                                            r, seed=132))
+        finally:
+            sys.setswitchinterval(interval)
+        for other in batches[1:]:
+            assert np.array_equal(other.x, batches[0].x)
+            assert np.array_equal(other.moments, batches[0].moments)
+
+    def test_failure_in_a_block_reaches_the_caller(self, example_source, case2, monkeypatch):
+        r = realize(example_source, solve(example_source, case2).sigma)
+        batch = sample_source(example_source, self.ROWS, seed=141)
+        threads = threading.active_count()
+        fail_blocks_after_first(monkeypatch)
+        with pytest.raises(MemoryError, match="no memory for block"):
+            sample_source(example_source, self.ROWS, seed=141)
+        assert threading.active_count() == threads
+        with pytest.raises(MemoryError, match="no memory for block"):
+            push_channel(batch, r, seed=142)
+        assert threading.active_count() == threads
 
 
 class TestCheckDistortion:
