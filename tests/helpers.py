@@ -280,14 +280,14 @@ def one_shot_batch(src, r, rows: int, seeds: tuple[int, int]):
     return x, xhat
 
 
-def fail_blocks_after_first(monkeypatch) -> None:
-    """Make every Monte-Carlo block after block 0 raise MemoryError, with two
+def fail_blocks_after_first(monkeypatch, error: type[BaseException] = MemoryError) -> None:
+    """Make every Monte-Carlo block after block 0 raise error, with two
     threads taking blocks."""
     honest = sim._block_rng
 
     def block_rng(seed, block):
         if block > 0:
-            raise MemoryError(f"no memory for block {block}")
+            raise error(f"failure in block {block}")
         return honest(seed, block)
 
     monkeypatch.setattr(sim, "_cpu_count", lambda: 2)

@@ -476,7 +476,7 @@ class TestVerifyCommand:
         assert code == 1
         assert out == ""
         _assert_one_line(err)
-        assert err.startswith("internal failure: no memory for block")
+        assert err.startswith("internal failure: failure in block")
         assert threading.active_count() == threads
 
     def test_moderate_sample_run_passes(self, example_source_file, capsys):

@@ -1,6 +1,10 @@
-"""The package's public name list stays sorted, unique, importable and used."""
+"""The package's public name list stays sorted, unique, importable and used,
+and importing the package loads no more than it needs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jointrdf
@@ -36,3 +40,14 @@ def test_every_export_has_a_caller_outside_the_tests():
     files += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     used = set().union(*map(_names_read, files))
     assert [name for name in jointrdf.__all__ if name not in used] == []
+
+
+def test_import_loads_neither_the_thread_pool_nor_the_cli():
+    # a fresh interpreter: this one may have loaded both already
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = ("import sys, jointrdf; "
+            "print(sorted({'concurrent.futures', 'jointrdf.cli'} & sys.modules.keys()))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "[]\n"

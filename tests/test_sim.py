@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -126,8 +127,8 @@ class TestChunkedBatch:
             np.testing.assert_allclose(got, want, rtol=1e-13,
                                        atol=1e-13 * float(np.abs(want).max()))
 
-    def test_matches_per_block_draw_across_blocks(self, example_source, case2):
-        rows = 2 * _BLOCK_ROWS + 17
+    @pytest.mark.parametrize("rows", [_BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 17])
+    def test_matches_per_block_draw_across_blocks(self, example_source, case2, rows):
         r = realize(example_source, solve(example_source, case2).sigma)
         batch = push_channel(sample_source(example_source, rows, seed=113), r, seed=114)
         x, xhat = one_shot_batch(example_source, r, rows, (113, 114))
@@ -182,17 +183,34 @@ class TestThreadedBlocks:
             assert np.array_equal(other.x, batches[0].x)
             assert np.array_equal(other.moments, batches[0].moments)
 
-    def test_failure_in_a_block_reaches_the_caller(self, example_source, case2, monkeypatch):
+    @pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+    def test_failure_in_a_block_reaches_the_caller(self, example_source, case2, monkeypatch,
+                                                    error):
         r = realize(example_source, solve(example_source, case2).sigma)
         batch = sample_source(example_source, self.ROWS, seed=141)
         threads = threading.active_count()
-        fail_blocks_after_first(monkeypatch)
-        with pytest.raises(MemoryError, match="no memory for block"):
+        fail_blocks_after_first(monkeypatch, error)
+        with pytest.raises(error, match="failure in block"):
             sample_source(example_source, self.ROWS, seed=141)
         assert threading.active_count() == threads
-        with pytest.raises(MemoryError, match="no memory for block"):
+        with pytest.raises(error, match="failure in block"):
             push_channel(batch, r, seed=142)
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("rows", [_BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 17])
+    def test_results_come_back_in_block_order(self, monkeypatch, rows):
+        # block 0 sleeps, so the later blocks finish before it
+        monkeypatch.setattr(sim, "_cpu_count", lambda: 3)
+
+        def work(b, block):
+            if b == 0:
+                time.sleep(0.05)
+            return b, block.start, block.stop
+
+        blocks = range(math.ceil(rows / _BLOCK_ROWS))
+        assert sim._map_blocks(rows, work) == [
+            (b, b * _BLOCK_ROWS, (b + 1) * _BLOCK_ROWS) for b in blocks
+        ]
 
 
 class TestCheckDistortion:
