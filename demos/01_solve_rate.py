@@ -32,8 +32,8 @@ for budgets in [(0.4, 0.5), (1.65, 1.85)]:
     print(f"  lower bound   : {gray_lower_bound(src, d):.6f} nats "
           f"(tight iff inside region: "
           f"{report.branch is SolveBranch.CLOSED_FORM_INTERIOR_D})")
-    print(f"  trace(sigma11): {np.trace(report.sigma.sigma11):.6f}")
-    print(f"  trace(sigma22): {np.trace(report.sigma.sigma22):.6f}")
+    print(f"  trace(sigma11): {np.trace(report.sigma.sigma[:src.p1, :src.p1]):.6f}")
+    print(f"  trace(sigma22): {np.trace(report.sigma.sigma[src.p1:, src.p1:]):.6f}")
     with np.printoptions(precision=4, suppress=True):
         print("  optimal error covariance:")
         for line in str(report.sigma.sigma).splitlines():

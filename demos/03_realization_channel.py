@@ -35,7 +35,7 @@ for budgets in [(0.4, 0.5), (1.65, 1.85)]:
     r = realize(src, report.sigma)
     check = verify_condition1(r)
     print(f"budgets {budgets}:")
-    print(f"  rank of cov(Xhat, Xhat): {check.rank} (full rank: {check.rank == r.n})")
+    print(f"  rank of cov(Xhat, Xhat): {check.rank} (full rank: {check.rank == r.source.n})")
     print(f"  conditional-mean deviation: {check.deviation:.2e} -> "
           f"{'pass' if check.passed else 'FAIL'}")
     rep_err = np.linalg.norm(implied_error_covariance(r) - report.sigma.sigma)

@@ -60,11 +60,6 @@ LN2 = math.log(2.0)
 # the surface counts as non-monotone.
 MONOTONE_TOL = 1e-8
 
-# Below this many samples the three-sigma distortion allowance exceeds 50%,
-# so the statistical checks carry no information and are skipped.
-def _min_samples(src: GaussianPairSource) -> int:
-    return 72 * max(src.p1, src.p2)
-
 
 class _Exit(Exception):
     """Ends a command: main prints the message on one stderr line and exits
@@ -266,7 +261,7 @@ def _cmd_verify(src: GaussianPairSource, args: argparse.Namespace) -> None:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     d, report = _solve(src, args)
-    n_min = _min_samples(src)
+    n_min = sim.minimum_samples(src)
     if args.samples < n_min:
         obj = {
             "samples": args.samples,

@@ -116,8 +116,8 @@ class GaussianPairSource:
 class DistortionPair:
     """Per-block squared-error budgets (d1, d2), both nonnegative.
 
-    A zero budget is admissible as input but flagged: the rate is infinite
-    whenever the corresponding block has positive variance.
+    A zero budget is admissible: solve answers it with the Infeasible branch
+    and an infinite rate, and :func:`gray_lower_bound` refuses it.
     """
 
     d1: float

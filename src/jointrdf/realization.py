@@ -52,10 +52,6 @@ class TestChannelRealization:
     qv: np.ndarray
     source: GaussianPairSource
 
-    @property
-    def n(self) -> int:
-        return self.source.n
-
     @cached_property
     def xhat_cov(self) -> XhatCovariance:
         """cov(Xhat), factored once; modes at or below PSD_RTOL * ||Q||_2

@@ -159,8 +159,8 @@ def push_channel(batch: SampleBatch, r: TestChannelRealization, seed: int) -> Sa
     T = [[I, H^T], [0, F^T]]: the same C on any number of CPUs.
     """
     dim = batch.x.shape[1]
-    if dim != r.n:
-        raise ValueError(f"batch dimension {dim} does not match channel dimension {r.n}")
+    if dim != r.source.n:
+        raise ValueError(f"batch dimension {dim} does not match channel dimension {r.source.n}")
 
     def moments(b: int, block: slice) -> np.ndarray:
         rng = _block_rng(seed, b)
@@ -209,6 +209,11 @@ def check_distortion(batch: SampleBatch, d: DistortionPair) -> DistortionReport:
     bound2 = d.d2 * (1.0 + 3.0 * math.sqrt(2.0 * batch.p2 / batch.n))
     return DistortionReport(empirical_d1=emp1, empirical_d2=emp2, bound_d1=bound1,
                             bound_d2=bound2, passed=bool(emp1 <= bound1 and emp2 <= bound2))
+
+
+def minimum_samples(src: GaussianPairSource) -> int:
+    """Fewest samples n at which check_distortion's allowance 3*sqrt(2 p_i / n) is <= 1/2."""
+    return 72 * max(src.p1, src.p2)
 
 
 def _block_forms(g: np.ndarray, p1: int) -> tuple[np.ndarray, np.ndarray]:

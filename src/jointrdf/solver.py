@@ -74,35 +74,25 @@ TRACE_SLACK_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ErrorCovariance:
-    """Symmetric error covariance with the block partition of its source."""
+    """Symmetric error covariance, split into blocks by the source it is checked against."""
 
-    p1: int
-    p2: int
     sigma: np.ndarray
 
-    @property
-    def sigma11(self) -> np.ndarray:
-        return self.sigma[: self.p1, : self.p1]
-
-    @property
-    def sigma12(self) -> np.ndarray:
-        return self.sigma[: self.p1, self.p1 :]
-
-    @property
-    def sigma22(self) -> np.ndarray:
-        return self.sigma[self.p1 :, self.p1 :]
-
     def validate(self, src: GaussianPairSource, d: DistortionPair) -> None:
-        """Raise FeasibilityError unless sigma >= 0, Q - sigma >= 0 and each
-        block trace exceeds its budget d_i by at most TRACE_SLACK_TOL * d_i."""
+        """Raise FeasibilityError unless sigma is n x n, sigma >= 0, Q - sigma >= 0
+        and each block trace exceeds its budget d_i by at most TRACE_SLACK_TOL * d_i."""
         check_psd_bounds(src, self.sigma)
-        tr1 = float(np.trace(self.sigma11))
-        tr2 = float(np.trace(self.sigma22))
+        tr1, tr2 = _block_traces(src, self.sigma)
         if tr1 > d.d1 * (1.0 + TRACE_SLACK_TOL) or tr2 > d.d2 * (1.0 + TRACE_SLACK_TOL):
             raise FeasibilityError(
                 f"trace budget violated: tr(sigma11)={tr1:.6g} vs d1={d.d1:.6g}, "
                 f"tr(sigma22)={tr2:.6g} vs d2={d.d2:.6g}"
             )
+
+
+def _block_traces(src: GaussianPairSource, s: np.ndarray) -> tuple[float, float]:
+    """(tr S11, tr S22) of an n x n matrix under src's partition."""
+    return float(np.trace(s[: src.p1, : src.p1])), float(np.trace(s[src.p1 :, src.p1 :]))
 
 
 def check_psd_bounds(src: GaussianPairSource, s: np.ndarray) -> None:
@@ -209,13 +199,14 @@ def kkt_residuals(
     except np.linalg.LinAlgError as exc:
         raise FeasibilityError("kkt residuals require sigma > 0") from exc
     half_inv = 0.5 * (chol_inv.T @ chol_inv)  # exactly symmetric: a product with its transpose
-    lam_block = np.diag([cert.lambda1] * sigma.p1 + [cert.lambda2] * sigma.p2)
+    lam_block = np.diag([cert.lambda1] * src.p1 + [cert.lambda2] * src.p2)
     unit = float(np.abs(half_inv).max())
     stat = float(np.linalg.norm((lam_block + cert.theta - half_inv) / unit)
                  / np.linalg.norm(half_inv / unit))
+    tr1, tr2 = _block_traces(src, s)
     slack = (
-        cert.lambda1 * (float(np.trace(sigma.sigma11)) - d.d1),
-        cert.lambda2 * (float(np.trace(sigma.sigma22)) - d.d2),
+        cert.lambda1 * (tr1 - d.d1),
+        cert.lambda2 * (tr2 - d.d2),
         float(np.sum(cert.theta * (s - src.q))),
     )
     w_theta = np.linalg.eigvalsh(sym(cert.theta))
@@ -248,7 +239,6 @@ class _DualPoint(NamedTuple):
     pos: slice
     zero: slice
     s: np.ndarray
-    mu: np.ndarray
     m: np.ndarray
     v: np.ndarray
     c: np.ndarray | None
@@ -264,9 +254,9 @@ def _dual_point(
     On pos, the coordinates with u > 0, (mu, v) = eigh(K(u)), K(u) = Q_pos,pos *
     outer(sqrt(u), sqrt(u)), read from the triangle of the larger multiplier:
     only so does eigh keep the small mu of a graded K to high relative accuracy.
-    K(t u) = t K(u), so the ray has m = t mu, and u . r = sum(min(mu, w)) - u . d
-    with w = 1 / (2 t): g peaks at the water level w of
-    :func:`jointrdf.model._water_level`, where l . r = 0 and g equals the rate.
+    K(t u) = t K(u), so K(l) has eigenvalues m = t mu, which the point keeps, and
+    u . r = sum(min(mu, w)) - u . d with w = 1 / (2 t): g peaks at the water level
+    w of :func:`jointrdf.model._water_level`, where l . r = 0 and g equals the rate.
     Sigma's diagonal there is ((v * v) @ min(m, 1/2)) / l; a zero block has
     trace tr Q_ii - sum(c^2 (1 - z) / m), z = min(1, 1/(2 m)) and
     c = Q_zero,pos diag(s) v, s = sqrt(l).  r = (tr Sigma11 - d1, tr Sigma22 - d2)
@@ -297,14 +287,14 @@ def _dual_point(
         removed = float(np.vdot(c * ((top - 0.5) / top**2), c))
         tr = tuple(ti if ui > 0.0 else tq - removed for ti, ui, tq in zip(tr, u, src.block_traces))
     rate = 0.5 * sum(np.log(2.0 * top).tolist())
-    return _DualPoint(l, pos, zero, s, mu, m, v, c, (tr[0] - d1, tr[1] - d2), rate)
+    return _DualPoint(l, pos, zero, s, m, v, c, (tr[0] - d1, tr[1] - d2), rate)
 
 
 def _in_region(first: _DualPoint) -> bool:
-    """Region D at the dual's first point, l0: no budget covers its trace (no
-    multiplier is zero, so c is None) and K(l0) = 0.5 D^{-1/2} Q D^{-1/2} has
-    every eigenvalue above (1 + REGION_TOL) / 2, i.e. Q - D > REGION_TOL * D."""
-    return first.c is None and bool(first.mu[0] > 0.5 * (1.0 + REGION_TOL))
+    """Region D at the dual's first point, on the ray of l0: no budget covers its trace
+    (c is None) and every m exceeds (1 + REGION_TOL) / 2, i.e. Q - D > REGION_TOL * D:
+    t = 1 if K(l0) = 0.5 D^{-1/2} Q D^{-1/2} >= I / 2, so m is its spectrum, else t < 1."""
+    return first.c is None and bool(first.m[0] > 0.5 * (1.0 + REGION_TOL))
 
 
 def _solve_dual(
@@ -426,12 +416,12 @@ def solve(src: GaussianPairSource, d: DistortionPair) -> SolveReport:
     """
     start = time.perf_counter()
     if d.d1 <= 0.0 or d.d2 <= 0.0:
-        sigma = ErrorCovariance(p1=src.p1, p2=src.p2, sigma=readonly(np.zeros((src.n, src.n))))
+        sigma = ErrorCovariance(readonly(np.zeros((src.n, src.n))))
         return SolveReport(math.inf, sigma, None, SolveBranch.INFEASIBLE, 0,
                            time.perf_counter() - start)
 
     s, theta, lam, rate, iterations, branch = _solve_dual(src, d)
-    sigma = ErrorCovariance(p1=src.p1, p2=src.p2, sigma=readonly(s))
+    sigma = ErrorCovariance(readonly(s))
     sigma.validate(src, d)
     blank = KktCertificate(*lam, readonly(theta), 0.0, (0.0,) * 3, True)
     cert = kkt_residuals(src, d, sigma, blank)

@@ -25,7 +25,7 @@ def budget_diagonal(src, d) -> ErrorCovariance:
     """D = Block-diag((d1/p1) I, (d2/p2) I): each budget split evenly over its
     block, the optimum on the closed-form region."""
     diag = np.repeat([d.d1 / src.p1, d.d2 / src.p2], [src.p1, src.p2])
-    return ErrorCovariance(src.p1, src.p2, np.diag(diag))
+    return ErrorCovariance(np.diag(diag))
 
 
 def random_pd_pair(rng: np.random.Generator, p1: int, p2: int, ridge: float = 0.4):

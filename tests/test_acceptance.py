@@ -95,7 +95,7 @@ def test_criterion_2_case2_reproduction(example_source, case2):
         norm_q = float(np.abs(np.linalg.eigvalsh(example_source.q)).max())
         assert w[0] >= -1e-10 * norm_q  # PSD within tolerance
         assert w[0] <= 1e-6 * norm_q  # boundary contact
-        assert np.abs(report.sigma.sigma12).max() > 1e-3  # cross coupling present
+        assert np.abs(report.sigma.sigma[:2, 2:]).max() > 1e-3  # cross coupling present
         assert elapsed < 5.0
 
 

@@ -248,6 +248,19 @@ class TestCheckDistortion:
         with pytest.raises(ValueError, match="dimension 4 does not match channel dimension 2"):
             push_channel(batch, r, seed=2)
 
+    @pytest.mark.parametrize("p1, p2, floor", [(2, 2, 144), (1, 3, 216), (3, 1, 216)])
+    def test_minimum_samples_is_where_the_allowance_reaches_half(self, p1, p2, floor):
+        n = p1 + p2
+        src = validate_source(np.eye(n), p1, p2)
+
+        def allowance(samples):
+            batch = sim.SampleBatch(p1, np.zeros((samples, n)), np.zeros((2 * n, 2 * n)))
+            rep = check_distortion(batch, DistortionPair(1.0, 1.0))
+            return max(rep.bound_d1, rep.bound_d2) - 1.0
+
+        assert sim.minimum_samples(src) == floor
+        assert allowance(floor) <= 0.5 < allowance(floor - 1)
+
     def test_fails_below_attained_distortions(self, case1_run, case1):
         _, _, batch = case1_run
         rep = check_distortion(batch, DistortionPair(0.95 * case1.d1, 0.95 * case1.d2))

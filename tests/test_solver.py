@@ -107,11 +107,11 @@ class TestInRegionD:
 
 class TestRateOf:
     def test_full_distortion_zero_rate(self, example_source):
-        sigma = ErrorCovariance(2, 2, example_source.q.copy())
+        sigma = ErrorCovariance(example_source.q.copy())
         assert rate_of(example_source, sigma) == pytest.approx(0.0, abs=1e-12)
 
     def test_halved_covariance(self, example_source):
-        sigma = ErrorCovariance(2, 2, 0.5 * example_source.q)
+        sigma = ErrorCovariance(0.5 * example_source.q)
         assert rate_of(example_source, sigma) == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
     def test_case1_sigma_matches_closed_form_value(self, example_source, case1):
@@ -119,7 +119,7 @@ class TestRateOf:
         assert rate_of(example_source, report.sigma) == pytest.approx(CASE1_RATE, abs=1e-10)
 
     def test_singular_sigma_infinite(self, example_source):
-        sigma = ErrorCovariance(2, 2, np.diag([1.0, 1.0, 1.0, 0.0]))
+        sigma = ErrorCovariance(np.diag([1.0, 1.0, 1.0, 0.0]))
         assert rate_of(example_source, sigma) == math.inf
 
 
@@ -159,7 +159,7 @@ class TestSolveCase2:
         norm_q = float(np.abs(np.linalg.eigvalsh(example_source.q)).max())
         assert w[0] >= -1e-10 * norm_q
         assert w[0] <= 1e-6 * norm_q
-        assert np.abs(report.sigma.sigma12).max() > 0.05
+        assert np.abs(report.sigma.sigma[:2, 2:]).max() > 0.05
 
     def test_certificate_residuals(self, example_source, case2):
         report = solve(example_source, case2)
@@ -278,7 +278,7 @@ class TestKktResiduals:
         assert out.dual_feasible
 
     def test_non_optimal_point_detected(self, example_source, case1):
-        sigma = ErrorCovariance(2, 2, 0.05 * np.eye(4))
+        sigma = ErrorCovariance(0.05 * np.eye(4))
         cert = KktCertificate(
             lambda1=0.0,
             lambda2=0.0,
@@ -336,7 +336,7 @@ class TestKktResiduals:
                 assert solve(src, d).certificate.stationarity_residual <= bound
 
     def test_singular_sigma_rejected(self, example_source, case1):
-        sigma = ErrorCovariance(2, 2, np.zeros((4, 4)))
+        sigma = ErrorCovariance(np.zeros((4, 4)))
         cert = KktCertificate(0.0, 0.0, np.zeros((4, 4)), 0.0, (0.0,) * 3, True)
         with pytest.raises(FeasibilityError):
             kkt_residuals(example_source, case1, sigma, cert)
@@ -347,7 +347,7 @@ class TestErrorCovarianceValidation:
         budget_diagonal(example_source, case1).validate(example_source, case1)
 
     def test_trace_violation_rejected(self, example_source, case1):
-        sigma = ErrorCovariance(2, 2, np.diag([0.3, 0.3, 0.25, 0.25]))
+        sigma = ErrorCovariance(np.diag([0.3, 0.3, 0.25, 0.25]))
         with pytest.raises(FeasibilityError, match="trace budget"):
             sigma.validate(example_source, case1)
 
@@ -358,7 +358,7 @@ class TestErrorCovarianceValidation:
         d = DistortionPair(c * case1.d1, c * case1.d2)
         s = budget_diagonal(src, d).sigma
         s[:2, :2] *= 1.0 + delta
-        sigma = ErrorCovariance(2, 2, s)
+        sigma = ErrorCovariance(s)
         if rejected:
             with pytest.raises(FeasibilityError, match="trace budget"):
                 sigma.validate(src, d)
@@ -366,19 +366,28 @@ class TestErrorCovarianceValidation:
             sigma.validate(src, d)
 
     def test_dominance_violation_rejected(self, example_source):
-        sigma = ErrorCovariance(2, 2, 1.1 * example_source.q)
+        sigma = ErrorCovariance(1.1 * example_source.q)
         with pytest.raises(FeasibilityError, match="Q - sigma"):
             sigma.validate(example_source, DistortionPair(10.0, 10.0))
 
     def test_indefinite_rejected(self, example_source, case1):
-        sigma = ErrorCovariance(2, 2, np.diag([0.1, -0.1, 0.1, 0.1]))
+        sigma = ErrorCovariance(np.diag([0.1, -0.1, 0.1, 0.1]))
         with pytest.raises(FeasibilityError, match="not PSD"):
             sigma.validate(example_source, case1)
 
     def test_wrong_shape_rejected(self, example_source, case1):
-        sigma = ErrorCovariance(2, 2, 0.1 * np.eye(3))
+        sigma = ErrorCovariance(0.1 * np.eye(3))
         with pytest.raises(FeasibilityError, match=r"sigma must be 4x4, got \(3, 3\)"):
             sigma.validate(example_source, case1)
+
+    def test_blocks_follow_the_source_partition(self, example_source, case2):
+        # the traces of Sigma* are (1.65, 1.85) split 2 + 2 and (0.85, 2.65)
+        # split 1 + 3: budgets (1, 3) hold only under the second
+        sigma = solve(example_source, case2).sigma
+        d = DistortionPair(1.0, 3.0)
+        sigma.validate(validate_source(EXAMPLE_Q, 1, 3), d)
+        with pytest.raises(FeasibilityError, match="trace budget"):
+            sigma.validate(example_source, d)
 
 
 class TestScalarOracle:
@@ -693,11 +702,11 @@ class TestFirstOrderExactness:
     def test_sweep_grid(self, example_source, monkeypatch):
         grid = [(example_source, DistortionPair(float(a), float(b)))
                 for a in np.linspace(0.1, 7.5, 20) for b in np.linspace(0.1, 7.0, 20)]
-        assert self._assert_exact(grid, monkeypatch) <= 1663
+        assert self._assert_exact(grid, monkeypatch) <= 1661
 
     def test_stress_draws(self, monkeypatch):
         draws = [*TestDualStress._forced_draws(), *TestDualStress._large_scale_draws()]
-        assert self._assert_exact(draws, monkeypatch) <= 2155
+        assert self._assert_exact(draws, monkeypatch) <= 2151
 
 
 class TestIllConditionedSpectra:
