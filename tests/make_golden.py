@@ -20,17 +20,13 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import sys
 from pathlib import Path
 
+from jointrdf import solve
+from jointrdf.cli import main
+from test_solver import TestDualStress
+
 TESTS = Path(__file__).resolve().parent
-if str(TESTS) not in sys.path:
-    sys.path.insert(0, str(TESTS))
-
-from jointrdf import solve  # noqa: E402
-from jointrdf.cli import main  # noqa: E402
-from test_solver import TestDualStress  # noqa: E402
-
 GOLDEN = TESTS / "golden.json"
 SOURCE = str(TESTS.parent / "perfbench" / "data" / "example_source.json")
 GRID = "0.1:7.5:20,0.1:7:20"
