@@ -7,25 +7,29 @@ counter-based Philox bit generator, which is seedable and splittable; its
 name is GENERATOR, which the CLI's verify output records.
 All pass/fail thresholds are statistical (concentration-based), never exact.
 
-Every check reads one streamed statistic.  Sampling and the channel push split
-their rows into fixed blocks of _BLOCK_ROWS; block b draws its normals from
+Every check reads one streamed statistic.  Sampling splits its rows into
+fixed blocks of _BLOCK_ROWS; block b draws its normals from
 Philox(seed).jumped(b), an independent stream, chunk by chunk.  The blocks run
 on min(CPUs, blocks) threads, since numpy's normal draws and BLAS release the
 GIL; the layout never depends on the thread count and per-block sums are added
 in block order, so x and C are bitwise the same on any number of cores.  The
-push draws only the noise w, sums the second moments S of [x, w], and returns
-C = T^T S T / N, the 2n x 2n second-moment matrix of z = [x, xhat] = [x, w] T.
+push writes xhat = x H^T + w F^T with F F^T = Qv and w standard normal noise,
+and needs only the second moments S of [x, w]: C = T^T S T / N is the
+2n x 2n second-moment matrix of z = [x, xhat] = [x, w] T.  It reads x once,
+block by block, for S_xx = x^T x, and draws S_xw = x^T w and S_ww = w^T w
+from their exact law given S_xx, with O(n^2) normals instead of N n.
 X and Xhat are jointly Gaussian, so C holds everything the checks need: a
 block mean squared error is tr(A C) for a quadratic form z^T A z, and by
 Isserlis' theorem that form has variance 2 tr((A C)^2).  The batch holds x and
-C; xhat is never stored, so memory beyond x is O(chunk) per thread.
+C; neither w nor xhat is ever drawn row by row, so memory beyond x is
+O(chunk) per sampling thread.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -82,17 +86,13 @@ class CmOptimalityReport:
     passed: bool
 
 
-# Rows per chunk of sampling and the channel push: a chunk's temporaries stay
-# small (128 KiB of normals per thread at n = 4), and the per-chunk Python
-# overhead stays small against the arithmetic.
+# Rows per chunk of sampling: a chunk's temporaries stay small (128 KiB of
+# normals per thread at n = 4), and the per-chunk Python overhead stays small
+# against the arithmetic.
 _CHUNK_ROWS = 4096
-# Rows per block, the unit of work of one thread and of one Philox stream.
-# A batch of at most one block draws exactly what Philox(seed) draws.
+# Rows per block, the unit of work of one thread and of one Philox stream of
+# x.  A batch of at most one block draws exactly what Philox(seed) draws.
 _BLOCK_ROWS = 16 * _CHUNK_ROWS
-
-
-def _row_chunks(rows: int) -> Iterator[slice]:
-    return (slice(start, start + _CHUNK_ROWS) for start in range(0, rows, _CHUNK_ROWS))
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -141,42 +141,67 @@ def sample_source(src: GaussianPairSource, n: int, seed: int) -> SampleBatch:
     def draw(b: int, block: slice) -> None:
         rng = _block_rng(seed, b)
         out = x[block]
-        for rows in _row_chunks(out.shape[0]):
-            chunk = out[rows]
+        for start in range(0, out.shape[0], _CHUNK_ROWS):
+            chunk = out[start:start + _CHUNK_ROWS]
             np.matmul(rng.standard_normal(chunk.shape), factor_t, out=chunk)
 
     _map_blocks(n, draw)
     return SampleBatch(p1=src.p1, x=x)
 
 
+def _wishart(dof: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """A draw of Wishart(dof, I_n), the law of H^T H for a dof x n matrix H of
+    standard normals: H^T H itself when dof < n (zero for dof = 0), else
+    Bartlett's A A^T, A lower triangular with A_ii^2 ~ chi^2(dof - i) and
+    standard normals below the diagonal."""
+    if dof < n:
+        h = rng.standard_normal((dof, n))
+        return h.T @ h
+    a = np.tril(rng.standard_normal((n, n)), -1)
+    a[np.diag_indices(n)] = np.sqrt(rng.chisquare(dof - np.arange(n)))
+    return a @ a.T
+
+
+def _draw_statistic(s_xx: np.ndarray, rows: int, rng: np.random.Generator) -> np.ndarray:
+    """S = [[S_xx, x^T w], [w^T x, w^T w]] for w a rows x n matrix of standard
+    normals independent of x, drawn from its exact law given S_xx = x^T x.
+
+    Write x = U R with U^T U = I_r, r = min(rows, n).  Then U^T w and the
+    part of w orthogonal to x are independent standard normals, so
+    x^T w = R^T (U^T w) and w^T w = (U^T w)^T (U^T w) + Wishart(rows - r, I_n).
+    F, the top r modes of S_xx times their root, has F F^T = R^T R, so
+    F = R^T O for an orthogonal O, which leaves the law of U^T w unchanged:
+    with G an r x n matrix of standard normals, x^T w ~ F G and
+    w^T w ~ G^T G + Wishart(rows - r, I_n), jointly.
+    """
+    n = s_xx.shape[0]
+    r = min(rows, n)
+    f = sqrt_factor(s_xx)[:, n - r:]
+    g = rng.standard_normal((r, n))
+    s_xw = f @ g
+    return np.block([[s_xx, s_xw], [s_xw.T, g.T @ g + _wishart(rows - r, n, rng)]])
+
+
 def push_channel(batch: SampleBatch, r: TestChannelRealization, seed: int) -> SampleBatch:
     """Apply xhat = x H^T + v with v ~ N(0, qv) independent of x, and return
     the batch with the moments of [x, xhat].
 
-    v = w F^T for F F^T = qv and standard normals w, drawn per block like
-    sample_source's.  Each block sums the second moments S of [x, w], the
-    block sums are added in block order, and C = T^T S T / N with
-    T = [[I, H^T], [0, F^T]]: the same C on any number of CPUs.
+    v = w F^T for F F^T = qv and standard normals w.  The blocks of x are
+    read on the sample_source layout and their Grams x^T x added in block
+    order; _draw_statistic then completes the second moments S of [x, w]
+    from Philox(seed), and C = T^T S T / N with T = [[I, H^T], [0, F^T]]:
+    the same C on any number of CPUs.
     """
     dim = batch.x.shape[1]
     if dim != r.source.n:
         raise ValueError(f"batch dimension {dim} does not match channel dimension {r.source.n}")
 
-    def moments(b: int, block: slice) -> np.ndarray:
-        rng = _block_rng(seed, b)
-        s = np.zeros((2 * dim, 2 * dim))
-        x_block = batch.x[block]
-        noise = np.empty((min(_CHUNK_ROWS, x_block.shape[0]), dim))
-        for rows in _row_chunks(x_block.shape[0]):
-            x = x_block[rows]
-            w = rng.standard_normal(out=noise[: x.shape[0]])
-            s[:dim, :dim] += x.T @ x
-            s[:dim, dim:] += x.T @ w
-            s[dim:, dim:] += w.T @ w
-        s[dim:, :dim] = s[:dim, dim:].T
-        return s
+    def gram(b: int, block: slice) -> np.ndarray:
+        x = batch.x[block]
+        return x.T @ x
 
-    s = sum(_map_blocks(batch.n, moments))
+    s_xx = sum(_map_blocks(batch.n, gram))
+    s = _draw_statistic(s_xx, batch.n, np.random.Generator(np.random.Philox(seed)))
     t = np.block([[np.eye(dim), r.h.T], [np.zeros((dim, dim)), sqrt_factor(r.qv).T]])
     return replace(batch, moments=sym(t.T @ s @ t) / batch.n)
 

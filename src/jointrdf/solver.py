@@ -95,13 +95,16 @@ def _block_traces(src: GaussianPairSource, s: np.ndarray) -> tuple[float, float]
     return float(np.trace(s[: src.p1, : src.p1])), float(np.trace(s[src.p1 :, src.p1 :]))
 
 
+def _check_shape(src: GaussianPairSource, s: np.ndarray) -> None:
+    if s.shape != (src.n, src.n):
+        raise FeasibilityError(f"sigma must be {src.n}x{src.n}, got {s.shape}")
+
+
 def check_psd_bounds(src: GaussianPairSource, s: np.ndarray) -> None:
     """Raise FeasibilityError unless sigma is n x n and 0 <= sigma <= Q, with
     eigenvalues of sigma and of Q - sigma down to -PSD_RTOL * ||Q||_2
     accepted as round-off."""
-    n = src.n
-    if s.shape != (n, n):
-        raise FeasibilityError(f"sigma must be {n}x{n}, got {s.shape}")
+    _check_shape(src, s)
     w_s = np.linalg.eigvalsh(sym(s))
     if w_s[0] < -PSD_RTOL * src.q_norm:
         raise FeasibilityError(f"sigma is not PSD: min eigenvalue {w_s[0]:.3e}")
@@ -191,8 +194,10 @@ def kkt_residuals(
     that of 0.5 * Sigma^{-1}, both over its largest entry first so that a tiny
     Sigma cannot overflow them; the three slackness residuals follow the field
     order documented on KktCertificate.  Theta counts as PSD down to
-    -PSD_RTOL times its largest eigenvalue magnitude.
+    -PSD_RTOL times its largest eigenvalue magnitude.  A sigma that is not
+    n x n raises FeasibilityError, as in ErrorCovariance.validate.
     """
+    _check_shape(src, sigma.sigma)
     s = sym(sigma.sigma)
     try:
         chol_inv = np.linalg.inv(np.linalg.cholesky(s))

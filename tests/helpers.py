@@ -257,6 +257,11 @@ def unchunked_cm_optimality(x, xhat, p1: int, r, alternatives):
     return (float(base1.mean()), float(base2.mean())), tuple(results)
 
 
+def _factor(a):
+    w, u = np.linalg.eigh(0.5 * (a + a.T))
+    return u * np.sqrt(np.maximum(w, 0.0))
+
+
 def one_shot_batch(src, r, rows: int, seeds: tuple[int, int]):
     """x and xhat each from one Philox draw per block of sim._BLOCK_ROWS rows,
     block b from Philox(seed).jumped(b): x = Z F^T with F F^T = Q, then
@@ -270,25 +275,34 @@ def one_shot_batch(src, r, rows: int, seeds: tuple[int, int]):
             for b, start in enumerate(range(0, rows, sim._BLOCK_ROWS))
         ])
 
-    def factor(a):
-        w, u = np.linalg.eigh(0.5 * (a + a.T))
-        return u * np.sqrt(np.maximum(w, 0.0))
-
-    x = draw(seeds[0]) @ factor(src.q).T
-    xhat = draw(seeds[1]) @ factor(r.qv).T
+    x = draw(seeds[0]) @ _factor(src.q).T
+    xhat = draw(seeds[1]) @ _factor(r.qv).T
     xhat += x @ r.h.T
     return x, xhat
 
 
-def fail_blocks_after_first(monkeypatch, error: type[BaseException] = MemoryError) -> None:
-    """Make every Monte-Carlo block after block 0 raise error, with two
-    threads taking blocks."""
-    honest = sim._block_rng
+def one_shot_pushed_moments(x, r, seed: int) -> np.ndarray:
+    """push_channel's moments of [x, xhat] with x^T x in one product: the
+    same statistic draw from Philox(seed), then T^T S T / N for
+    T = [[I, H^T], [0, G^T]], G G^T = Qv."""
+    rows, n = x.shape
+    s = sim._draw_statistic(x.T @ x, rows, np.random.Generator(np.random.Philox(seed)))
+    t = np.block([[np.eye(n), r.h.T], [np.zeros((n, n)), _factor(r.qv).T]])
+    return t.T @ s @ t / rows
 
-    def block_rng(seed, block):
-        if block > 0:
-            raise error(f"failure in block {block}")
-        return honest(seed, block)
+
+def fail_blocks_after_first(monkeypatch, error: type[BaseException] = MemoryError) -> None:
+    """Make the work of every Monte-Carlo block after block 0 raise error
+    inside its pool thread, with two threads taking blocks."""
+    honest = sim._map_blocks
+
+    def map_blocks(rows, work):
+        def failing(b, block):
+            if b > 0:
+                raise error(f"failure in block {b}")
+            return work(b, block)
+
+        return honest(rows, failing)
 
     monkeypatch.setattr(sim, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(sim, "_block_rng", block_rng)
+    monkeypatch.setattr(sim, "_map_blocks", map_blocks)

@@ -25,6 +25,7 @@ from helpers import (
     fail_blocks_after_first,
     one_shot_batch,
     one_shot_moments,
+    one_shot_pushed_moments,
     random_pd_pair,
     unchunked_cm_optimality,
     unchunked_distortion,
@@ -122,8 +123,8 @@ class TestChunkedBatch:
         rows = 3 * _CHUNK_ROWS + 17
         r = realize(example_source, solve(example_source, case2).sigma)
         batch = push_channel(sample_source(example_source, rows, seed=111), r, seed=112)
-        x, xhat = one_shot_batch(example_source, r, rows, (111, 112))
-        for got, want in ((batch.x, x), (batch.moments, one_shot_moments(x, xhat))):
+        x, _ = one_shot_batch(example_source, r, rows, (111, 112))
+        for got, want in ((batch.x, x), (batch.moments, one_shot_pushed_moments(x, r, 112))):
             np.testing.assert_allclose(got, want, rtol=1e-13,
                                        atol=1e-13 * float(np.abs(want).max()))
 
@@ -131,8 +132,8 @@ class TestChunkedBatch:
     def test_matches_per_block_draw_across_blocks(self, example_source, case2, rows):
         r = realize(example_source, solve(example_source, case2).sigma)
         batch = push_channel(sample_source(example_source, rows, seed=113), r, seed=114)
-        x, xhat = one_shot_batch(example_source, r, rows, (113, 114))
-        for got, want in ((batch.x, x), (batch.moments, one_shot_moments(x, xhat))):
+        x, _ = one_shot_batch(example_source, r, rows, (113, 114))
+        for got, want in ((batch.x, x), (batch.moments, one_shot_pushed_moments(x, r, 114))):
             np.testing.assert_allclose(got, want, rtol=1e-13,
                                        atol=1e-13 * float(np.abs(want).max()))
 
@@ -159,6 +160,59 @@ class TestChunkedBatch:
         finally:
             tracemalloc.stop()
         assert peak < x_bytes + 2**20
+
+
+class TestStatisticDraw:
+    """sim._draw_statistic against the law of the second moments of [x, w],
+    for x a fixed rows x n matrix and w independent standard normals."""
+
+    N = 4
+    MIX = np.array([[2.0, 0.0, 0.0, 0.0], [0.7, 1.0, 0.0, 0.0],
+                    [-0.4, 0.3, 0.5, 0.0], [0.2, -0.6, 0.1, 1.5]])
+
+    def _gram(self, rows, seed):
+        x = np.random.default_rng(seed).standard_normal((rows, self.N)) @ self.MIX.T
+        return x.T @ x
+
+    @staticmethod
+    def _draw(s_xx, rows, seed):
+        return sim._draw_statistic(s_xx, rows, np.random.Generator(np.random.Philox(seed)))
+
+    @pytest.mark.parametrize("rows", [1, 3, 4, 5, 7, 8, 50])
+    def test_is_a_gram_matrix_of_rank_min_rows_2n(self, rows):
+        # S is the Gram matrix of the rows x 2n matrix [x, w]: symmetric,
+        # PSD and of rank min(rows, 2n), with x^T x in its top-left block
+        for seed in range(20):
+            s_xx = self._gram(rows, seed)
+            s = self._draw(s_xx, rows, seed)
+            assert s.shape == (2 * self.N, 2 * self.N)
+            assert np.array_equal(s, s.T)
+            assert np.array_equal(s[:self.N, :self.N], s_xx)
+            w = np.linalg.eigvalsh(s)
+            assert w[0] >= -1e-10 * w[-1]
+            assert int(np.sum(w > 1e-10 * w[-1])) == min(rows, 2 * self.N)
+
+    def test_moments_match_theory(self):
+        # given S_xx: E S_xw = 0, each column of S_xw has covariance S_xx,
+        # E S_ww = rows I, and the Schur complement S_ww - S_wx S_xx^-1 S_xw,
+        # the Gram of w's part orthogonal to x, has mean (rows - n) I
+        rows, n, draws = 50, self.N, 2000
+        s_xx = self._gram(rows, 0)
+        s = np.array([self._draw(s_xx, rows, seed) for seed in range(draws)])
+        s_xw, s_ww = s[:, :n, n:], s[:, n:, n:]
+        schur = s_ww - s_xw.transpose(0, 2, 1) @ np.linalg.solve(s_xx, s_xw)
+        column_products = s_xw[:, :, None, :] * s_xw[:, None, :, :]
+
+        def assert_mean(samples, want):
+            mean = samples.mean(axis=0)
+            std_error = samples.std(axis=0, ddof=1) / math.sqrt(draws)
+            assert np.all(np.abs(mean - want) <= 5.0 * std_error)
+
+        assert_mean(s_xw, np.zeros((n, n)))
+        assert_mean(s_ww, rows * np.eye(n))
+        assert_mean(schur, (rows - n) * np.eye(n))
+        for j in range(n):
+            assert_mean(column_products[..., j], s_xx)
 
 
 class TestThreadedBlocks:
@@ -310,8 +364,9 @@ class TestCheckCmOptimality:
                                               one_shot_draws):
         # the Gaussian (Isserlis) slack against 3 std / sqrt(N) of the
         # whole-batch per-sample differences; the largest gap seen is 0.27 %
-        _, r, batch = case1_run if which == "case1" else case2_run
+        _, r, _ = case1_run if which == "case1" else case2_run
         x, xhat = one_shot_draws[which]
+        batch = sim.SampleBatch(2, x, one_shot_moments(x, xhat))
         rng = np.random.default_rng(606)
         alternatives = [0.9 * np.eye(4), 1.1 * np.eye(4), rng.standard_normal((4, 4))]
         rep = check_cm_optimality(batch, r, alternatives)
@@ -349,33 +404,34 @@ class TestStreamedChecksMatchUnchunked:
                 conditional_mean_map(r)]
 
     @staticmethod
-    def _push(src, r, rows, seeds):
-        batch = push_channel(sample_source(src, rows, seed=seeds[0]), r, seed=seeds[1])
-        return batch, *one_shot_batch(src, r, rows, seeds)
+    def _one_shot(src, r, rows, seeds):
+        x, xhat = one_shot_batch(src, r, rows, seeds)
+        return sim.SampleBatch(src.p1, x, one_shot_moments(x, xhat)), x, xhat
 
     @pytest.mark.parametrize("rows", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
     def test_rows_around_chunk_size(self, example_source, case2, rows):
         r = realize(example_source, solve(example_source, case2).sigma)
-        batch, x, xhat = self._push(example_source, r, rows, (61, 62))
+        batch, x, xhat = self._one_shot(example_source, r, rows, (61, 62))
         _assert_matches_unchunked(batch, r, case2, self._alternatives(r, 4), x, xhat)
 
     @pytest.mark.parametrize("which", ["case1", "case2"])
     def test_full_batch(self, which, case1, case2, case1_run, case2_run, one_shot_draws):
-        _, r, batch = case1_run if which == "case1" else case2_run
+        _, r, _ = case1_run if which == "case1" else case2_run
         d = case1 if which == "case1" else case2
-        _assert_matches_unchunked(batch, r, d, self._alternatives(r, 4),
-                                  *one_shot_draws[which])
+        x, xhat = one_shot_draws[which]
+        batch = sim.SampleBatch(2, x, one_shot_moments(x, xhat))
+        _assert_matches_unchunked(batch, r, d, self._alternatives(r, 4), x, xhat)
 
     def test_uneven_split(self):
         src = validate_source(random_pd_pair(np.random.default_rng(71), 1, 3), 1, 3)
         d = DistortionPair(0.3 * float(np.trace(src.q11)), 0.3 * float(np.trace(src.q22)))
         r = realize(src, solve(src, d).sigma)
-        batch, x, xhat = self._push(src, r, 3 * _CHUNK_ROWS + 17, (72, 73))
+        batch, x, xhat = self._one_shot(src, r, 3 * _CHUNK_ROWS + 17, (72, 73))
         _assert_matches_unchunked(batch, r, d, self._alternatives(r, 4), x, xhat)
 
     def test_no_alternatives(self, example_source, case2):
         r = realize(example_source, solve(example_source, case2).sigma)
-        batch, x, xhat = self._push(example_source, r, _CHUNK_ROWS + 5, (81, 82))
+        batch, x, xhat = self._one_shot(example_source, r, _CHUNK_ROWS + 5, (81, 82))
         cm = _assert_matches_unchunked(batch, r, case2, [], x, xhat)
         assert cm.margins == () and cm.passed
 

@@ -341,6 +341,12 @@ class TestKktResiduals:
         with pytest.raises(FeasibilityError):
             kkt_residuals(example_source, case1, sigma, cert)
 
+    def test_wrong_shape_rejected(self, example_source, case1):
+        sigma = ErrorCovariance(0.1 * np.eye(3))
+        cert = KktCertificate(0.0, 0.0, np.zeros((4, 4)), 0.0, (0.0,) * 3, True)
+        with pytest.raises(FeasibilityError, match=r"^sigma must be 4x4, got \(3, 3\)$"):
+            kkt_residuals(example_source, case1, sigma, cert)
+
 
 class TestErrorCovarianceValidation:
     def test_feasible_passes(self, example_source, case1):
