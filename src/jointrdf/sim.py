@@ -7,22 +7,20 @@ counter-based Philox bit generator, which is seedable and splittable; its
 name is GENERATOR, which the CLI's verify output records.
 All pass/fail thresholds are statistical (concentration-based), never exact.
 
-Every check reads one streamed statistic.  Sampling splits its rows into
-fixed blocks of _BLOCK_ROWS; block b draws its normals from
-Philox(seed).jumped(b), an independent stream, chunk by chunk.  The blocks run
-on min(CPUs, blocks) threads, since numpy's normal draws and BLAS release the
-GIL; the layout never depends on the thread count and per-block sums are added
-in block order, so x and C are bitwise the same on any number of cores.  The
-push writes xhat = x H^T + w F^T with F F^T = Qv and w standard normal noise,
-and needs only the second moments S of [x, w]: C = T^T S T / N is the
-2n x 2n second-moment matrix of z = [x, xhat] = [x, w] T.  It reads x once,
-block by block, for S_xx = x^T x, and draws S_xw = x^T w and S_ww = w^T w
-from their exact law given S_xx, with O(n^2) normals instead of N n.
+Sampling is the only pass over the rows.  It splits them into fixed blocks
+of _BLOCK_ROWS; block b draws its normals from Philox(seed).jumped(b), chunk
+by chunk, and returns its Gram.  The blocks run on min(CPUs, blocks) threads,
+since numpy's normal draws and BLAS release the GIL; the layout never depends
+on the thread count and the Grams are added in block order, so x and
+S_xx = x^T x are bitwise the same on any number of cores.  The push writes
+xhat = x H^T + w F^T with F F^T = Qv and w standard normal noise, and needs
+only the second moments S of [x, w]: C = T^T S T / N is the 2n x 2n
+second-moment matrix of z = [x, xhat] = [x, w] T.  It reads S_xx, no row of
+x, and draws S_xw = x^T w and S_ww = w^T w from their exact law given S_xx.
 X and Xhat are jointly Gaussian, so C holds everything the checks need: a
 block mean squared error is tr(A C) for a quadratic form z^T A z, and by
-Isserlis' theorem that form has variance 2 tr((A C)^2).  The batch holds x and
-C; neither w nor xhat is ever drawn row by row, so memory beyond x is
-O(chunk) per sampling thread.
+Isserlis' theorem that form has variance 2 tr((A C)^2).  Neither w nor xhat
+is ever drawn row by row, so memory beyond x is O(chunk) per sampling thread.
 """
 
 from __future__ import annotations
@@ -43,17 +41,17 @@ GENERATOR = "philox4x64"
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Source draws x and the second moments of z = [x, xhat].
+    """Source draws x, their Gram x^T x, and the second moments of z = [x, xhat].
 
-    sample_source fills x only; push_channel returns a completed batch whose
-    moments is the 2n x 2n matrix C = (1/N) sum z z^T, coordinates of x
-    first.  Rows of x are samples, columns the stacked (p1 + p2)
-    coordinates.  The reproductions xhat are not stored.
+    sample_source fills x and gram, push_channel moments: the 2n x 2n matrix
+    C = (1/N) sum z z^T, coordinates of x first.  Rows of x are samples,
+    columns the stacked (p1 + p2) coordinates; xhat is not stored.
     """
 
     p1: int
     x: np.ndarray
     moments: np.ndarray | None = None
+    gram: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -105,7 +103,7 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _map_blocks(rows: int, work: Callable[[int, slice], np.ndarray | None]) -> list:
+def _map_blocks(rows: int, work: Callable[[int, slice], np.ndarray]) -> list:
     """[work(b, rows of block b) for each block b] on a pool of min(CPUs,
     blocks) threads that the caller waits on.  A failure cancels every block
     not yet started and is raised here once the running ones have finished."""
@@ -125,12 +123,11 @@ def _map_blocks(rows: int, work: Callable[[int, slice], np.ndarray | None]) -> l
 
 
 def sample_source(src: GaussianPairSource, n: int, seed: int) -> SampleBatch:
-    """Draw n i.i.d. zero-mean Gaussian rows with covariance q.
+    """Draw n i.i.d. zero-mean Gaussian rows x with covariance q, and x^T x.
 
-    The covariance factor U diag(sqrt(w)) comes from the source's cached
-    eigendecomposition, whose eigenvalues are all positive.  Block b of
-    _BLOCK_ROWS rows is _block_rng(seed, b)'s normals times that factor, so
-    x depends on the seed alone, not on the number of CPUs.
+    Block b of _BLOCK_ROWS rows is _block_rng(seed, b)'s normals times
+    U diag(sqrt(w)), from the source's cached eigendecomposition; the block
+    Grams are added in block order, so x and gram depend on the seed alone.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
@@ -138,27 +135,25 @@ def sample_source(src: GaussianPairSource, n: int, seed: int) -> SampleBatch:
     factor_t = (u * np.sqrt(w)).T
     x = np.empty((n, src.n))
 
-    def draw(b: int, block: slice) -> None:
+    def draw(b: int, block: slice) -> np.ndarray:
         rng = _block_rng(seed, b)
         out = x[block]
         for start in range(0, out.shape[0], _CHUNK_ROWS):
             chunk = out[start:start + _CHUNK_ROWS]
             np.matmul(rng.standard_normal(chunk.shape), factor_t, out=chunk)
+        return out.T @ out
 
-    _map_blocks(n, draw)
-    return SampleBatch(p1=src.p1, x=x)
+    return SampleBatch(p1=src.p1, x=x, gram=sum(_map_blocks(n, draw)))
 
 
 def _wishart(dof: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """A draw of Wishart(dof, I_n), the law of H^T H for a dof x n matrix H of
-    standard normals: H^T H itself when dof < n (zero for dof = 0), else
-    Bartlett's A A^T, A lower triangular with A_ii^2 ~ chi^2(dof - i) and
-    standard normals below the diagonal."""
-    if dof < n:
-        h = rng.standard_normal((dof, n))
-        return h.T @ h
-    a = np.tril(rng.standard_normal((n, n)), -1)
-    a[np.diag_indices(n)] = np.sqrt(rng.chisquare(dof - np.arange(n)))
+    standard normals: A A^T for the transpose A of H's QR factor R, an n x k
+    lower-trapezoidal matrix, k = min(dof, n), with A_ii^2 ~ chi^2(dof - i)
+    and standard normals below the diagonal (Bartlett's A when dof >= n)."""
+    k = min(dof, n)
+    a = np.tril(rng.standard_normal((n, k)), -1)
+    a[np.diag_indices(k)] = np.sqrt(rng.chisquare(dof - np.arange(k)))
     return a @ a.T
 
 
@@ -182,26 +177,29 @@ def _draw_statistic(s_xx: np.ndarray, rows: int, rng: np.random.Generator) -> np
     return np.block([[s_xx, s_xw], [s_xw.T, g.T @ g + _wishart(rows - r, n, rng)]])
 
 
+def _check_channel(batch: SampleBatch, r: TestChannelRealization) -> None:
+    """Raise ValueError unless r's source splits x into the batch's blocks p1 + p2."""
+    src, dim = r.source, batch.x.shape[1]
+    if (batch.p1, dim) != (src.p1, src.n):
+        clash = (f"dimension {dim} does not match channel dimension {src.n}"
+                 if dim != src.n else "blocks do not match")
+        raise ValueError(f"batch {clash}: batch split {batch.p1}+{batch.p2}, "
+                         f"channel split {src.p1}+{src.p2}")
+
+
 def push_channel(batch: SampleBatch, r: TestChannelRealization, seed: int) -> SampleBatch:
-    """Apply xhat = x H^T + v with v ~ N(0, qv) independent of x, and return
-    the batch with the moments of [x, xhat].
+    """Apply xhat = x H^T + v, v ~ N(0, qv) independent of x, and return the
+    batch with the moments of [x, xhat], from batch.gram and no row of x.
 
-    v = w F^T for F F^T = qv and standard normals w.  The blocks of x are
-    read on the sample_source layout and their Grams x^T x added in block
-    order; _draw_statistic then completes the second moments S of [x, w]
-    from Philox(seed), and C = T^T S T / N with T = [[I, H^T], [0, F^T]]:
-    the same C on any number of CPUs.
+    v = w F^T for F F^T = qv and standard normals w.  _draw_statistic
+    completes the second moments S of [x, w] from S_xx = batch.gram and
+    Philox(seed), and C = T^T S T / N with T = [[I, H^T], [0, F^T]].
     """
-    dim = batch.x.shape[1]
-    if dim != r.source.n:
-        raise ValueError(f"batch dimension {dim} does not match channel dimension {r.source.n}")
-
-    def gram(b: int, block: slice) -> np.ndarray:
-        x = batch.x[block]
-        return x.T @ x
-
-    s_xx = sum(_map_blocks(batch.n, gram))
-    s = _draw_statistic(s_xx, batch.n, np.random.Generator(np.random.Philox(seed)))
+    _check_channel(batch, r)
+    if batch.gram is None:
+        raise ValueError("batch has no Gram x^T x; draw it with sample_source")
+    s = _draw_statistic(batch.gram, batch.n, np.random.Generator(np.random.Philox(seed)))
+    dim = r.source.n
     t = np.block([[np.eye(dim), r.h.T], [np.zeros((dim, dim)), sqrt_factor(r.qv).T]])
     return replace(batch, moments=sym(t.T @ s @ t) / batch.n)
 
@@ -264,6 +262,7 @@ def check_cm_optimality(
     make the variance negative.  For g == M, A is exactly zero and so are
     the margin and the slack.
     """
+    _check_channel(batch, r)
     n = batch.x.shape[1]
     f = sqrt_factor(_moments(batch))
 

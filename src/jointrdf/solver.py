@@ -162,20 +162,28 @@ class SolveReport:
 def in_region_d(src: GaussianPairSource, d: DistortionPair) -> bool:
     """True iff Q - D > REGION_TOL * D for D = Block-diag((d1/p1) I, (d2/p2) I).
 
-    :func:`_in_region` at the start point l_i = p_i / (2 d_i), the test that
-    labels a solve.  A budget that is zero (D is singular) or at least its
-    block trace is excluded before any eigh: Q - D > 0 implies tr Q_ii > d_i.
+    One Cholesky of Q - (1 + REGION_TOL) D, independent of the dual, whose
+    first evaluation labels a solve by the same inequality.  A budget that is
+    zero (D is singular) or at least its block trace is excluded before any
+    factorization: Q - D > 0 implies tr Q_ii > d_i.
     """
-    budget = (d.d1, d.d2)
-    if not all(0.0 < di < ti for di, ti in zip(budget, src.block_traces)):
+    if not all(0.0 < di < ti for di, ti in zip((d.d1, d.d2), src.block_traces)):
         return False
-    return _in_region(_dual_point(src, (src.p1 / (2.0 * d.d1), src.p2 / (2.0 * d.d2)), budget))
+    diag = np.repeat([d.d1 / src.p1, d.d2 / src.p2], [src.p1, src.p2])
+    try:
+        np.linalg.cholesky(src.q - np.diag((1.0 + REGION_TOL) * diag))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def rate_of(src: GaussianPairSource, sigma) -> float:
-    """0.5 * (ln det Q - ln det Sigma) in nats; +inf for singular sigma."""
+    """0.5 * (ln det Q - ln det Sigma) in nats; +inf for singular sigma.  A
+    sigma that is not n x n raises FeasibilityError."""
+    s = _as_matrix(sigma)
+    _check_shape(src, s)
     try:
-        ld_sigma = chol_logdet(_as_matrix(sigma))
+        ld_sigma = chol_logdet(s)
     except np.linalg.LinAlgError:
         return math.inf
     return 0.5 * (src.log_dets[2] - ld_sigma)

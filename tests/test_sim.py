@@ -118,6 +118,45 @@ class TestPushChannel:
         assert not np.array_equal(a.moments, c.moments)
 
 
+    def test_reads_no_row_of_x(self, example_source, case1):
+        # the push is a function of the batch's Gram: rows overwritten after
+        # sampling change nothing
+        r = realize(example_source, solve(example_source, case1).sigma)
+        batch = sample_source(example_source, 200_000, seed=45)
+        a = push_channel(batch, r, seed=46)
+        batch.x[:] = np.nan
+        b = push_channel(batch, r, seed=46)
+        assert np.array_equal(a.moments, b.moments)
+
+    def test_sampling_is_the_only_pass_over_the_rows(self, example_source, case1, monkeypatch):
+        r = realize(example_source, solve(example_source, case1).sigma)
+        calls = []
+        honest = sim._map_blocks
+        monkeypatch.setattr(sim, "_map_blocks",
+                            lambda rows, work: calls.append(rows) or honest(rows, work))
+        push_channel(sample_source(example_source, 2 * _BLOCK_ROWS + 17, seed=47), r, seed=48)
+        assert calls == [2 * _BLOCK_ROWS + 17]
+
+    def test_batch_without_gram_rejected(self, example_source, case1):
+        r = realize(example_source, solve(example_source, case1).sigma)
+        batch = sim.SampleBatch(2, sample_source(example_source, 10, seed=49).x)
+        with pytest.raises(ValueError, match="sample_source"):
+            push_channel(batch, r, seed=50)
+
+    @pytest.mark.parametrize("p1, p2", [(1, 2), (3, 1)])
+    def test_channel_of_another_split_rejected(self, example_source, case2_run, p1, p2):
+        # a 1 + 2 channel has another dimension; a 3 + 1 channel has the
+        # batch's dimension but other blocks.  Both checks must refuse it.
+        _, _, batch = case2_run
+        src = validate_source(random_pd_pair(np.random.default_rng(91), p1, p2), p1, p2)
+        r = realize(src, 0.1 * np.eye(p1 + p2))
+        match = f"batch split 2\\+2.*channel split {p1}\\+{p2}"
+        with pytest.raises(ValueError, match=match):
+            push_channel(batch, r, seed=92)
+        with pytest.raises(ValueError, match=match):
+            check_cm_optimality(batch, r, [np.eye(p1 + p2)])
+
+
 class TestChunkedBatch:
     def test_matches_one_shot_draw(self, example_source, case2):
         rows = 3 * _CHUNK_ROWS + 17
@@ -215,6 +254,21 @@ class TestStatisticDraw:
             assert_mean(column_products[..., j], s_xx)
 
 
+class TestWishart:
+    @pytest.mark.parametrize("dof", [0, 1, 3, 4, 5, 9])
+    def test_law_at_every_dof(self, dof):
+        # Wishart(dof, I_n) has rank min(dof, n), E W = dof I, E W_ii^2 =
+        # 2 dof + dof^2 and E W_ij^2 = dof off the diagonal
+        n, draws = 4, 4000
+        w = np.array([sim._wishart(dof, n, np.random.Generator(np.random.Philox(seed)))
+                      for seed in range(draws)])
+        assert all(np.linalg.matrix_rank(a) == min(dof, n) for a in w[:20])
+        for samples, want in ((w, dof * np.eye(n)),
+                              (w**2, dof * np.ones((n, n)) + (dof + dof**2) * np.eye(n))):
+            std_error = samples.std(axis=0, ddof=1) / math.sqrt(draws)
+            assert np.all(np.abs(samples.mean(axis=0) - want) <= 5.0 * std_error)
+
+
 class TestThreadedBlocks:
     ROWS = 2 * _BLOCK_ROWS + 17
 
@@ -240,15 +294,10 @@ class TestThreadedBlocks:
     @pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
     def test_failure_in_a_block_reaches_the_caller(self, example_source, case2, monkeypatch,
                                                     error):
-        r = realize(example_source, solve(example_source, case2).sigma)
-        batch = sample_source(example_source, self.ROWS, seed=141)
         threads = threading.active_count()
         fail_blocks_after_first(monkeypatch, error)
         with pytest.raises(error, match="failure in block"):
             sample_source(example_source, self.ROWS, seed=141)
-        assert threading.active_count() == threads
-        with pytest.raises(error, match="failure in block"):
-            push_channel(batch, r, seed=142)
         assert threading.active_count() == threads
 
     @pytest.mark.parametrize("rows", [_BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 17])

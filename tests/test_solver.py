@@ -122,6 +122,10 @@ class TestRateOf:
         sigma = ErrorCovariance(np.diag([1.0, 1.0, 1.0, 0.0]))
         assert rate_of(example_source, sigma) == math.inf
 
+    def test_wrong_shape_rejected(self, example_source):
+        with pytest.raises(FeasibilityError, match=r"sigma must be 4x4, got \(3, 3\)"):
+            rate_of(example_source, np.eye(3))
+
 
 class TestSolveCase1:
     def test_closed_form_branch(self, example_source, case1):
