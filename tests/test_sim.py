@@ -292,8 +292,7 @@ class TestThreadedBlocks:
             assert np.array_equal(other.moments, batches[0].moments)
 
     @pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
-    def test_failure_in_a_block_reaches_the_caller(self, example_source, case2, monkeypatch,
-                                                    error):
+    def test_failure_in_a_block_reaches_the_caller(self, example_source, monkeypatch, error):
         threads = threading.active_count()
         fail_blocks_after_first(monkeypatch, error)
         with pytest.raises(error, match="failure in block"):
