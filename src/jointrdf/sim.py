@@ -2,14 +2,15 @@
 
 Draws source samples, pushes them through a test-channel realization, and
 compares empirical block distortions, residual statistics, and estimator
-mean-squared errors against their analytic values.  Randomness comes from the
-counter-based Philox bit generator, which is seedable and splittable; its
-name is GENERATOR, which the CLI's verify output records.
+mean-squared errors against their analytic values.  Every draw comes from
+stream(seed, *key): the SFC64 bit generator seeded by SeedSequence(seed)
+spawned along key, so streams of distinct keys or seeds are independent.
+The generator's name is GENERATOR, which the CLI's verify output records.
 All pass/fail thresholds are statistical (concentration-based), never exact.
 
 Sampling is the only pass over the rows.  It splits them into fixed blocks
-of _BLOCK_ROWS; block b draws its normals from Philox(seed).jumped(b), chunk
-by chunk, and returns its Gram.  The blocks run on min(CPUs, blocks) threads,
+of _BLOCK_ROWS; block b draws its normals from stream(seed, b), chunk by
+chunk, and returns its Gram.  The blocks run on min(CPUs, blocks) threads,
 since numpy's normal draws and BLAS release the GIL; the layout never depends
 on the thread count and the Grams are added in block order, so x and
 S_xx = x^T x are bitwise the same on any number of cores.  The push writes
@@ -36,7 +37,7 @@ from ._linalg import sqrt_factor, sym
 from .model import DistortionPair, GaussianPairSource
 from .realization import TestChannelRealization, conditional_mean_map
 
-GENERATOR = "philox4x64"
+GENERATOR = "sfc64"
 
 
 @dataclass(frozen=True)
@@ -88,13 +89,17 @@ class CmOptimalityReport:
 # normals per thread at n = 4), and the per-chunk Python overhead stays small
 # against the arithmetic.
 _CHUNK_ROWS = 4096
-# Rows per block, the unit of work of one thread and of one Philox stream of
-# x.  A batch of at most one block draws exactly what Philox(seed) draws.
+# Rows per block, the unit of work of one thread and of one stream of x: block
+# b draws from stream(seed, b).
 _BLOCK_ROWS = 16 * _CHUNK_ROWS
 
 
-def _block_rng(seed: int, block: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed).jumped(block))
+def stream(seed: int, *key: int) -> np.random.Generator:
+    """The Monte-Carlo stream of seed and key: SFC64 seeded by
+    SeedSequence(seed, spawn_key=key).  stream(seed) is the root sequence and
+    stream(seed, b) its b-th spawned child.  SFC64 draws normals faster than
+    the counter-based generators, and spawning keeps the streams apart."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def _cpu_count() -> int:
@@ -125,7 +130,7 @@ def _map_blocks(rows: int, work: Callable[[int, slice], np.ndarray]) -> list:
 def sample_source(src: GaussianPairSource, n: int, seed: int) -> SampleBatch:
     """Draw n i.i.d. zero-mean Gaussian rows x with covariance q, and x^T x.
 
-    Block b of _BLOCK_ROWS rows is _block_rng(seed, b)'s normals times
+    Block b of _BLOCK_ROWS rows is stream(seed, b)'s normals times
     U diag(sqrt(w)), from the source's cached eigendecomposition; the block
     Grams are added in block order, so x and gram depend on the seed alone.
     """
@@ -136,7 +141,7 @@ def sample_source(src: GaussianPairSource, n: int, seed: int) -> SampleBatch:
     x = np.empty((n, src.n))
 
     def draw(b: int, block: slice) -> np.ndarray:
-        rng = _block_rng(seed, b)
+        rng = stream(seed, b)
         out = x[block]
         for start in range(0, out.shape[0], _CHUNK_ROWS):
             chunk = out[start:start + _CHUNK_ROWS]
@@ -193,12 +198,12 @@ def push_channel(batch: SampleBatch, r: TestChannelRealization, seed: int) -> Sa
 
     v = w F^T for F F^T = qv and standard normals w.  _draw_statistic
     completes the second moments S of [x, w] from S_xx = batch.gram and
-    Philox(seed), and C = T^T S T / N with T = [[I, H^T], [0, F^T]].
+    stream(seed), and C = T^T S T / N with T = [[I, H^T], [0, F^T]].
     """
     _check_channel(batch, r)
     if batch.gram is None:
         raise ValueError("batch has no Gram x^T x; draw it with sample_source")
-    s = _draw_statistic(batch.gram, batch.n, np.random.Generator(np.random.Philox(seed)))
+    s = _draw_statistic(batch.gram, batch.n, stream(seed))
     dim = r.source.n
     t = np.block([[np.eye(dim), r.h.T], [np.zeros((dim, dim)), sqrt_factor(r.qv).T]])
     return replace(batch, moments=sym(t.T @ s @ t) / batch.n)

@@ -262,16 +262,18 @@ def _factor(a):
     return u * np.sqrt(np.maximum(w, 0.0))
 
 
+def _sfc64(seed: int, *key: int) -> np.random.Generator:
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
 def one_shot_batch(src, r, rows: int, seeds: tuple[int, int]):
-    """x and xhat each from one Philox draw per block of sim._BLOCK_ROWS rows,
-    block b from Philox(seed).jumped(b): x = Z F^T with F F^T = Q, then
-    xhat = W G^T + x H^T with G G^T = Qv."""
+    """x and xhat each from one SFC64 draw per block of sim._BLOCK_ROWS rows,
+    block b from SeedSequence(seed, spawn_key=(b,)): x = Z F^T with F F^T = Q,
+    then xhat = W G^T + x H^T with G G^T = Qv."""
 
     def draw(seed):
-        bits = np.random.Philox(seed)
         return np.concatenate([
-            np.random.Generator(bits.jumped(b)).standard_normal(
-                (min(sim._BLOCK_ROWS, rows - start), src.n))
+            _sfc64(seed, b).standard_normal((min(sim._BLOCK_ROWS, rows - start), src.n))
             for b, start in enumerate(range(0, rows, sim._BLOCK_ROWS))
         ])
 
@@ -283,10 +285,10 @@ def one_shot_batch(src, r, rows: int, seeds: tuple[int, int]):
 
 def one_shot_pushed_moments(x, r, seed: int) -> np.ndarray:
     """push_channel's moments of [x, xhat] with x^T x in one product: the
-    same statistic draw from Philox(seed), then T^T S T / N for
-    T = [[I, H^T], [0, G^T]], G G^T = Qv."""
+    same statistic draw from SFC64 seeded by SeedSequence(seed), then
+    T^T S T / N for T = [[I, H^T], [0, G^T]], G G^T = Qv."""
     rows, n = x.shape
-    s = sim._draw_statistic(x.T @ x, rows, np.random.Generator(np.random.Philox(seed)))
+    s = sim._draw_statistic(x.T @ x, rows, _sfc64(seed))
     t = np.block([[np.eye(n), r.h.T], [np.zeros((n, n)), _factor(r.qv).T]])
     return t.T @ s @ t / rows
 

@@ -489,7 +489,7 @@ class TestVerifyCommand:
         assert obj.keys() == {"samples", "seed", "generator", "distortion", "cm_optimality",
                               "passed", "solve"}
         assert obj["passed"] is True
-        assert obj["generator"] == "philox4x64"
+        assert obj["generator"] == "sfc64"
         assert obj["distortion"]["passed"] is True
         assert obj["cm_optimality"]["passed"] is True
 

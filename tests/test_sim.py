@@ -81,6 +81,14 @@ class TestSampleSource:
         c = sample_source(example_source, 1000, seed=12)
         assert not np.array_equal(a.x, c.x)
 
+    @pytest.mark.parametrize("other_seed, other_row", [(13, _BLOCK_ROWS), (14, 0)])
+    def test_each_block_has_its_own_stream(self, example_source, other_seed, other_row):
+        # block 1 of a seed, and block 0 of another seed, start their own
+        # streams: neither repeats the first row of block 0
+        first = sample_source(example_source, 1, seed=13).x[0]
+        other = sample_source(example_source, other_row + 1, seed=other_seed).x[other_row]
+        assert not np.any(first == other)
+
     def test_invalid_count_rejected(self, example_source):
         with pytest.raises(ValueError):
             sample_source(example_source, 0, seed=1)
