@@ -1,9 +1,10 @@
 """Monte-Carlo validation of a solved instance.
 
-A million source draws go through the optimal channel; the empirical block
-distortions land on the budgets, the residual covariance converges to the
-optimizer sigma, and no linear estimator beats the conditional-mean
-reproduction in mean squared error.
+A million source draws go through the optimal channel, drawn as their
+second moments without a single row; the empirical block distortions land
+on the budgets, the residual covariance converges to the optimizer sigma,
+and no linear estimator beats the conditional-mean reproduction in mean
+squared error.
 """
 
 import numpy as np

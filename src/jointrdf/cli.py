@@ -12,12 +12,13 @@ Exit codes, each with its stderr prefix:
 
 - 0 success;
 - 1 internal failure: a dual solve whose ratio bracket collapses or that
-  reaches its evaluation cap, or an allocation that fails, such as a sample
-  count too large for memory (``internal failure:``); a sweep point whose
+  reaches its evaluation cap, or an allocation that fails, such as a sweep
+  grid too large for memory (``internal failure:``); a sweep point whose
   solve fails (``sweep failed at grid point``) or a sweep whose rates rise
   (``sweep rates are not non-increasing``);
 - 2 invalid input: an unreadable or invalid source (``invalid source:``),
-  a bad option value, grid or unrepresentable budget (``invalid input:``)
+  a bad option value, grid, unrepresentable budget or sample count beyond
+  what the Wishart draw holds (``invalid input:``)
   or an unwritable -o path (``invalid output path:``);
 - 3 infeasible, a zero budget against positive variance (``infeasible:``);
 - 4 structural check failure (``structural failure:``);
@@ -258,8 +259,9 @@ def _cmd_realize(src: GaussianPairSource, args: argparse.Namespace) -> None:
 
 
 def _cmd_verify(src: GaussianPairSource, args: argparse.Namespace) -> None:
-    if args.samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if not 1 <= args.samples <= sim.MAX_SAMPLES:
+        raise ValueError(f"--samples must be between 1 and {sim.MAX_SAMPLES}, "
+                         f"got {args.samples}")
     d, report = _solve(src, args)
     n_min = sim.minimum_samples(src)
     if args.samples < n_min:

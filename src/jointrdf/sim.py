@@ -1,34 +1,30 @@
 """Monte-Carlo validation of a solved instance.
 
-Draws source samples, pushes them through a test-channel realization, and
-compares empirical block distortions, residual statistics, and estimator
-mean-squared errors against their analytic values.  Every draw comes from
-stream(seed, *key): the SFC64 bit generator seeded by SeedSequence(seed)
-spawned along key, so streams of distinct keys or seeds are independent.
-The generator's name is GENERATOR, which the CLI's verify output records.
-All pass/fail thresholds are statistical (concentration-based), never exact.
+Draws the second moments of N source samples, pushes them through a
+test-channel realization, and compares empirical block distortions, residual
+statistics, and estimator mean-squared errors against their analytic values.
+Every draw comes from stream(seed, *key): the SFC64 bit generator seeded by
+SeedSequence(seed) spawned along key, so streams of distinct keys or seeds
+are independent.  The generator's name is GENERATOR, which the CLI's verify
+output records.  All pass/fail thresholds are statistical
+(concentration-based), never exact.
 
-Sampling is the only pass over the rows.  It splits them into fixed blocks
-of _BLOCK_ROWS; block b draws its normals from stream(seed, b), chunk by
-chunk, and returns its Gram.  The blocks run on min(CPUs, blocks) threads,
-since numpy's normal draws and BLAS release the GIL; the layout never depends
-on the thread count and the Grams are added in block order, so x and
-S_xx = x^T x are bitwise the same on any number of cores.  The push writes
-xhat = x H^T + w F^T with F F^T = Qv and w standard normal noise, and needs
-only the second moments S of [x, w]: C = T^T S T / N is the 2n x 2n
-second-moment matrix of z = [x, xhat] = [x, w] T.  It reads S_xx, no row of
-x, and draws S_xw = x^T w and S_ww = w^T w from their exact law given S_xx.
-X and Xhat are jointly Gaussian, so C holds everything the checks need: a
-block mean squared error is tr(A C) for a quadratic form z^T A z, and by
-Isserlis' theorem that form has variance 2 tr((A C)^2).  Neither w nor xhat
-is ever drawn row by row, so memory beyond x is O(chunk) per sampling thread.
+No row is drawn.  X and Xhat are jointly Gaussian, so every check reads only
+C, the 2n x 2n second-moment matrix of z = [x, xhat]: a block mean squared
+error is tr(A C) for a quadratic form z^T A z, and by Isserlis' theorem that
+form has variance 2 tr((A C)^2).  Sampling draws S_xx = x^T x ~ Wishart(N, Q)
+as F_x F_x^T, with F_x = L A for L L^T = Q and A Bartlett's factor, O(n^2)
+normals at any N.  The push writes xhat = x H^T + w F^T with F F^T = Qv and
+w standard normal noise; it needs only the second moments S of [x, w], and
+C = T^T S T / N.  It draws S_xw = x^T w and S_ww = w^T w from their exact law
+given F_x, again with O(n^2) normals, so the cost of a run does not depend
+on N.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import os
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,29 +34,56 @@ from .model import DistortionPair, GaussianPairSource
 from .realization import TestChannelRealization, conditional_mean_map
 
 GENERATOR = "sfc64"
+# The largest sample count: the degrees of freedom of the Wishart draw are
+# int64, so a count beyond this has no draw (the CLI exits 2 on it).
+MAX_SAMPLES = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Source draws x, their Gram x^T x, and the second moments of z = [x, xhat].
+    """N source draws, held as a factor of their Gram, and the second
+    moments of z = [x, xhat].
 
-    sample_source fills x and gram, push_channel moments: the 2n x 2n matrix
-    C = (1/N) sum z z^T, coordinates of x first.  Rows of x are samples,
-    columns the stacked (p1 + p2) coordinates; xhat is not stored.
+    sample_source fills p1, n, factor and seed: factor F_x is a dim x k
+    matrix, k = min(n, dim), with F_x F_x^T = x^T x.  push_channel fills
+    moments: the 2n x 2n matrix C = (1/N) sum z z^T, coordinates of x first.
+    Columns are the stacked (p1 + p2) coordinates; xhat is not stored.  The
+    rows x are drawn only if read, and only perfbench reads them (their size).
     """
 
     p1: int
-    x: np.ndarray
+    n: int
+    factor: np.ndarray
+    seed: int
     moments: np.ndarray | None = None
-    gram: np.ndarray | None = None
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
 
     @property
     def p2(self) -> int:
-        return self.x.shape[1] - self.p1
+        return self.factor.shape[0] - self.p1
+
+    @functools.cached_property
+    def x(self) -> np.ndarray:
+        """The n rows themselves, drawn on first read: x = U F_x^T for an
+        n x k Haar frame U from stream(seed, 1), the orthonormal QR factor of
+        an n x k Gaussian.  So x has the law of n i.i.d. N(0, q) rows,
+        x^T x = F_x F_x^T to round-off, and x depends on the seed alone.  A
+        long batch takes U by Cholesky-QR and overwrites the Gaussian with x
+        chunk by chunk, so reading x allocates one n x dim array.
+        """
+        dim, k = self.factor.shape
+        g = stream(self.seed, 1).standard_normal((self.n, k))
+        if self.n < 16 * k:
+            # Few rows: g may be ill-conditioned, so take Householder QR,
+            # orthonormal at any condition, with R's diagonal made positive.
+            u, r = np.linalg.qr(g)
+            return (u * np.sign(np.diag(r))) @ self.factor.T
+        # Here k == dim and g is well-conditioned: U = g L^-T for L L^T = g^T g.
+        m = np.linalg.solve(np.linalg.cholesky(g.T @ g).T, self.factor.T)
+        step = 4096  # rows per in-place product: 128 KiB of temporaries at dim = 4
+        for start in range(0, self.n, step):
+            rows = g[start:start + step]
+            rows[...] = rows @ m
+        return g
 
 
 @dataclass(frozen=True)
@@ -85,15 +108,6 @@ class CmOptimalityReport:
     passed: bool
 
 
-# Rows per chunk of sampling: a chunk's temporaries stay small (128 KiB of
-# normals per thread at n = 4), and the per-chunk Python overhead stays small
-# against the arithmetic.
-_CHUNK_ROWS = 4096
-# Rows per block, the unit of work of one thread and of one stream of x: block
-# b draws from stream(seed, b).
-_BLOCK_ROWS = 16 * _CHUNK_ROWS
-
-
 def stream(seed: int, *key: int) -> np.random.Generator:
     """The Monte-Carlo stream of seed and key: SFC64 seeded by
     SeedSequence(seed, spawn_key=key).  stream(seed) is the root sequence and
@@ -102,89 +116,52 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def _cpu_count() -> int:
-    if hasattr(os, "sched_getaffinity"):  # not on every platform
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _map_blocks(rows: int, work: Callable[[int, slice], np.ndarray]) -> list:
-    """[work(b, rows of block b) for each block b] on a pool of min(CPUs,
-    blocks) threads that the caller waits on.  A failure cancels every block
-    not yet started and is raised here once the running ones have finished."""
-    # Imported here: nothing else that import jointrdf loads imports
-    # concurrent.futures, and loading it costs 5-8 ms of start-up.
-    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-
-    count = -(-rows // _BLOCK_ROWS)
-    pool = ThreadPoolExecutor(max_workers=min(_cpu_count(), count))
-    try:
-        futures = [pool.submit(work, b, slice(b * _BLOCK_ROWS, (b + 1) * _BLOCK_ROWS))
-                   for b in range(count)]
-        wait(futures, return_when=FIRST_EXCEPTION)
-    finally:
-        pool.shutdown(cancel_futures=True)
-    return [future.result() for future in futures]
-
-
 def sample_source(src: GaussianPairSource, n: int, seed: int) -> SampleBatch:
-    """Draw n i.i.d. zero-mean Gaussian rows x with covariance q, and x^T x.
+    """The Gram x^T x of n i.i.d. zero-mean Gaussian rows x with covariance
+    q, as its factor, without drawing the rows.
 
-    Block b of _BLOCK_ROWS rows is stream(seed, b)'s normals times
-    U diag(sqrt(w)), from the source's cached eigendecomposition; the block
-    Grams are added in block order, so x and gram depend on the seed alone.
+    x^T x ~ Wishart(n, q) is F_x F_x^T for F_x = U diag(sqrt(w)) A, from the
+    source's cached eigendecomposition and Bartlett's A from stream(seed).
     """
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
+    if not 1 <= n <= MAX_SAMPLES:
+        raise ValueError(f"sample count must be between 1 and {MAX_SAMPLES}, got {n}")
     w, u = src.q_eigh
-    factor_t = (u * np.sqrt(w)).T
-    x = np.empty((n, src.n))
-
-    def draw(b: int, block: slice) -> np.ndarray:
-        rng = stream(seed, b)
-        out = x[block]
-        for start in range(0, out.shape[0], _CHUNK_ROWS):
-            chunk = out[start:start + _CHUNK_ROWS]
-            np.matmul(rng.standard_normal(chunk.shape), factor_t, out=chunk)
-        return out.T @ out
-
-    return SampleBatch(p1=src.p1, x=x, gram=sum(_map_blocks(n, draw)))
+    factor = (u * np.sqrt(w)) @ _bartlett(n, src.n, stream(seed))
+    return SampleBatch(p1=src.p1, n=n, factor=factor, seed=seed)
 
 
-def _wishart(dof: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """A draw of Wishart(dof, I_n), the law of H^T H for a dof x n matrix H of
-    standard normals: A A^T for the transpose A of H's QR factor R, an n x k
+def _bartlett(dof: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """A with A A^T ~ Wishart(dof, I_n), the law of H^T H for a dof x n
+    matrix H of standard normals: the transpose of H's QR factor R, an n x k
     lower-trapezoidal matrix, k = min(dof, n), with A_ii^2 ~ chi^2(dof - i)
     and standard normals below the diagonal (Bartlett's A when dof >= n)."""
     k = min(dof, n)
     a = np.tril(rng.standard_normal((n, k)), -1)
     a[np.diag_indices(k)] = np.sqrt(rng.chisquare(dof - np.arange(k)))
-    return a @ a.T
+    return a
 
 
-def _draw_statistic(s_xx: np.ndarray, rows: int, rng: np.random.Generator) -> np.ndarray:
+def _draw_statistic(f_x: np.ndarray, rows: int, rng: np.random.Generator) -> np.ndarray:
     """S = [[S_xx, x^T w], [w^T x, w^T w]] for w a rows x n matrix of standard
-    normals independent of x, drawn from its exact law given S_xx = x^T x.
+    normals independent of x, drawn from its exact law given x = U F_x^T,
+    U^T U = I_r, r = min(rows, n), so that S_xx = F_x F_x^T.
 
-    Write x = U R with U^T U = I_r, r = min(rows, n).  Then U^T w and the
-    part of w orthogonal to x are independent standard normals, so
-    x^T w = R^T (U^T w) and w^T w = (U^T w)^T (U^T w) + Wishart(rows - r, I_n).
-    F, the top r modes of S_xx times their root, has F F^T = R^T R, so
-    F = R^T O for an orthogonal O, which leaves the law of U^T w unchanged:
-    with G an r x n matrix of standard normals, x^T w ~ F G and
-    w^T w ~ G^T G + Wishart(rows - r, I_n), jointly.
+    U^T w and the part of w orthogonal to x are independent standard
+    normals, so x^T w = F_x (U^T w) and w^T w = (U^T w)^T (U^T w) +
+    Wishart(rows - r, I_n).  With G an r x n matrix of standard normals and
+    B Bartlett's factor of the Wishart term, S = M M^T for
+    M = [[F_x, 0], [G^T, B]].
     """
-    n = s_xx.shape[0]
-    r = min(rows, n)
-    f = sqrt_factor(s_xx)[:, n - r:]
+    n, r = f_x.shape
     g = rng.standard_normal((r, n))
-    s_xw = f @ g
-    return np.block([[s_xx, s_xw], [s_xw.T, g.T @ g + _wishart(rows - r, n, rng)]])
+    b = _bartlett(rows - r, n, rng)
+    m = np.block([[f_x, np.zeros((n, b.shape[1]))], [g.T, b]])
+    return m @ m.T
 
 
 def _check_channel(batch: SampleBatch, r: TestChannelRealization) -> None:
     """Raise ValueError unless r's source splits x into the batch's blocks p1 + p2."""
-    src, dim = r.source, batch.x.shape[1]
+    src, dim = r.source, batch.factor.shape[0]
     if (batch.p1, dim) != (src.p1, src.n):
         clash = (f"dimension {dim} does not match channel dimension {src.n}"
                  if dim != src.n else "blocks do not match")
@@ -194,17 +171,18 @@ def _check_channel(batch: SampleBatch, r: TestChannelRealization) -> None:
 
 def push_channel(batch: SampleBatch, r: TestChannelRealization, seed: int) -> SampleBatch:
     """Apply xhat = x H^T + v, v ~ N(0, qv) independent of x, and return the
-    batch with the moments of [x, xhat], from batch.gram and no row of x.
+    batch with the moments of [x, xhat], from batch.factor and no row of x.
 
     v = w F^T for F F^T = qv and standard normals w.  _draw_statistic
-    completes the second moments S of [x, w] from S_xx = batch.gram and
+    completes the second moments S of [x, w] from F_x = batch.factor and
     stream(seed), and C = T^T S T / N with T = [[I, H^T], [0, F^T]].
     """
     _check_channel(batch, r)
-    if batch.gram is None:
-        raise ValueError("batch has no Gram x^T x; draw it with sample_source")
-    s = _draw_statistic(batch.gram, batch.n, stream(seed))
     dim = r.source.n
+    if batch.factor.shape[1] != min(batch.n, dim):
+        raise ValueError(f"batch factor of shape {batch.factor.shape} is no Gram factor of "
+                         f"{batch.n} rows; draw it with sample_source")
+    s = _draw_statistic(batch.factor, batch.n, stream(seed))
     t = np.block([[np.eye(dim), r.h.T], [np.zeros((dim, dim)), sqrt_factor(r.qv).T]])
     return replace(batch, moments=sym(t.T @ s @ t) / batch.n)
 
@@ -219,7 +197,7 @@ def empirical_error_covariance(batch: SampleBatch) -> np.ndarray:
     """Second moment of the residual x - xhat (zero-mean convention), from
     the batch's moments as C_xx + C_yy - (C_xy + C_yx), exactly symmetric."""
     c = _moments(batch)
-    n = batch.x.shape[1]
+    n = batch.factor.shape[0]
     return c[:n, :n] + c[n:, n:] - (c[:n, n:] + c[n:, :n])
 
 
@@ -268,7 +246,7 @@ def check_cm_optimality(
     the margin and the slack.
     """
     _check_channel(batch, r)
-    n = batch.x.shape[1]
+    n = batch.factor.shape[0]
     f = sqrt_factor(_moments(batch))
 
     def mean_and_slack(a: np.ndarray) -> tuple[float, float]:

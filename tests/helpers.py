@@ -267,15 +267,12 @@ def _sfc64(seed: int, *key: int) -> np.random.Generator:
 
 
 def one_shot_batch(src, r, rows: int, seeds: tuple[int, int]):
-    """x and xhat each from one SFC64 draw per block of sim._BLOCK_ROWS rows,
-    block b from SeedSequence(seed, spawn_key=(b,)): x = Z F^T with F F^T = Q,
-    then xhat = W G^T + x H^T with G G^T = Qv."""
+    """x and xhat drawn row by row, each from one SFC64 draw seeded by
+    SeedSequence(seed): x = Z F^T with F F^T = Q, then xhat = W G^T + x H^T
+    with G G^T = Qv."""
 
     def draw(seed):
-        return np.concatenate([
-            _sfc64(seed, b).standard_normal((min(sim._BLOCK_ROWS, rows - start), src.n))
-            for b, start in enumerate(range(0, rows, sim._BLOCK_ROWS))
-        ])
+        return _sfc64(seed).standard_normal((rows, src.n))
 
     x = draw(seeds[0]) @ _factor(src.q).T
     xhat = draw(seeds[1]) @ _factor(r.qv).T
@@ -283,28 +280,8 @@ def one_shot_batch(src, r, rows: int, seeds: tuple[int, int]):
     return x, xhat
 
 
-def one_shot_pushed_moments(x, r, seed: int) -> np.ndarray:
-    """push_channel's moments of [x, xhat] with x^T x in one product: the
-    same statistic draw from SFC64 seeded by SeedSequence(seed), then
-    T^T S T / N for T = [[I, H^T], [0, G^T]], G G^T = Qv."""
-    rows, n = x.shape
-    s = sim._draw_statistic(x.T @ x, rows, _sfc64(seed))
-    t = np.block([[np.eye(n), r.h.T], [np.zeros((n, n)), _factor(r.qv).T]])
-    return t.T @ s @ t / rows
-
-
-def fail_blocks_after_first(monkeypatch, error: type[BaseException] = MemoryError) -> None:
-    """Make the work of every Monte-Carlo block after block 0 raise error
-    inside its pool thread, with two threads taking blocks."""
-    honest = sim._map_blocks
-
-    def map_blocks(rows, work):
-        def failing(b, block):
-            if b > 0:
-                raise error(f"failure in block {b}")
-            return work(b, block)
-
-        return honest(rows, failing)
-
-    monkeypatch.setattr(sim, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(sim, "_map_blocks", map_blocks)
+def batch_of_rows(x, xhat, p1: int) -> sim.SampleBatch:
+    """The SampleBatch of given rows x and reproductions xhat: the factor
+    R^T of x's QR, and the one-shot second moments of [x, xhat]."""
+    return sim.SampleBatch(p1, x.shape[0], np.linalg.qr(x, mode="r").T, 0,
+                           one_shot_moments(x, xhat))

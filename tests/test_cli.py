@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +13,6 @@ from jointrdf import cli, realization, sim, solve, solver, DistortionPair
 from jointrdf.cli import main
 from jointrdf.model import PSD_RTOL, SourceValidationError, parse_source
 from conftest import EXAMPLE_Q
-from helpers import fail_blocks_after_first
 
 
 def run_cli(capsys, *argv):
@@ -153,15 +151,14 @@ class TestSolveCommand:
         assert "not representable" in err and "budget d1" in err
 
     def test_failed_allocation_exits_1(self, example_source_file, capsys):
-        # 1e15 samples of 4 doubles is 28 PiB, which numpy refuses outright,
-        # so nothing is allocated
+        # 1e15 grid steps of one double is 7 PiB, which numpy refuses
+        # outright, so nothing is allocated
         code, out, err = run_cli(
-            capsys, "verify", example_source_file, "--d1", "0.4", "--d2", "0.5",
-            "--samples", "1000000000000000", "--seed", "1",
+            capsys, "sweep", example_source_file, "--grid", "1:2:1000000000000000,1:2:1",
         )
         assert code == 1
         assert out == ""
-        assert len(err.strip().splitlines()) == 1
+        _assert_one_line(err)
         assert err.startswith("internal failure:")
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
@@ -465,19 +462,29 @@ class TestVerifyCommand:
         _assert_one_line(err)
         assert err.startswith("structural failure: realization rejected: Q - sigma is not PSD")
 
-    def test_failure_in_a_sampling_thread_exits_1(self, example_source_file, monkeypatch,
-                                                  capsys):
-        threads = threading.active_count()
-        fail_blocks_after_first(monkeypatch)
+    @pytest.mark.parametrize("samples", ["1000000000000000", "1000000000"])
+    def test_samples_beyond_memory_pass(self, example_source_file, capsys, samples):
+        # no row is drawn, so a sample count whose rows would not fit in
+        # memory runs like any other
+        code, out, _ = run_cli(
+            capsys, "verify", example_source_file, "--d1", "0.4", "--d2", "0.5",
+            "--samples", samples, "--seed", "1",
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["samples"] == int(samples)
+        assert obj["passed"] is True
+
+    @pytest.mark.parametrize("samples", [str(sim.MAX_SAMPLES + 1), "100000000000000000000"])
+    def test_sample_count_beyond_the_draw_exits_2(self, example_source_file, capsys, samples):
         code, out, err = run_cli(
             capsys, "verify", example_source_file, "--d1", "0.4", "--d2", "0.5",
-            "--samples", str(2 * sim._BLOCK_ROWS + 17), "--seed", "7",
+            "--samples", samples, "--seed", "1",
         )
-        assert code == 1
+        assert code == 2
         assert out == ""
         _assert_one_line(err)
-        assert err.startswith("internal failure: failure in block")
-        assert threading.active_count() == threads
+        assert err.startswith("invalid input: --samples must be between 1 and")
 
     def test_moderate_sample_run_passes(self, example_source_file, capsys):
         code, out, _ = run_cli(

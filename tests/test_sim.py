@@ -1,7 +1,4 @@
 import math
-import sys
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -20,12 +17,10 @@ from jointrdf import (
     validate_source,
 )
 from jointrdf import sim
-from jointrdf.sim import _BLOCK_ROWS, _CHUNK_ROWS
 from helpers import (
-    fail_blocks_after_first,
+    batch_of_rows,
     one_shot_batch,
     one_shot_moments,
-    one_shot_pushed_moments,
     random_pd_pair,
     unchunked_cm_optimality,
     unchunked_distortion,
@@ -81,17 +76,34 @@ class TestSampleSource:
         c = sample_source(example_source, 1000, seed=12)
         assert not np.array_equal(a.x, c.x)
 
-    @pytest.mark.parametrize("other_seed, other_row", [(13, _BLOCK_ROWS), (14, 0)])
-    def test_each_block_has_its_own_stream(self, example_source, other_seed, other_row):
-        # block 1 of a seed, and block 0 of another seed, start their own
-        # streams: neither repeats the first row of block 0
-        first = sample_source(example_source, 1, seed=13).x[0]
-        other = sample_source(example_source, other_row + 1, seed=other_seed).x[other_row]
-        assert not np.any(first == other)
-
     def test_invalid_count_rejected(self, example_source):
         with pytest.raises(ValueError):
             sample_source(example_source, 0, seed=1)
+
+    def test_count_beyond_the_draw_rejected(self, example_source):
+        sample_source(example_source, sim.MAX_SAMPLES, seed=1)
+        with pytest.raises(ValueError, match="sample count must be between 1 and"):
+            sample_source(example_source, sim.MAX_SAMPLES + 1, seed=1)
+
+    @pytest.mark.parametrize("rows", [1, 3, 4, 5, 63, 64, 1000, 200_000])
+    def test_rows_have_the_batch_gram(self, example_source, rows):
+        # x is drawn on demand from the factor: short batches by Householder
+        # QR, long ones by Cholesky-QR (64 rows is where n >= 16 k at n = 4)
+        batch = sample_source(example_source, rows, seed=15)
+        gram = batch.factor @ batch.factor.T
+        assert batch.factor.shape == (4, min(rows, 4))
+        assert batch.x.shape == (rows, 4)
+        np.testing.assert_allclose(batch.x.T @ batch.x, gram, rtol=0.0,
+                                   atol=1e-13 * float(np.abs(gram).max()))
+
+    def test_rows_depend_on_the_seed_alone(self, example_source, case2):
+        # the pushed batch, read after the checks, gives the same rows as a
+        # fresh batch of the same seed
+        r = realize(example_source, solve(example_source, case2).sigma)
+        pushed = push_channel(sample_source(example_source, 5000, seed=16), r, seed=17)
+        check_distortion(pushed, case2)
+        assert np.array_equal(pushed.x, sample_source(example_source, 5000, seed=16).x)
+        assert not np.array_equal(pushed.x, sample_source(example_source, 5000, seed=18).x)
 
 
 class TestPushChannel:
@@ -127,29 +139,23 @@ class TestPushChannel:
 
 
     def test_reads_no_row_of_x(self, example_source, case1):
-        # the push is a function of the batch's Gram: rows overwritten after
-        # sampling change nothing
+        # sampling, the push and every check leave x undrawn: the cached
+        # property is never filled
         r = realize(example_source, solve(example_source, case1).sigma)
         batch = sample_source(example_source, 200_000, seed=45)
-        a = push_channel(batch, r, seed=46)
-        batch.x[:] = np.nan
-        b = push_channel(batch, r, seed=46)
-        assert np.array_equal(a.moments, b.moments)
-
-    def test_sampling_is_the_only_pass_over_the_rows(self, example_source, case1, monkeypatch):
-        r = realize(example_source, solve(example_source, case1).sigma)
-        calls = []
-        honest = sim._map_blocks
-        monkeypatch.setattr(sim, "_map_blocks",
-                            lambda rows, work: calls.append(rows) or honest(rows, work))
-        push_channel(sample_source(example_source, 2 * _BLOCK_ROWS + 17, seed=47), r, seed=48)
-        assert calls == [2 * _BLOCK_ROWS + 17]
+        pushed = push_channel(batch, r, seed=46)
+        check_distortion(pushed, case1)
+        check_cm_optimality(pushed, r, [np.eye(4)])
+        empirical_error_covariance(pushed)
+        assert "x" not in vars(batch) and "x" not in vars(pushed)
 
     def test_batch_without_gram_rejected(self, example_source, case1):
+        # a factor of other than min(N, n) columns is no Gram factor of N rows
         r = realize(example_source, solve(example_source, case1).sigma)
-        batch = sim.SampleBatch(2, sample_source(example_source, 10, seed=49).x)
-        with pytest.raises(ValueError, match="sample_source"):
-            push_channel(batch, r, seed=50)
+        for columns in (0, 3):
+            batch = sim.SampleBatch(2, 10, np.ones((4, columns)), 49)
+            with pytest.raises(ValueError, match="sample_source"):
+                push_channel(batch, r, seed=50)
 
     @pytest.mark.parametrize("p1, p2", [(1, 2), (3, 1)])
     def test_channel_of_another_split_rejected(self, example_source, case2_run, p1, p2):
@@ -166,47 +172,66 @@ class TestPushChannel:
 
 
 class TestChunkedBatch:
-    def test_matches_one_shot_draw(self, example_source, case2):
-        rows = 3 * _CHUNK_ROWS + 17
-        r = realize(example_source, solve(example_source, case2).sigma)
-        batch = push_channel(sample_source(example_source, rows, seed=111), r, seed=112)
-        x, _ = one_shot_batch(example_source, r, rows, (111, 112))
-        for got, want in ((batch.x, x), (batch.moments, one_shot_pushed_moments(x, r, 112))):
-            np.testing.assert_allclose(got, want, rtol=1e-13,
-                                       atol=1e-13 * float(np.abs(want).max()))
-
-    @pytest.mark.parametrize("rows", [_BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 17])
-    def test_matches_per_block_draw_across_blocks(self, example_source, case2, rows):
-        r = realize(example_source, solve(example_source, case2).sigma)
-        batch = push_channel(sample_source(example_source, rows, seed=113), r, seed=114)
-        x, _ = one_shot_batch(example_source, r, rows, (113, 114))
-        for got, want in ((batch.x, x), (batch.moments, one_shot_pushed_moments(x, r, 114))):
-            np.testing.assert_allclose(got, want, rtol=1e-13,
-                                       atol=1e-13 * float(np.abs(want).max()))
-
-    def test_memory_is_one_array_plus_chunks(self, example_source, case2, monkeypatch):
-        # tracemalloc sees numpy's data buffers.  The batch holds x and the
-        # 8x8 moments; everything else is per-chunk temporaries, about
-        # 0.27 MB at n = 4 with two threads (128 KiB of normals per thread).
-        monkeypatch.setattr(sim, "_cpu_count", lambda: 2)
+    def test_memory_is_one_array_plus_chunks(self, example_source, case2):
+        # tracemalloc sees numpy's data buffers.  Sampling, the push and both
+        # checks hold O(n^2) numbers at any N; reading x adds x itself and
+        # per-chunk temporaries of 128 KiB at n = 4
         r = realize(example_source, solve(example_source, case2).sigma)
         alternatives = [0.9 * np.eye(4), 1.1 * np.eye(4), np.ones((4, 4))]
 
-        def pipeline(rows):
-            batch = push_channel(sample_source(example_source, rows, seed=121), r, seed=122)
-            check_distortion(batch, case2)
-            check_cm_optimality(batch, r, alternatives)
-            empirical_error_covariance(batch)
-            return batch.x.nbytes
+        def peak_beyond_x(rows, read_x):
+            tracemalloc.start()
+            try:
+                batch = push_channel(sample_source(example_source, rows, seed=121), r, seed=122)
+                check_distortion(batch, case2)
+                check_cm_optimality(batch, r, alternatives)
+                empirical_error_covariance(batch)
+                x_bytes = batch.x.nbytes if read_x else 0
+                return tracemalloc.get_traced_memory()[1] - x_bytes
+            finally:
+                tracemalloc.stop()
 
-        pipeline(10)  # lazy imports and first-call set-up stay out of the peak
-        tracemalloc.start()
-        try:
-            x_bytes = pipeline(200_000)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < x_bytes + 2**20
+        peak_beyond_x(10, True)  # lazy imports and first-call set-up stay out of the peak
+        assert peak_beyond_x(10**9, False) < 2**20
+        assert peak_beyond_x(200_000, True) < 2**20
+
+
+class TestGramRoute:
+    """sample_source and push_channel draw the Gram and the moments, never a
+    row; they must have the law of helpers.one_shot_batch's row-by-row draw."""
+
+    DRAWS = 2000
+
+    @pytest.mark.parametrize("rows", [3, 40])
+    def test_law_matches_row_by_row_draw(self, example_source, case2, rows):
+        # the mean and the variance of each entry of gram / N and of the
+        # pushed C, over DRAWS seeds of each route, within five standard
+        # errors; 3 rows makes the Bartlett factor trapezoidal, and case 2's
+        # channel is rank-deficient.  The two routes use disjoint seeds.
+        r = realize(example_source, solve(example_source, case2).sigma)
+        draws = self.DRAWS
+
+        def entries(x_gram, c):
+            return np.concatenate([x_gram.ravel() / rows, c.ravel()])
+
+        route, rows_drawn = [], []
+        for seed in range(draws):
+            batch = push_channel(sample_source(example_source, rows, seed), r, draws + seed)
+            route.append(entries(batch.factor @ batch.factor.T, batch.moments))
+            x, xhat = one_shot_batch(example_source, r, rows, (2 * draws + seed, 3 * draws + seed))
+            rows_drawn.append(entries(x.T @ x, one_shot_moments(x, xhat)))
+
+        def mean_and_error(samples):
+            return samples.mean(axis=0), samples.std(axis=0, ddof=1) / math.sqrt(draws)
+
+        # round-off scale, for entries that vanish in both routes
+        floor = 1e-12 * example_source.q_norm
+        got, want = np.array(route), np.array(rows_drawn)
+        (m_got, e_got), (m_want, e_want) = mean_and_error(got), mean_and_error(want)
+        assert np.all(np.abs(m_got - m_want) <= 5.0 * np.hypot(e_got, e_want) + floor)
+        (v_got, e_got), (v_want, e_want) = (mean_and_error((got - m_got) ** 2),
+                                            mean_and_error((want - m_want) ** 2))
+        assert np.all(np.abs(v_got - v_want) <= 5.0 * np.hypot(e_got, e_want) + floor**2)
 
 
 class TestStatisticDraw:
@@ -217,24 +242,27 @@ class TestStatisticDraw:
     MIX = np.array([[2.0, 0.0, 0.0, 0.0], [0.7, 1.0, 0.0, 0.0],
                     [-0.4, 0.3, 0.5, 0.0], [0.2, -0.6, 0.1, 1.5]])
 
-    def _gram(self, rows, seed):
-        x = np.random.default_rng(seed).standard_normal((rows, self.N)) @ self.MIX.T
-        return x.T @ x
+    def _rows(self, rows, seed):
+        return np.random.default_rng(seed).standard_normal((rows, self.N)) @ self.MIX.T
 
     @staticmethod
-    def _draw(s_xx, rows, seed):
-        return sim._draw_statistic(s_xx, rows, np.random.Generator(np.random.Philox(seed)))
+    def _draw(x, seed):
+        # F_x = R^T for x = U R, the factor sample_source hands the push
+        f_x = np.linalg.qr(x, mode="r").T
+        return sim._draw_statistic(f_x, x.shape[0], np.random.Generator(np.random.Philox(seed)))
 
     @pytest.mark.parametrize("rows", [1, 3, 4, 5, 7, 8, 50])
     def test_is_a_gram_matrix_of_rank_min_rows_2n(self, rows):
         # S is the Gram matrix of the rows x 2n matrix [x, w]: symmetric,
         # PSD and of rank min(rows, 2n), with x^T x in its top-left block
         for seed in range(20):
-            s_xx = self._gram(rows, seed)
-            s = self._draw(s_xx, rows, seed)
+            x = self._rows(rows, seed)
+            s_xx = x.T @ x
+            s = self._draw(x, seed)
             assert s.shape == (2 * self.N, 2 * self.N)
             assert np.array_equal(s, s.T)
-            assert np.array_equal(s[:self.N, :self.N], s_xx)
+            np.testing.assert_allclose(s[:self.N, :self.N], s_xx, rtol=0.0,
+                                       atol=1e-13 * float(np.abs(s_xx).max()))
             w = np.linalg.eigvalsh(s)
             assert w[0] >= -1e-10 * w[-1]
             assert int(np.sum(w > 1e-10 * w[-1])) == min(rows, 2 * self.N)
@@ -244,8 +272,9 @@ class TestStatisticDraw:
         # E S_ww = rows I, and the Schur complement S_ww - S_wx S_xx^-1 S_xw,
         # the Gram of w's part orthogonal to x, has mean (rows - n) I
         rows, n, draws = 50, self.N, 2000
-        s_xx = self._gram(rows, 0)
-        s = np.array([self._draw(s_xx, rows, seed) for seed in range(draws)])
+        x = self._rows(rows, 0)
+        s_xx = x.T @ x
+        s = np.array([self._draw(x, seed) for seed in range(draws)])
         s_xw, s_ww = s[:, :n, n:], s[:, n:, n:]
         schur = s_ww - s_xw.transpose(0, 2, 1) @ np.linalg.solve(s_xx, s_xw)
         column_products = s_xw[:, :, None, :] * s_xw[:, None, :, :]
@@ -268,59 +297,14 @@ class TestWishart:
         # Wishart(dof, I_n) has rank min(dof, n), E W = dof I, E W_ii^2 =
         # 2 dof + dof^2 and E W_ij^2 = dof off the diagonal
         n, draws = 4, 4000
-        w = np.array([sim._wishart(dof, n, np.random.Generator(np.random.Philox(seed)))
+        a = np.array([sim._bartlett(dof, n, np.random.Generator(np.random.Philox(seed)))
                       for seed in range(draws)])
+        w = a @ a.transpose(0, 2, 1)
         assert all(np.linalg.matrix_rank(a) == min(dof, n) for a in w[:20])
         for samples, want in ((w, dof * np.eye(n)),
                               (w**2, dof * np.ones((n, n)) + (dof + dof**2) * np.eye(n))):
             std_error = samples.std(axis=0, ddof=1) / math.sqrt(draws)
             assert np.all(np.abs(samples.mean(axis=0) - want) <= 5.0 * std_error)
-
-
-class TestThreadedBlocks:
-    ROWS = 2 * _BLOCK_ROWS + 17
-
-    def test_same_batch_on_any_worker_count(self, example_source, case2, monkeypatch):
-        # neither the block layout nor the order of the block sums may depend
-        # on how the threads share the blocks; a short switch interval makes
-        # them interleave often
-        r = realize(example_source, solve(example_source, case2).sigma)
-        batches = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for workers in (1, 2, 3):
-                monkeypatch.setattr(sim, "_cpu_count", lambda: workers)
-                batches.append(push_channel(sample_source(example_source, self.ROWS, seed=131),
-                                            r, seed=132))
-        finally:
-            sys.setswitchinterval(interval)
-        for other in batches[1:]:
-            assert np.array_equal(other.x, batches[0].x)
-            assert np.array_equal(other.moments, batches[0].moments)
-
-    @pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
-    def test_failure_in_a_block_reaches_the_caller(self, example_source, monkeypatch, error):
-        threads = threading.active_count()
-        fail_blocks_after_first(monkeypatch, error)
-        with pytest.raises(error, match="failure in block"):
-            sample_source(example_source, self.ROWS, seed=141)
-        assert threading.active_count() == threads
-
-    @pytest.mark.parametrize("rows", [_BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 17])
-    def test_results_come_back_in_block_order(self, monkeypatch, rows):
-        # block 0 sleeps, so the later blocks finish before it
-        monkeypatch.setattr(sim, "_cpu_count", lambda: 3)
-
-        def work(b, block):
-            if b == 0:
-                time.sleep(0.05)
-            return b, block.start, block.stop
-
-        blocks = range(math.ceil(rows / _BLOCK_ROWS))
-        assert sim._map_blocks(rows, work) == [
-            (b, b * _BLOCK_ROWS, (b + 1) * _BLOCK_ROWS) for b in blocks
-        ]
 
 
 class TestCheckDistortion:
@@ -364,7 +348,8 @@ class TestCheckDistortion:
         src = validate_source(np.eye(n), p1, p2)
 
         def allowance(samples):
-            batch = sim.SampleBatch(p1, np.zeros((samples, n)), np.zeros((2 * n, 2 * n)))
+            batch = sim.SampleBatch(p1, samples, np.zeros((n, min(samples, n))), 0,
+                                    np.zeros((2 * n, 2 * n)))
             rep = check_distortion(batch, DistortionPair(1.0, 1.0))
             return max(rep.bound_d1, rep.bound_d2) - 1.0
 
@@ -422,7 +407,7 @@ class TestCheckCmOptimality:
         # whole-batch per-sample differences; the largest gap seen is 0.27 %
         _, r, _ = case1_run if which == "case1" else case2_run
         x, xhat = one_shot_draws[which]
-        batch = sim.SampleBatch(2, x, one_shot_moments(x, xhat))
+        batch = batch_of_rows(x, xhat, 2)
         rng = np.random.default_rng(606)
         alternatives = [0.9 * np.eye(4), 1.1 * np.eye(4), rng.standard_normal((4, 4))]
         rep = check_cm_optimality(batch, r, alternatives)
@@ -462,9 +447,9 @@ class TestStreamedChecksMatchUnchunked:
     @staticmethod
     def _one_shot(src, r, rows, seeds):
         x, xhat = one_shot_batch(src, r, rows, seeds)
-        return sim.SampleBatch(src.p1, x, one_shot_moments(x, xhat)), x, xhat
+        return batch_of_rows(x, xhat, src.p1), x, xhat
 
-    @pytest.mark.parametrize("rows", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("rows", [1, 4095, 4096, 4097])
     def test_rows_around_chunk_size(self, example_source, case2, rows):
         r = realize(example_source, solve(example_source, case2).sigma)
         batch, x, xhat = self._one_shot(example_source, r, rows, (61, 62))
@@ -475,19 +460,19 @@ class TestStreamedChecksMatchUnchunked:
         _, r, _ = case1_run if which == "case1" else case2_run
         d = case1 if which == "case1" else case2
         x, xhat = one_shot_draws[which]
-        batch = sim.SampleBatch(2, x, one_shot_moments(x, xhat))
+        batch = batch_of_rows(x, xhat, 2)
         _assert_matches_unchunked(batch, r, d, self._alternatives(r, 4), x, xhat)
 
     def test_uneven_split(self):
         src = validate_source(random_pd_pair(np.random.default_rng(71), 1, 3), 1, 3)
         d = DistortionPair(0.3 * float(np.trace(src.q11)), 0.3 * float(np.trace(src.q22)))
         r = realize(src, solve(src, d).sigma)
-        batch, x, xhat = self._one_shot(src, r, 3 * _CHUNK_ROWS + 17, (72, 73))
+        batch, x, xhat = self._one_shot(src, r, 3 * 4096 + 17, (72, 73))
         _assert_matches_unchunked(batch, r, d, self._alternatives(r, 4), x, xhat)
 
     def test_no_alternatives(self, example_source, case2):
         r = realize(example_source, solve(example_source, case2).sigma)
-        batch, x, xhat = self._one_shot(example_source, r, _CHUNK_ROWS + 5, (81, 82))
+        batch, x, xhat = self._one_shot(example_source, r, 4096 + 5, (81, 82))
         cm = _assert_matches_unchunked(batch, r, case2, [], x, xhat)
         assert cm.margins == () and cm.passed
 
