@@ -280,6 +280,16 @@ def one_shot_batch(src, r, rows: int, seeds: tuple[int, int]):
     return x, xhat
 
 
+def one_shot_rows(batch: sim.SampleBatch) -> np.ndarray:
+    """The rows x = U F_x^T of a batch in one product: U the orthonormal
+    Householder QR factor, with R's diagonal made positive, of the N x k
+    standard normals drawn by SFC64 seeded by SeedSequence(seed) spawned
+    along key (1,)."""
+    dim, k = batch.factor.shape
+    u, r = np.linalg.qr(_sfc64(batch.seed, 1).standard_normal((batch.n, k)))
+    return (u * np.sign(np.diag(r))) @ batch.factor.T
+
+
 def batch_of_rows(x, xhat, p1: int) -> sim.SampleBatch:
     """The SampleBatch of given rows x and reproductions xhat: the factor
     R^T of x's QR, and the one-shot second moments of [x, xhat]."""

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -461,6 +462,26 @@ class TestVerifyCommand:
         assert out == ""
         _assert_one_line(err)
         assert err.startswith("structural failure: realization rejected: Q - sigma is not PSD")
+
+    def test_failure_in_a_sampling_thread_exits_1(self, example_source_file, monkeypatch,
+                                                  capsys):
+        # sampling runs on the calling thread: a failure in its draw exits 1
+        # with one line and starts no thread
+        threads = threading.active_count()
+
+        def failing(*args):
+            raise MemoryError("failure in sampling")
+
+        monkeypatch.setattr(sim, "_bartlett", failing)
+        code, out, err = run_cli(
+            capsys, "verify", example_source_file, "--d1", "0.4", "--d2", "0.5",
+            "--samples", "100000", "--seed", "7",
+        )
+        assert code == 1
+        assert out == ""
+        _assert_one_line(err)
+        assert err.startswith("internal failure: failure in sampling")
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("samples", ["1000000000000000", "1000000000"])
     def test_samples_beyond_memory_pass(self, example_source_file, capsys, samples):

@@ -20,6 +20,7 @@ from jointrdf import sim
 from helpers import (
     batch_of_rows,
     one_shot_batch,
+    one_shot_rows,
     one_shot_moments,
     random_pd_pair,
     unchunked_cm_optimality,
@@ -172,6 +173,26 @@ class TestPushChannel:
 
 
 class TestChunkedBatch:
+    """Reading x of a long batch overwrites the Gaussian with x in 4096-row
+    chunks; chunk by chunk it must give the rows of one whole-batch product,
+    and the pushed moments' x block must be their Gram."""
+
+    def _assert_rows_match(self, example_source, case2, rows, seeds):
+        r = realize(example_source, solve(example_source, case2).sigma)
+        batch = push_channel(sample_source(example_source, rows, seed=seeds[0]), r, seed=seeds[1])
+        x = one_shot_rows(batch)
+        for got, want in ((batch.x, x), (batch.moments[:4, :4], x.T @ x / rows)):
+            np.testing.assert_allclose(got, want, rtol=1e-13,
+                                       atol=1e-13 * float(np.abs(want).max()))
+
+    def test_matches_one_shot_draw(self, example_source, case2):
+        self._assert_rows_match(example_source, case2, 3 * 4096 + 17, (111, 112))
+
+    @pytest.mark.parametrize("rows", [16 * 4096, 16 * 4096 + 1, 32 * 4096 + 17])
+    def test_matches_per_block_draw_across_blocks(self, example_source, case2, rows):
+        # the last chunk whole, one row long, and 17 rows long
+        self._assert_rows_match(example_source, case2, rows, (113, 114))
+
     def test_memory_is_one_array_plus_chunks(self, example_source, case2):
         # tracemalloc sees numpy's data buffers.  Sampling, the push and both
         # checks hold O(n^2) numbers at any N; reading x adds x itself and
