@@ -6,8 +6,8 @@ import numpy as np
 
 
 def sym(a: np.ndarray) -> np.ndarray:
-    """Symmetric part (a + a.T) / 2."""
-    return 0.5 * (a + a.T)
+    """Symmetric part (a + a.T) / 2, of each matrix of a stack."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def chol_logdet(a: np.ndarray) -> float:

@@ -12,10 +12,11 @@ Exit codes, each with its stderr prefix:
 
 - 0 success;
 - 1 internal failure: a dual solve whose ratio bracket collapses or that
-  reaches its evaluation cap, or an allocation that fails, such as a sweep
-  grid too large for memory (``internal failure:``); a sweep point whose
-  solve fails (``sweep failed at grid point``) or a sweep whose rates rise
-  (``sweep rates are not non-increasing``);
+  reaches its evaluation cap, a solve whose own feasibility check refuses
+  its Sigma, or an allocation that fails, such as a sweep grid too large
+  for memory (``internal failure:``); a sweep point whose solve fails in
+  any of these ways (``sweep failed at grid point``) or a sweep whose rates
+  rise (``sweep rates are not non-increasing``);
 - 2 invalid input: an unreadable or invalid source (``invalid source:``),
   a bad option value, grid, unrepresentable budget or sample count beyond
   what the Wishart draw holds (``invalid input:``)
@@ -124,9 +125,13 @@ def _solve_dict(src: GaussianPairSource, report: SolveReport, d: DistortionPair,
 def _solve(
     src: GaussianPairSource, args: argparse.Namespace
 ) -> tuple[DistortionPair, SolveReport]:
-    """Solve at (args.d1, args.d2); the Infeasible branch exits 3."""
+    """Solve at (args.d1, args.d2); the Infeasible branch exits 3, and a solve
+    whose own feasibility check or certificate refuses its answer exits 1."""
     d = DistortionPair(args.d1, args.d2)
-    report = solve(src, d)
+    try:
+        report = solve(src, d)
+    except FeasibilityError as exc:  # a ValueError, but not one of the input
+        raise _Exit(1, f"internal failure: {exc}") from exc
     if report.branch is SolveBranch.INFEASIBLE:
         raise _Exit(3, "infeasible: rate is infinite (zero distortion budget against "
                        "positive source variance)")
@@ -182,7 +187,7 @@ def _sweep_point(src: GaussianPairSource, d1: float, d2: float) -> dict:
     d = DistortionPair(d1, d2)
     try:
         report = solve(src, d)
-    except (RuntimeError, MemoryError) as exc:
+    except (RuntimeError, MemoryError, FeasibilityError) as exc:
         raise _Exit(1, f"sweep failed at grid point (d1={d1:.6g}, d2={d2:.6g}): {exc}") from exc
     return {"d1": d1, "d2": d2, "rate": report.rate_nats, "branch": report.branch.value,
             "gray_bound": gray_lower_bound(src, d)}

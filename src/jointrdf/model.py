@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -103,7 +104,8 @@ class GaussianPairSource:
     @cached_property
     def block_traces(self) -> tuple[float, float]:
         """(tr Q11, tr Q22)."""
-        return float(np.trace(self.q11)), float(np.trace(self.q22))
+        diag = self.q.diagonal().tolist()
+        return math.fsum(diag[: self.p1]), math.fsum(diag[self.p1 :])
 
     @cached_property
     def block_eigenvalues(self) -> tuple[np.ndarray, np.ndarray]:
@@ -132,12 +134,18 @@ class DistortionPair:
 def validate_source(raw_matrix: np.ndarray, p1: int, p2: int) -> GaussianPairSource:
     """Validate a raw joint covariance and wrap it as a GaussianPairSource.
 
-    Checks, in order: dimensions match (p1 + p2) square; entries finite;
-    relative asymmetry within SYMMETRY_RTOL (then symmetrized); minimum
-    eigenvalue above PSD_RTOL * ||q||_2.  Raises SourceValidationError on
-    the first that fails, so every source is positive definite.  eigh(q)
-    is stored on the result.
+    Checks, in order: p1 and p2 are positive integers (numpy integers are
+    stored as int; bool, float and str are refused); dimensions match
+    (p1 + p2) square; entries finite; relative asymmetry within SYMMETRY_RTOL
+    (then symmetrized); minimum eigenvalue above PSD_RTOL * ||q||_2.  Raises
+    SourceValidationError on the first that fails, so every source is
+    positive definite.  eigh(q) is stored on the result.
     """
+    try:  # operator.index takes Python and numpy integers; a bool goes as None, not as 0 or 1
+        p1, p2 = (operator.index(None if isinstance(p, bool) else p) for p in (p1, p2))
+    except TypeError:
+        raise SourceValidationError(
+            f"p1 and p2 must be integers, got p1={p1!r}, p2={p2!r}") from None
     if p1 < 1 or p2 < 1:
         raise SourceValidationError(f"block dimensions must be positive, got p1={p1}, p2={p2}")
     a = np.asarray(raw_matrix, dtype=float)
@@ -146,9 +154,9 @@ def validate_source(raw_matrix: np.ndarray, p1: int, p2: int) -> GaussianPairSou
         raise SourceValidationError(
             f"covariance must be {n}x{n} for p1={p1}, p2={p2}, got shape {a.shape}"
         )
-    if not np.all(np.isfinite(a)):
-        raise SourceValidationError("covariance contains non-finite entries")
     scale = float(np.abs(a).max())
+    if not math.isfinite(scale):  # max propagates nan, so any non-finite entry shows here
+        raise SourceValidationError("covariance contains non-finite entries")
     asym = float(np.abs(a - a.T).max())
     if asym > SYMMETRY_RTOL * scale:
         raise SourceValidationError(
@@ -163,7 +171,8 @@ def validate_source(raw_matrix: np.ndarray, p1: int, p2: int) -> GaussianPairSou
             f"covariance is not positive definite: min eigenvalue {w[0]:.3e} "
             f"is not above {PSD_RTOL:.0e} * ||Q||_2 = {cutoff:.3e}"
         )
-    return GaussianPairSource(p1=p1, p2=p2, q=readonly(q), q_eigh=(readonly(w), readonly(u)))
+    q.flags.writeable = w.flags.writeable = u.flags.writeable = False
+    return GaussianPairSource(p1=p1, p2=p2, q=q, q_eigh=(w, u))
 
 
 def mutual_information(src: GaussianPairSource) -> float:
@@ -217,13 +226,11 @@ def gray_lower_bound(src: GaussianPairSource, d: DistortionPair) -> float:
 
 def parse_source(obj: dict) -> GaussianPairSource:
     """Build a source from a decoded JSON document {"p1": int, "p2": int, "Q": [[...]]};
-    block sizes such as true, "2" or 2.0 are refused, not coerced."""
+    validate_source refuses block sizes such as true, "2" or 2.0."""
     try:
         p1, p2, q = obj["p1"], obj["p2"], np.asarray(obj["Q"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise SourceValidationError(f"source document must carry p1, p2 and Q: {exc}") from exc
-    if not all(isinstance(p, int) and not isinstance(p, bool) for p in (p1, p2)):
-        raise SourceValidationError(f"p1 and p2 must be integers, got p1={p1!r}, p2={p2!r}")
     return validate_source(q, p1, p2)
 
 

@@ -15,7 +15,8 @@ tr Sigma22 - d2).  K(t u) = t K(u), so one eigh of K(u) describes the whole
 ray l = t u, and g's maximum on it is scalar reverse water-filling of K(u)'s
 eigenvalues; only the ratio of the two multipliers is searched, by a bracketed
 one-dimensional search.  Each evaluation is one eigh and a few O(n^2) array
-operations.
+operations for the block traces of Sigma, all that the search reads; Sigma,
+Theta and the rate are built once, from the final point.
 
 The branch labels the instance, read off the dual's first evaluation (see
 :func:`_solve_dual`); it selects no computation:
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -92,7 +93,8 @@ class ErrorCovariance:
 
 def _block_traces(src: GaussianPairSource, s: np.ndarray) -> tuple[float, float]:
     """(tr S11, tr S22) of an n x n matrix under src's partition."""
-    return float(np.trace(s[: src.p1, : src.p1])), float(np.trace(s[src.p1 :, src.p1 :]))
+    diag = s.diagonal().tolist()
+    return math.fsum(diag[: src.p1]), math.fsum(diag[src.p1 :])
 
 
 def _check_shape(src: GaussianPairSource, s: np.ndarray) -> None:
@@ -105,12 +107,11 @@ def check_psd_bounds(src: GaussianPairSource, s: np.ndarray) -> None:
     eigenvalues of sigma and of Q - sigma down to -PSD_RTOL * ||Q||_2
     accepted as round-off."""
     _check_shape(src, s)
-    w_s = np.linalg.eigvalsh(sym(s))
-    if w_s[0] < -PSD_RTOL * src.q_norm:
-        raise FeasibilityError(f"sigma is not PSD: min eigenvalue {w_s[0]:.3e}")
-    w_qs = np.linalg.eigvalsh(sym(src.q - s))
-    if w_qs[0] < -PSD_RTOL * src.q_norm:
-        raise FeasibilityError(f"Q - sigma is not PSD: min eigenvalue {w_qs[0]:.3e}")
+    w_s, w_qs = np.linalg.eigvalsh(sym(np.array((s, src.q - s))))[:, 0]
+    if w_s < -PSD_RTOL * src.q_norm:
+        raise FeasibilityError(f"sigma is not PSD: min eigenvalue {w_s:.3e}")
+    if w_qs < -PSD_RTOL * src.q_norm:
+        raise FeasibilityError(f"Q - sigma is not PSD: min eigenvalue {w_qs:.3e}")
 
 
 def _as_matrix(sigma) -> np.ndarray:
@@ -212,29 +213,19 @@ def kkt_residuals(
     except np.linalg.LinAlgError as exc:
         raise FeasibilityError("kkt residuals require sigma > 0") from exc
     half_inv = 0.5 * (chol_inv.T @ chol_inv)  # exactly symmetric: a product with its transpose
-    lam_block = np.diag([cert.lambda1] * src.p1 + [cert.lambda2] * src.p2)
     unit = float(np.abs(half_inv).max())
-    stat = float(np.linalg.norm((lam_block + cert.theta - half_inv) / unit)
-                 / np.linalg.norm(half_inv / unit))
+    # Theta + Block-diag(lambda1 I, lambda2 I) - half_inv, in the order written
+    resid = np.array(cert.theta, dtype=float)
+    resid.flat[:: src.n + 1] += [cert.lambda1] * src.p1 + [cert.lambda2] * src.p2
+    resid, half_inv = (resid - half_inv) / unit, half_inv / unit
+    stat = math.sqrt(float(np.vdot(resid, resid)) / float(np.vdot(half_inv, half_inv)))
     tr1, tr2 = _block_traces(src, s)
-    slack = (
-        cert.lambda1 * (tr1 - d.d1),
-        cert.lambda2 * (tr2 - d.d2),
-        float(np.sum(cert.theta * (s - src.q))),
-    )
+    slack = (cert.lambda1 * (tr1 - d.d1), cert.lambda2 * (tr2 - d.d2),
+             float(np.vdot(cert.theta, s - src.q)))
     w_theta = np.linalg.eigvalsh(sym(cert.theta))
-    theta_scale = float(np.abs(w_theta).max())
-    dual_ok = (
-        cert.lambda1 >= 0.0
-        and cert.lambda2 >= 0.0
-        and w_theta[0] >= -PSD_RTOL * theta_scale
-    )
-    return replace(
-        cert,
-        stationarity_residual=stat,
-        slackness_residuals=slack,
-        dual_feasible=bool(dual_ok),
-    )
+    dual_ok = (cert.lambda1 >= 0.0 and cert.lambda2 >= 0.0
+               and w_theta[0] >= -PSD_RTOL * float(np.abs(w_theta).max()))
+    return KktCertificate(cert.lambda1, cert.lambda2, cert.theta, stat, slack, bool(dual_ok))
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +242,10 @@ class _DualPoint(NamedTuple):
     l: tuple[float, float]
     pos: slice
     zero: slice
-    s: np.ndarray
     m: np.ndarray
     v: np.ndarray
     c: np.ndarray | None
     r: tuple[float, float]
-    rate: float
 
 
 def _dual_point(
@@ -273,7 +262,7 @@ def _dual_point(
     Sigma's diagonal there is ((v * v) @ min(m, 1/2)) / l; a zero block has
     trace tr Q_ii - sum(c^2 (1 - z) / m), z = min(1, 1/(2 m)) and
     c = Q_zero,pos diag(s) v, s = sqrt(l).  r = (tr Sigma11 - d1, tr Sigma22 - d2)
-    is the gradient of g(l) = rate + l . r, rate = 0.5 sum ln(2 max(m, 1/2)).
+    is the gradient of g(l) = rate + l . r; the rate is left to :func:`_optimum`.
     u = 0 gives l = 0.  ValueError unless max(u) ||Q||_2, which bounds every
     entry of K(u), is finite.
     """
@@ -292,15 +281,14 @@ def _dual_point(
     mu, v = np.linalg.eigh(q[pos, pos] * (su[:, None] * su), UPLO="L" if u1 >= u2 else "U")
     t = 0.5 / _water_level(mu.tolist(), u1 * d1 + u2 * d2)[0] if lo < hi else 0.0
     l, lp, m = (t * u1, t * u2), t * up, t * mu
-    s, top = np.sqrt(lp), np.maximum(m, 0.5)
     diag = (((v * v) @ np.minimum(m, 0.5)) / lp).tolist()
     tr, c = (sum(diag[: p1 - lo]), sum(diag[p1 - lo :])), None
     if zero.start < zero.stop:
-        c = (q[zero, pos] * s) @ v
+        top = np.maximum(m, 0.5)
+        c = (q[zero, pos] * np.sqrt(lp)) @ v
         removed = float(np.vdot(c * ((top - 0.5) / top**2), c))
         tr = tuple(ti if ui > 0.0 else tq - removed for ti, ui, tq in zip(tr, u, src.block_traces))
-    rate = 0.5 * sum(np.log(2.0 * top).tolist())
-    return _DualPoint(l, pos, zero, s, m, v, c, (tr[0] - d1, tr[1] - d2), rate)
+    return _DualPoint(l, pos, zero, m, v, c, (tr[0] - d1, tr[1] - d2))
 
 
 def _in_region(first: _DualPoint) -> bool:
@@ -335,7 +323,8 @@ def _solve_dual(
     multiplier is exactly zero; RuntimeError if the bracket collapses
     first (both ends evaluated and no float strictly between them, so every
     later step would repeat an end) or if _MAX_EVALUATIONS does.  Returns
-    (sigma, theta, l, rate, evaluations, branch).
+    (sigma, theta, rate, l, evaluations, branch), the first three built once,
+    from the final point.
     """
     budget = (d.d1, d.d2)
     l0 = tuple(0.0 if di >= ti else p / (2.0 * di)
@@ -376,11 +365,12 @@ def _solve_dual(
     if not done(pt):
         how = "its ratio bracket collapsed after" if collapsed else "it reached its cap of"
         raise RuntimeError(f"dual solver did not converge: {how} {evaluations} evaluations")
-    return (*_optimum(src, pt), pt.l, pt.rate, evaluations, branch)
+    return (*_optimum(src, pt), pt.l, evaluations, branch)
 
 
-def _optimum(src: GaussianPairSource, pt: _DualPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Sigma and Theta at pt, with s, m, v, c and z as in :func:`_dual_point`.
+def _optimum(src: GaussianPairSource, pt: _DualPoint) -> tuple[np.ndarray, np.ndarray, float]:
+    """Sigma, Theta and the rate 0.5 sum ln(2 max(m, 1/2)) at pt, with s, m, v, c
+    and z as in :func:`_dual_point`.
 
     On pos, Sigma = diag(1/s) v diag(min(m, 1/2)) v^T diag(1/s) and Theta =
     diag(s) v diag(max(0, 1/2 - m) / m) v^T diag(s), PSD and complementary to
@@ -389,20 +379,21 @@ def _optimum(src: GaussianPairSource, pt: _DualPoint) -> tuple[np.ndarray, np.nd
     and to Theta 0.5 Q^{-1} E (E^T Q^{-1} E)^{-1} E^T Q^{-1}, E = I[:, zero],
     as 0.5 Y C^{-1} Y^T: C = Q_zero,zero - c diag(1/m) c^T, Y = E - diag(s) v diag(1/m) c^T.
     """
-    q, pos, zero, s, m, v, c = src.q, pt.pos, pt.zero, pt.s, pt.m, pt.v, pt.c
-    y, ss = np.minimum(m, 0.5), s[:, None] * s
+    q, pos, zero, m, v, c = src.q, pt.pos, pt.zero, pt.m, pt.v, pt.c
+    s = np.sqrt(np.array([pt.l[0]] * src.p1 + [pt.l[1]] * src.p2)[pos])
+    y, top, ss = np.minimum(m, 0.5), np.maximum(m, 0.5), s[:, None] * s
     sigma, theta = np.empty_like(q), np.zeros_like(q)
     sigma[pos, pos] = ((v * y) @ v.T) / ss
     theta[pos, pos] = ((v * ((0.5 - y) / m)) @ v.T) * ss
     if c is not None:
-        cz = c * (0.5 / np.maximum(m, 0.5))
+        cz = c * (0.5 / top)
         sigma[zero, pos] = (cz @ v.T) / s
         sigma[pos, zero] = sigma[zero, pos].T
         sigma[zero, zero] = q[zero, zero] - ((c - cz) / m) @ c.T
         e = np.eye(src.n)[:, zero]
         e[pos] = -((s[:, None] * v) / m) @ c.T
         theta += 0.5 * (e @ np.linalg.solve(q[zero, zero] - (c / m) @ c.T, e.T))
-    return sym(sigma), sym(theta)
+    return sym(sigma), sym(theta), 0.5 * sum(np.log(2.0 * top).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +408,9 @@ def solve(src: GaussianPairSource, d: DistortionPair) -> SolveReport:
     once each trace is within TRACE_SLACK_TOL * d_i of its budget d_i, or
     below it with a zero multiplier (ValueError for a budget whose multiplier
     p_i / (2 d_i) is not representable for Q; RuntimeError if the iteration
-    fails, see :func:`_solve_dual`).  iterations counts its evaluations, one
-    eigh each (1 on the zero-rate and region-D instances).  The rate is that
+    fails, see :func:`_solve_dual`; FeasibilityError if validate or
+    :func:`kkt_residuals` refuses its Sigma).  iterations counts its
+    evaluations, one eigh each (1 on the zero-rate and region-D instances).  The rate is that
     of the returned Sigma, from the final dual point's eigenvalues; the
     branch labels the instance as the module docstring says.  The additive
     lower bound is :func:`jointrdf.model.gray_lower_bound`.
@@ -433,10 +425,11 @@ def solve(src: GaussianPairSource, d: DistortionPair) -> SolveReport:
         return SolveReport(math.inf, sigma, None, SolveBranch.INFEASIBLE, 0,
                            time.perf_counter() - start)
 
-    s, theta, lam, rate, iterations, branch = _solve_dual(src, d)
-    sigma = ErrorCovariance(readonly(s))
+    s, theta, rate, lam, iterations, branch = _solve_dual(src, d)
+    s.flags.writeable = theta.flags.writeable = False
+    sigma = ErrorCovariance(s)
     sigma.validate(src, d)
-    blank = KktCertificate(*lam, readonly(theta), 0.0, (0.0,) * 3, True)
+    blank = KktCertificate(*lam, theta, 0.0, (0.0,) * 3, True)
     cert = kkt_residuals(src, d, sigma, blank)
     wall = time.perf_counter() - start
     return SolveReport(rate, sigma, cert, branch, iterations, wall)

@@ -10,11 +10,19 @@ scalar joint rate in closed form, from its three candidate optima.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from jointrdf import ErrorCovariance, sim
-from jointrdf.solver import TRACE_SLACK_TOL
+from jointrdf import (
+    DistortionPair,
+    ErrorCovariance,
+    GaussianPairSource,
+    SolveBranch,
+    sim,
+    validate_source,
+)
+from jointrdf.solver import REGION_TOL, TRACE_SLACK_TOL
 
 # Nats that an oracle comparison allows beyond what the trace slack accounts
 # for: round-off in the dual's rate and in the oracle itself.
@@ -40,6 +48,58 @@ def conditioned_pd(rng: np.random.Generator, n: int, cond: float) -> np.ndarray:
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))
     q = (v * np.logspace(0.0, -np.log10(cond), n)) @ v.T
     return 0.5 * (q + q.T)
+
+
+class InverseInstance(NamedTuple):
+    """An instance built from its optimum: budgets d with their exact Sigma,
+    rate and branch."""
+
+    src: GaussianPairSource
+    d: DistortionPair
+    sigma: np.ndarray
+    rate: float
+    branch: SolveBranch
+
+
+def inverse_instance(rng: np.random.Generator, n: int, cond: float) -> InverseInstance:
+    """The exact optimum at budgets chosen through their multipliers, at any n.
+
+    p1 is uniform in 1..n-1, Q = conditioned_pd(rng, n, cond), and each
+    multiplier is l_i = 10^U(-1, 1) / (2 w_j) for an eigenvalue w_j of Q drawn
+    at random.  With s = sqrt(l) per coordinate and V diag(m) V^T = K =
+    Q * outer(s, s), Sigma(l) = diag(1/s) V diag(min(m, 1/2)) V^T diag(1/s)
+    minimizes the Lagrangian over 0 <= Sigma <= Q and meets the budgets
+    d(l) = (tr Sigma11, tr Sigma22) with equality, so it is the optimum at
+    d(l), with multipliers l and rate 0.5 sum ln(2 max(m, 1/2)): one eigh, no
+    search.  eigh reads the triangle of the larger multiplier, which keeps
+    the small m of a graded K accurate.  Budgets are summed by math.fsum, so
+    correctly rounded.  The branch is ZeroRate when no m exceeds 1/2 (Sigma =
+    Q, and the budgets are the block traces, summed from the diagonal of Q
+    itself), ClosedFormInteriorD when every m exceeds
+    (1 + REGION_TOL) / 2 (Sigma = Block-diag((d1/p1) I, (d2/p2) I)), and
+    InteriorPoint otherwise.
+    """
+    p1 = int(rng.integers(1, n))
+    q = conditioned_pd(rng, n, cond)
+    w = np.linalg.eigvalsh(q)
+    l1, l2 = 10.0 ** rng.uniform(-1.0, 1.0, 2) / (2.0 * w[rng.integers(0, n, 2)])
+    s = np.sqrt(np.repeat([l1, l2], [p1, n - p1]))
+    m, v = np.linalg.eigh(q * np.outer(s, s), UPLO="L" if l1 >= l2 else "U")
+    diag = ((v * v) @ np.minimum(m, 0.5)) / s**2
+    if m[-1] <= 0.5:
+        branch, diag = SolveBranch.ZERO_RATE, q.diagonal()
+    elif m[0] > 0.5 * (1.0 + REGION_TOL):
+        branch = SolveBranch.CLOSED_FORM_INTERIOR_D
+    else:
+        branch = SolveBranch.INTERIOR_POINT
+    sigma = ((v * np.minimum(m, 0.5)) @ v.T) / np.outer(s, s)
+    return InverseInstance(
+        validate_source(q, p1, n - p1),
+        DistortionPair(math.fsum(diag[:p1]), math.fsum(diag[p1:])),
+        0.5 * (sigma + sigma.T),
+        0.5 * math.fsum(np.log(2.0 * np.maximum(m, 0.5))),
+        branch,
+    )
 
 
 def random_feasible_sigma(

@@ -603,6 +603,39 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+class TestSolveRefusingItsOwnAnswer:
+    """solve's own feasibility check can refuse the Sigma it built, on an
+    accepted source with positive budgets (ROADMAP item 18); the CLI reports
+    that as an internal failure, not as invalid input."""
+
+    MESSAGE = "Q - sigma is not PSD: min eigenvalue -2.839e-10"
+
+    @pytest.fixture()
+    def refusing(self, monkeypatch):
+        def refuse(src, d):
+            raise solver.FeasibilityError(self.MESSAGE)
+
+        monkeypatch.setattr(cli, "solve", refuse)
+
+    @pytest.mark.parametrize("command, extra", [
+        ("solve", ()),
+        ("realize", ()),
+        ("verify", ("--samples", "1000", "--seed", "1")),
+    ])
+    def test_exits_1(self, example_source_file, capsys, refusing, command, extra):
+        code, out, err = run_cli(capsys, command, example_source_file,
+                                 "--d1", "1.65", "--d2", "1.85", *extra)
+        assert code == 1
+        assert out == ""
+        assert err == f"internal failure: {self.MESSAGE}\n"
+
+    def test_sweep_names_the_point(self, example_source_file, capsys, refusing):
+        code, out, err = run_cli(capsys, "sweep", example_source_file, "--grid", "1:2:2,1:2:2")
+        assert code == 1
+        assert out == ""
+        assert err == f"sweep failed at grid point (d1=1, d2=1): {self.MESSAGE}\n"
+
+
 class TestPositiveDefiniteCutoff:
     """Q = U diag(lmin, 0.5, 1, 1) U^T with p1 = p2 = 2, near the cutoff
     lmin = PSD_RTOL * ||Q||_2 = 1e-10."""

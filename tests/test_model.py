@@ -78,6 +78,24 @@ class TestValidateSource:
         assert "q_eigh" in vars(src)
         assert src.q_eigh[0][0] == above
 
+    @pytest.mark.parametrize("p1", [2, np.int64(2), np.int32(2), np.uint8(2), np.array(2)],
+                             ids=["int", "int64", "int32", "uint8", "0-d array"])
+    def test_integer_block_sizes_accepted_as_int(self, p1):
+        src = validate_source(EXAMPLE_Q, p1, np.int16(2))
+        assert type(src.p1) is int and type(src.p2) is int
+        assert src.n == 4
+
+    @pytest.mark.parametrize("p1", [True, np.True_, 2.0, np.float64(2.0), 2.5, "2", None],
+                             ids=["true", "numpy-true", "float", "float64", "fraction", "string",
+                                  "none"])
+    def test_non_integer_block_sizes_refused(self, p1):
+        # 2.0 used to pass and fail later inside solve, as a TypeError on a
+        # slice index; True used to pass as 1, which fits a 3x3 Q
+        q = np.eye(3) if p1 in (True, np.True_) else EXAMPLE_Q
+        for args in ((q, p1, 2), (q, 2, p1)):
+            with pytest.raises(SourceValidationError, match="p1 and p2 must be integers"):
+                validate_source(*args)
+
     def test_block_reassembly_exact(self):
         src = validate_source(EXAMPLE_Q, 2, 2)
         rebuilt = np.block([[src.q11, src.q12], [src.q12.T, src.q22]])
